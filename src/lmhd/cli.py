@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -18,9 +17,7 @@ from .diagnostics import (
     STATUS_CHECK_FAILED,
     STATUS_CONFIG_ERROR,
     STATUS_OK,
-    energy_balance_residual,
-    gamma_log_derivative_check,
-    gronwall_bound_check,
+    evaluate_checks,
     parse_config,
     read_series,
     run_experiment,
@@ -28,12 +25,16 @@ from .diagnostics import (
 from .multiplier import make_g, osgood_classify
 
 
+def _config_error(exc: Exception) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_CODES[STATUS_CONFIG_ERROR]
+
+
 def _cmd_run(args) -> int:
     try:
         config = parse_config(args.config)
     except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CODES[STATUS_CONFIG_ERROR]
+        return _config_error(exc)
     result = run_experiment(config)
     print(json.dumps({"status": result.status, **result.summary}, indent=2))
     if result.message:
@@ -45,8 +46,7 @@ def _cmd_sweep(args) -> int:
     try:
         base = parse_config(args.config)
     except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CODES[STATUS_CONFIG_ERROR]
+        return _config_error(exc)
     if not args.vary.startswith("g1="):
         print("sweep currently varies g1 only; expected --vary g1=<name,name,...>", file=sys.stderr)
         return EXIT_CODES[STATUS_CONFIG_ERROR]
@@ -57,8 +57,7 @@ def _cmd_sweep(args) -> int:
         try:
             config.g1 = make_g(name)
         except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CODES[STATUS_CONFIG_ERROR]
+            return _config_error(exc)
         if base.out_series:
             stem = Path(base.out_series)
             config.out_series = str(stem.with_name(f"{stem.stem}_{name}{stem.suffix}"))
@@ -74,35 +73,16 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     try:
         records = read_series(args.series)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CODES[STATUS_CONFIG_ERROR]
-    if args.config:
-        try:
+        if args.config:
             config = parse_config(args.config)
-        except (ConfigError, OSError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CODES[STATUS_CONFIG_ERROR]
-        nu, eta, g1, params = config.nu, config.eta, config.g1, config.system_params()
-    else:
-        nu, eta, g1, params = args.nu, args.eta, make_g(args.g1), None
-
-    report: dict = {}
-    failures = []
-    if len(records) >= 3:
-        residual = energy_balance_residual(records, nu, eta)
-        report["energy_residual"] = residual
-        if args.energy_tol is not None and residual > args.energy_tol:
-            failures.append(f"energy residual {residual:.3e} > {args.energy_tol:.3e}")
-    gron = gronwall_bound_check(records, g1, params)
-    report["gronwall_constant"] = gron.constant
-    if not math.isfinite(gron.constant):
-        failures.append("gronwall constant not finite")
-    if len(records) >= 50:
-        gamma_report = gamma_log_derivative_check(records)
-        report["gamma_log_constant"] = gamma_report.constant
-        if not math.isfinite(gamma_report.constant):
-            failures.append("gamma log-derivative constant not finite")
+            nu, eta, g1, params = config.nu, config.eta, config.g1, config.system_params()
+            energy_tol = config.energy_tol if args.energy_tol is None else args.energy_tol
+        else:
+            nu, eta, g1, params = args.nu, args.eta, make_g(args.g1), None
+            energy_tol = args.energy_tol
+        report, failures = evaluate_checks(records, nu, eta, g1, params, energy_tol)
+    except (OSError, ValueError) as exc:
+        return _config_error(exc)
     print(json.dumps(report, indent=2))
     if failures:
         print("; ".join(failures), file=sys.stderr)
@@ -111,19 +91,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_osgood(args) -> int:
-    params = {}
-    for token in args.params:
-        if "=" not in token:
-            print(f"config error: expected key=value, got {token!r}", file=sys.stderr)
-            return EXIT_CODES[STATUS_CONFIG_ERROR]
-        key, value = token.split("=", 1)
-        params[key] = float(value)
     try:
+        params = {}
+        for token in args.params:
+            if "=" not in token:
+                raise ValueError(f"expected key=value, got {token!r}")
+            key, value = token.split("=", 1)
+            params[key] = float(value)
         g = make_g(args.g, **params)
         verdict = osgood_classify(g, upper_limit=args.limit, samples=args.samples)
     except (ValueError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CODES[STATUS_CONFIG_ERROR]
+        return _config_error(exc)
     print(json.dumps({
         "g": args.g,
         "classification": verdict.classification,

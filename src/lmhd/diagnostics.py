@@ -23,6 +23,7 @@ from .dynamics import SolutionPair, SystemParams
 from .integrator import BlowupError, StepperConfig, run
 from .lpaley import grad_uinf_split, gradient_fields
 from .multiplier import (
+    E,
     DissipationSpec,
     GFunction,
     make_g,
@@ -31,8 +32,6 @@ from .multiplier import (
     symbol_on_grid,
 )
 from .spectral import SpectralField, VectorField
-
-E = float(np.e)
 
 
 class ConfigError(ValueError):
@@ -152,21 +151,19 @@ class DiagnosticTracker:
 # estimate checks
 # ---------------------------------------------------------------------------
 
-def _check_uniform_cadence(records: list[DiagnosticRecord]) -> float:
-    times = np.array([r.t for r in records])
-    dts = np.diff(times)
-    if dts.size == 0:
-        raise ValueError("series must contain more than one record")
-    if np.max(np.abs(dts - dts[0])) > 1e-8 * max(dts[0], 1e-30):
-        raise ValueError("series cadence is not uniform")
-    return float(dts[0])
+_MIN_ENERGY_RECORDS = 3
+_MIN_GAMMA_RECORDS = 50
+_SOLENOIDAL_TOL = 1e-8
 
 
 def energy_balance_residual(records: list[DiagnosticRecord], nu: float, eta: float) -> float:
-    """Max relative defect of the energy identity along the series."""
-    if len(records) < 3:
-        raise ValueError("need at least 3 records at uniform cadence")
-    _check_uniform_cadence(records)
+    """Max relative defect of the energy identity along the series.
+
+    The running integrals are trapezoid sums in record time, so the records
+    may be spaced unevenly.
+    """
+    if len(records) < _MIN_ENERGY_RECORDS:
+        raise ValueError(f"need at least {_MIN_ENERGY_RECORDS} records")
     e0 = records[0].energy
     worst = 0.0
     for r in records:
@@ -216,12 +213,14 @@ class GammaLogReport:
 
 def gamma_log_derivative_check(records: list[DiagnosticRecord]) -> GammaLogReport:
     """Smallest C bounding d/dt ln(e + gamma_norm) by C*(||L u|| + ||L grad u||)."""
-    if len(records) < 50:
-        raise ValueError("cadence too coarse: need at least 50 records")
-    dt = _check_uniform_cadence(records)
+    if len(records) < _MIN_GAMMA_RECORDS:
+        raise ValueError(f"cadence too coarse: need at least {_MIN_GAMMA_RECORDS} records")
+    t = np.array([r.t for r in records])
+    if np.any(np.diff(t) <= 0.0):
+        raise ValueError("record times must be strictly increasing")
     w = np.log(E + np.array([r.gamma_norm for r in records]))
     rhs = np.array([math.sqrt(r.diss_u) + math.sqrt(r.diss_grad_u) for r in records])
-    dw = (w[2:] - w[:-2]) / (2.0 * dt)
+    dw = (w[2:] - w[:-2]) / (t[2:] - t[:-2])
     constant = 0.0
     for deriv, denom in zip(dw, rhs[1:-1]):
         if deriv <= 0.0:
@@ -232,6 +231,41 @@ def gamma_log_derivative_check(records: list[DiagnosticRecord]) -> GammaLogRepor
             constant = max(constant, deriv / denom)
     return GammaLogReport(constant=constant, max_derivative=float(np.max(dw)) if dw.size else 0.0,
                           samples=len(records))
+
+
+def evaluate_checks(records: list[DiagnosticRecord], nu: float, eta: float, g1: GFunction,
+                    params: SystemParams | None,
+                    energy_tol: float | None) -> tuple[dict, list[str]]:
+    """Every estimate check the series is long enough for.
+
+    Returns the measured values by name and the failure messages. The
+    energy tolerance is optional; the Gronwall and gamma constants fail
+    when not finite and the divergence residual above 1e-8.
+    """
+    report: dict = {}
+    failures: list[str] = []
+    if len(records) >= _MIN_ENERGY_RECORDS:
+        residual = energy_balance_residual(records, nu, eta)
+        report["energy_residual"] = residual
+        if energy_tol is not None and residual > energy_tol:
+            failures.append(f"energy residual {residual:.3e} > {energy_tol:.3e}")
+    if records:
+        gron = gronwall_bound_check(records, g1, params)
+        report["gronwall_constant"] = gron.constant
+        if gron.warning:
+            report["gronwall_warning"] = gron.warning
+        if not math.isfinite(gron.constant):
+            failures.append("gronwall constant is not finite")
+    if len(records) >= _MIN_GAMMA_RECORDS:
+        gamma = gamma_log_derivative_check(records).constant
+        report["gamma_log_constant"] = gamma
+        if not math.isfinite(gamma):
+            failures.append("gamma log-derivative constant is not finite")
+    max_div = max((max(r.div_u, r.div_b) for r in records), default=0.0)
+    report["max_div"] = max_div
+    if max_div > _SOLENOIDAL_TOL:
+        failures.append(f"solenoidality residual {max_div:.3e} > {_SOLENOIDAL_TOL:.0e}")
+    return report, failures
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +350,6 @@ def initial_condition(name: str, params: dict, grid: sp.Grid) -> SolutionPair:
 # run configuration
 # ---------------------------------------------------------------------------
 
-_G_PARAM_KEYS = {"c", "epsilon", "period", "height"}
-
-
 @dataclass
 class RunConfig:
     dim: int = 2
@@ -364,14 +395,47 @@ class RunConfig:
                              max_steps=self.max_steps)
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
+def _dt(value: str) -> float | None:
+    return None if value == "adaptive" else float(value)
+
+
+def _floats(value: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in value.split(",") if v.strip())
+
+
+def _ints(value: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in value.split(","))
+
+
+# key -> (section, field, cast); "run" fields are RunConfig arguments, "ic"
+# fields go to ic_params, "g1"/"g2" fields to make_g
+_CONFIG_KEYS = {
+    "grid.n": ("run", "dim", int),
+    "grid.points": ("run", "points", int),
+    "params.nu": ("run", "nu", float),
+    "params.eta": ("run", "eta", float),
+    "params.alpha": ("run", "alpha", float),
+    "params.beta": ("run", "beta", float),
+    **{f"params.{g}.kind": (g, "kind", str) for g in ("g1", "g2")},
+    **{f"params.{g}.{p}": (g, p, float)
+       for g in ("g1", "g2") for p in ("c", "epsilon", "period", "height")},
+    "ic.name": ("run", "ic_name", str),
+    "ic.seed": ("ic", "seed", int),
+    "ic.band": ("ic", "band", float),
+    "ic.amplitude": ("ic", "amplitude", float),
+    "ic.k": ("ic", "k", _ints),
+    "stepper.dt": ("run", "dt", _dt),
+    "stepper.cfl": ("run", "cfl", float),
+    "stepper.t_end": ("run", "t_end", float),
+    "stepper.max_steps": ("run", "max_steps", int),
+    "diag.cadence": ("run", "cadence", int),
+    "diag.gamma": ("run", "gamma", float),
+    "diag.s": ("run", "s_order", float),
+    "out.series": ("run", "out_series", str),
+    "out.snapshots": ("run", "out_snapshots", str),
+    "out.snapshot_times": ("run", "snapshot_times", _floats),
+    "check.energy_tol": ("run", "energy_tol", float),
+}
 
 
 def parse_config(path: str) -> RunConfig:
@@ -384,64 +448,26 @@ def parse_config(path: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
     return config_from_mapping(raw)
 
 
 def config_from_mapping(raw: dict[str, str]) -> RunConfig:
-    kwargs: dict = {}
-    g_specs: dict[str, dict] = {"g1": {"kind": "constant_one"}, "g2": {"kind": "constant_one"}}
-    ic_params: dict = {}
+    sections: dict[str, dict] = {"run": {}, "ic": {},
+                                 "g1": {"kind": "constant_one"}, "g2": {"kind": "constant_one"}}
     try:
         for key, value in raw.items():
-            if key == "grid.n":
-                kwargs["dim"] = int(value)
-            elif key == "grid.points":
-                kwargs["points"] = int(value)
-            elif key in ("params.nu", "params.eta", "params.alpha", "params.beta"):
-                kwargs[key.split(".")[1]] = float(value)
-            elif key.startswith("params.g1.") or key.startswith("params.g2."):
-                _, gname, pname = key.split(".", 2)
-                if pname == "kind":
-                    g_specs[gname]["kind"] = value
-                elif pname in _G_PARAM_KEYS:
-                    g_specs[gname][pname] = float(value)
-                else:
-                    raise ConfigError(f"unknown g parameter {key!r}")
-            elif key == "ic.name":
-                kwargs["ic_name"] = value
-            elif key.startswith("ic."):
-                ic_params[key.split(".", 1)[1]] = _parse_scalar(value)
-            elif key == "stepper.dt":
-                kwargs["dt"] = None if value == "adaptive" else float(value)
-            elif key == "stepper.cfl":
-                kwargs["cfl"] = float(value)
-            elif key == "stepper.t_end":
-                kwargs["t_end"] = float(value)
-            elif key == "stepper.max_steps":
-                kwargs["max_steps"] = int(value)
-            elif key == "diag.cadence":
-                kwargs["cadence"] = int(value)
-            elif key == "diag.gamma":
-                kwargs["gamma"] = float(value)
-            elif key == "diag.s":
-                kwargs["s_order"] = float(value)
-            elif key == "out.series":
-                kwargs["out_series"] = value
-            elif key == "out.snapshots":
-                kwargs["out_snapshots"] = value
-            elif key == "out.snapshot_times":
-                kwargs["snapshot_times"] = tuple(float(v) for v in value.split(",") if v.strip())
-            elif key == "check.energy_tol":
-                kwargs["energy_tol"] = float(value)
-            else:
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown configuration key {key!r}")
+            section, name, cast = _CONFIG_KEYS[key]
+            sections[section][name] = cast(value)
+        kwargs = sections["run"]
         for gname in ("g1", "g2"):
-            spec = dict(g_specs[gname])
+            spec = sections[gname]
             kwargs[gname] = make_g(spec.pop("kind"), **spec)
-        if ic_params:
-            kwargs["ic_params"] = ic_params
-        return RunConfig(**kwargs)
+        return RunConfig(ic_params=sections["ic"], **kwargs)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -461,12 +487,15 @@ def write_series(path: str, records: list[DiagnosticRecord]) -> None:
 
 def read_series(path: str) -> list[DiagnosticRecord]:
     lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    if header != RECORD_FIELDS:
-        raise ValueError(f"unexpected series header in {path}")
+    if not lines or lines[0].split(",") != RECORD_FIELDS:
+        raise ValueError(f"missing or unexpected series header in {path}")
+    if len(lines) < 2:
+        raise ValueError(f"series {path} has no records")
     records = []
     for line in lines[1:]:
         values = [float(v) for v in line.split(",")]
+        if len(values) != len(RECORD_FIELDS):
+            raise ValueError(f"series row in {path} has {len(values)} fields")
         records.append(DiagnosticRecord(**dict(zip(RECORD_FIELDS, values))))
     return records
 
@@ -481,8 +510,6 @@ STATUS_BLOWUP = "blowup"
 STATUS_CHECK_FAILED = "check_failed"
 
 EXIT_CODES = {STATUS_OK: 0, STATUS_CONFIG_ERROR: 2, STATUS_BLOWUP: 3, STATUS_CHECK_FAILED: 4}
-
-_SOLENOIDAL_TOL = 1e-8
 
 
 @dataclass
@@ -520,12 +547,10 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         params = config.system_params()
         state0 = initial_condition(config.ic_name, config.ic_params, grid)
         stepper = config.stepper_config()
-    except ConfigError as exc:
-        return ExperimentResult(STATUS_CONFIG_ERROR, [], {}, message=str(exc))
+        tracker = DiagnosticTracker(params, config.gamma, config.s_order, config.cadence)
     except ValueError as exc:
         return ExperimentResult(STATUS_CONFIG_ERROR, [], {}, message=str(exc))
 
-    tracker = DiagnosticTracker(params, config.gamma, config.s_order, config.cadence)
     snapshots = (
         _SnapshotObserver(config.out_snapshots, config.snapshot_times)
         if config.out_snapshots and config.snapshot_times
@@ -559,30 +584,11 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         "max_x_norm": max((r.x_norm for r in records), default=0.0),
         "sup_gamma_norm": max((r.gamma_norm for r in records), default=0.0),
         "cum_diss_grad": records[-1].cum_diss_grad if records else 0.0,
-        "max_div": max((max(r.div_u, r.div_b) for r in records), default=0.0),
         "osgood_g1": osgood_classify(config.g1).classification,
     }
-
-    failures = []
-    if len(records) >= 3:
-        residual = energy_balance_residual(records, config.nu, config.eta)
-        summary["energy_residual"] = residual
-        if config.energy_tol is not None and residual > config.energy_tol:
-            failures.append(f"energy residual {residual:.3e} > {config.energy_tol:.3e}")
-    gron = gronwall_bound_check(records, config.g1, params) if records else None
-    if gron is not None:
-        summary["gronwall_constant"] = gron.constant
-        if not math.isfinite(gron.constant):
-            failures.append("gronwall constant is not finite")
-        if gron.warning:
-            summary["gronwall_warning"] = gron.warning
-    if len(records) >= 50:
-        gamma_report = gamma_log_derivative_check(records)
-        summary["gamma_log_constant"] = gamma_report.constant
-        if not math.isfinite(gamma_report.constant):
-            failures.append("gamma log-derivative constant is not finite")
-    if summary["max_div"] > _SOLENOIDAL_TOL:
-        failures.append(f"solenoidality residual {summary['max_div']:.3e} > {_SOLENOIDAL_TOL:.0e}")
+    report, failures = evaluate_checks(records, config.nu, config.eta, config.g1, params,
+                                       config.energy_tol)
+    summary.update(report)
 
     if config.out_series:
         write_series(config.out_series, records)

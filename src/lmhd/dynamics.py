@@ -62,15 +62,7 @@ def _physical_components(v: VectorField) -> list[np.ndarray]:
 
 def _gradient_table(v: VectorField) -> list[list[np.ndarray]]:
     """grads[i][j] = d v_i / d x_j in physical space."""
-    grid = v.grid
-    table = []
-    for comp in v.components:
-        row = [
-            sp.to_physical(SpectralField(grid, 1j * grid.kmesh[j] * comp.coeffs))
-            for j in range(grid.dim)
-        ]
-        table.append(row)
-    return table
+    return [_physical_components(sp.gradient(comp)) for comp in v.components]
 
 
 def _advect(carrier_phys: list[np.ndarray], grads: list[list[np.ndarray]], grid: sp.Grid) -> list[np.ndarray]:

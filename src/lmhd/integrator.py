@@ -115,7 +115,6 @@ def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
             vmax = max(sp.vector_linf_norm(state.u), sp.vector_linf_norm(state.b))
             dt = config.cfl_number / (vmax * kmax) if vmax > 0.0 else config.t_end - state.time
             dt = min(dt, config.t_end - state.time)
-            assert dt * vmax * kmax <= config.cfl_number * (1 + 1e-12)
         else:
             dt = min(config.dt, config.t_end - state.time)
         state = step(state, params, dt, nonlinear=nonlinear)

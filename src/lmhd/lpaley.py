@@ -22,10 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .multiplier import DissipationSpec, symbol_on_grid
+from .multiplier import E, DissipationSpec, symbol_on_grid
 from .spectral import SpectralField, VectorField
-
-E = float(np.e)
 
 
 def _smooth_ramp(x: np.ndarray) -> np.ndarray:
@@ -162,12 +160,7 @@ def bernstein_ratio(f: SpectralField, j: int, k_order: int, p: float, q: float,
 
 def gradient_fields(u: VectorField) -> list[SpectralField]:
     """All first derivatives d u_i / d x_j as scalar spectral fields."""
-    grid = u.grid
-    return [
-        SpectralField(grid, 1j * grid.kmesh[jax] * comp.coeffs)
-        for comp in u.components
-        for jax in range(grid.dim)
-    ]
+    return [d for comp in u.components for d in sp.gradient(comp).components]
 
 
 def grad_uinf_split(u: VectorField, diss: DissipationSpec, m1: float) -> tuple[float, float, float]:
@@ -188,10 +181,9 @@ def grad_uinf_split(u: VectorField, diss: DissipationSpec, m1: float) -> tuple[f
     lhs = 0.0
     for comp in u.components:
         l_u_sq += sp.lp_norm(SpectralField(grid, comp.coeffs * m), 2) ** 2
-        for jax in range(grid.dim):
-            dcoeffs = 1j * grid.kmesh[jax] * comp.coeffs
-            l_grad_sq += sp.lp_norm(SpectralField(grid, dcoeffs * m), 2) ** 2
-            lhs = max(lhs, sp.lp_norm(SpectralField(grid, dcoeffs), np.inf))
+        for d in sp.gradient(comp).components:
+            l_grad_sq += sp.lp_norm(SpectralField(grid, d.coeffs * m), 2) ** 2
+            lhs = max(lhs, sp.lp_norm(d, np.inf))
     low_term = float(diss.g(m1)) * float(np.sqrt(np.log(m1))) * float(np.sqrt(l_u_sq))
     high_term = float(m1) ** -0.5 * float(np.sqrt(l_grad_sq))
     return low_term, high_term, lhs
@@ -222,8 +214,8 @@ def _grad_norm(f: SpectralField, p: float) -> float:
     """p-norm of the pointwise Euclidean magnitude of grad f."""
     grid = f.grid
     mags = np.zeros(grid.shape)
-    for jax in range(grid.dim):
-        mags += sp.to_physical(SpectralField(grid, 1j * grid.kmesh[jax] * f.coeffs)) ** 2
+    for d in sp.gradient(f).components:
+        mags += sp.to_physical(d) ** 2
     mags = np.sqrt(mags)
     if p == np.inf:
         return float(np.max(mags))

@@ -16,6 +16,7 @@ h(sigma) = 1/g(tau(sigma))^2 with respect to sigma.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,19 +169,21 @@ def symbol(spec: DissipationSpec, radius) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
+@functools.lru_cache(maxsize=8)
 def symbol_on_grid(spec: DissipationSpec, grid: Grid) -> np.ndarray:
-    """Symbol evaluated at every grid wave vector magnitude."""
-    return symbol(spec, grid.kmag)
+    """Symbol evaluated at every grid wave vector magnitude.
+
+    The array is cached per (spec, grid) and shared, so it is read-only.
+    """
+    out = symbol(spec, grid.kmag)
+    out.setflags(write=False)
+    return out
 
 
 def apply_L(v: VectorField, spec: DissipationSpec) -> VectorField:
     """Multiply each coefficient by the unsquared symbol m(|k|)."""
     m = symbol_on_grid(spec, v.grid)
     return VectorField(tuple(SpectralField(v.grid, c.coeffs * m) for c in v.components))
-
-
-def apply_L_scalar(f: SpectralField, spec: DissipationSpec) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * symbol_on_grid(spec, f.grid))
 
 
 def apply_dissipation(v: VectorField, spec: DissipationSpec) -> VectorField:

@@ -225,24 +225,25 @@ def gradient(f: SpectralField) -> VectorField:
     return VectorField(comps)
 
 
-def divergence(v: VectorField) -> SpectralField:
+def _k_dot(v: VectorField) -> np.ndarray:
+    """Coefficients of k . v_hat(k), summed over components."""
     out = np.zeros(v.grid.shape, dtype=np.complex128)
     for j, comp in enumerate(v.components):
-        out += 1j * v.grid.kmesh[j] * comp.coeffs
-    return SpectralField(v.grid, out)
+        out += v.grid.kmesh[j] * comp.coeffs
+    return out
+
+
+def divergence(v: VectorField) -> SpectralField:
+    return SpectralField(v.grid, 1j * _k_dot(v))
 
 
 def leray_project(v: VectorField) -> VectorField:
     """Orthogonal projection onto divergence-free fields (zero mode untouched)."""
     grid = v.grid
-    k = grid.kmesh
-    ksq = np.where(grid.k_squared > 0.0, grid.k_squared, 1.0)
-    kdotv = np.zeros(grid.shape, dtype=np.complex128)
-    for j, comp in enumerate(v.components):
-        kdotv += k[j] * comp.coeffs
-    kdotv /= ksq
+    kdotv = _k_dot(v)
+    kdotv /= np.where(grid.k_squared > 0.0, grid.k_squared, 1.0)
     comps = tuple(
-        SpectralField(grid, comp.coeffs - k[j] * kdotv)
+        SpectralField(grid, comp.coeffs - grid.kmesh[j] * kdotv)
         for j, comp in enumerate(v.components)
     )
     return VectorField(comps)
@@ -250,20 +251,12 @@ def leray_project(v: VectorField) -> VectorField:
 
 def solenoidal_residual(v: VectorField) -> float:
     """max_k |k . v_hat(k)| normalized by max(1, ||v||_L2)."""
-    grid = v.grid
-    kdotv = np.zeros(grid.shape, dtype=np.complex128)
-    for j, comp in enumerate(v.components):
-        kdotv += grid.kmesh[j] * comp.coeffs
-    return float(np.max(np.abs(kdotv))) / max(1.0, vector_l2_norm(v))
+    return float(np.max(np.abs(_k_dot(v)))) / max(1.0, vector_l2_norm(v))
 
 
 def dealias(f: SpectralField) -> SpectralField:
     """Zero every coefficient with any |k_j| >= points/3 (2/3 rule)."""
     return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
-
-
-def dealias_vector(v: VectorField) -> VectorField:
-    return VectorField(tuple(dealias(c) for c in v.components))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +341,10 @@ def read_snapshot(path: str) -> list[SpectralField]:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
-        version, dim, points, count = struct.unpack("<IIII", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError("truncated snapshot header")
+        version, dim, points, count = struct.unpack("<IIII", header)
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
         grid = make_grid(dim, points)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lmhd.cli import main
+from lmhd.diagnostics import RECORD_FIELDS
 
 
 BASE_CFG = """
@@ -38,8 +39,19 @@ def test_run_ok(cfg_path, capsys):
 
 def test_run_config_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    path.write_text("grid.bogus = 1\n")
-    assert main(["run", str(path)]) == 2
+    for text in ("grid.bogus = 1\n", "ic.sed = 3\n", "grid.points = 16\ngrid.points = 32\n"):
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+
+
+def test_run_adaptive(tmp_path, capsys):
+    cfg = tmp_path / "adaptive.cfg"
+    cfg.write_text(BASE_CFG.replace("stepper.dt = 0.001", "stepper.dt = adaptive")
+                   .replace("stepper.t_end = 0.02", "stepper.t_end = 0.2"))
+    code = main(["run", str(cfg)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["records"] >= 3 and "energy_residual" in out
 
 
 def test_run_missing_file():
@@ -55,6 +67,33 @@ def test_run_writes_series_then_check(cfg_path, tmp_path, capsys):
     assert main(["check", str(series), "--config", str(cfg)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert "gronwall_constant" in report
+
+
+def test_run_and_check_report_identical_constants(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(BASE_CFG.replace("stepper.t_end = 0.02", "stepper.t_end = 0.06")
+                   + f"out.series = {series}\n")
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert main(["check", str(series), "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for key in ("energy_residual", "gronwall_constant", "gamma_log_constant", "max_div"):
+        assert report[key] == summary[key]
+
+
+@pytest.mark.parametrize("case", ["empty_series", "header_only_series", "bad_osgood_value"])
+def test_bad_input_exits_2(case, tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    if case == "empty_series":
+        series.write_text("")
+        argv = ["check", str(series)]
+    elif case == "header_only_series":
+        series.write_text(",".join(RECORD_FIELDS) + "\n")
+        argv = ["check", str(series)]
+    else:
+        argv = ["osgood", "power", "epsilon=abc"]
+    assert main(argv) == 2
 
 
 def test_check_energy_tolerance_failure(cfg_path, tmp_path, capsys):

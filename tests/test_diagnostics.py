@@ -10,6 +10,7 @@ from lmhd import spectral as sp
 from lmhd.diagnostics import (
     ConfigError,
     DiagnosticTracker,
+    RECORD_FIELDS,
     RunConfig,
     STATUS_BLOWUP,
     STATUS_CHECK_FAILED,
@@ -98,11 +99,14 @@ class TestEnergyBalance:
         with pytest.raises(ValueError):
             energy_balance_residual(records[:2], 1.0, 0.0)
 
-    def test_nonuniform_cadence_rejected(self):
-        records, _ = linear_mode_tracker(t_end=0.01, dt=1e-3)
-        broken = records[:3] + records[4:]
-        with pytest.raises(ValueError):
-            energy_balance_residual(broken, 1.0, 0.0)
+    def test_thinned_series_satisfies_identity(self):
+        # the running integrals are trapezoid sums in record time, so uneven
+        # spacing is allowed; the defect stays within the trapezoid error for
+        # diss = 2 E0 exp(-2t): (dt^2 / 12) * t_end * max|diss''| / E0
+        dt, t_end = 1e-3, 0.01
+        records, _ = linear_mode_tracker(t_end=t_end, dt=dt)
+        thinned = records[:3] + records[4:]
+        assert energy_balance_residual(thinned, 1.0, 0.0) <= dt**2 / 12.0 * t_end * 8.0
 
 
 class TestGronwall:
@@ -142,6 +146,12 @@ class TestGammaLogDerivative:
         report = gamma_log_derivative_check(records)
         assert report.constant == 0.0
         assert report.max_derivative <= 0.0
+
+    def test_repeated_record_time_rejected(self):
+        records, _ = linear_mode_tracker(t_end=0.1, dt=1e-3)
+        records[10] = dataclasses.replace(records[10], t=records[9].t)
+        with pytest.raises(ValueError):
+            gamma_log_derivative_check(records)
 
     def test_too_few_samples_rejected(self):
         records, _ = linear_mode_tracker(t_end=0.02, dt=1e-3)
@@ -250,8 +260,9 @@ diag.s = 5.0
         assert cfg.dt is None
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_mapping({"grid.bogus": "1"})
+        for key in ("grid.bogus", "ic.sed"):
+            with pytest.raises(ConfigError):
+                config_from_mapping({key: "1"})
 
     def test_gamma_outside_interval_rejected(self):
         with pytest.raises(ConfigError):
@@ -285,9 +296,11 @@ class TestSeriesIO:
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            read_series(str(path))
+        header = ",".join(RECORD_FIELDS) + "\n"
+        for text in ("a,b,c\n1,2,3\n", "", header, header + "1,2,3\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                read_series(str(path))
 
 
 class TestRunExperiment:
@@ -322,9 +335,9 @@ class TestRunExperiment:
         assert len(fields) == 4  # u and b components
 
     def test_config_error_status(self):
-        cfg = config_from_mapping({"grid.points": "16", "ic.name": "nope"})
-        result = run_experiment(cfg)
-        assert result.status == STATUS_CONFIG_ERROR and result.exit_code == 2
+        for key, value in (("ic.name", "nope"), ("diag.cadence", "0")):
+            result = run_experiment(config_from_mapping({"grid.points": "16", key: value}))
+            assert result.status == STATUS_CONFIG_ERROR and result.exit_code == 2
 
     def test_blowup_status(self):
         cfg = config_from_mapping({

@@ -269,3 +269,10 @@ class TestSnapshots(object):
         path.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(ValueError):
             sp.read_snapshot(str(path))
+
+    def test_truncated_header_rejected(self, tmp_path, grid16):
+        path = tmp_path / "state.lmhd"
+        sp.write_snapshot(str(path), [sp.zero_field(grid16)])
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError):
+            sp.read_snapshot(str(path))
