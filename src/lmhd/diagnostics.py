@@ -548,6 +548,9 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         state0 = initial_condition(config.ic_name, config.ic_params, grid)
         stepper = config.stepper_config()
         tracker = DiagnosticTracker(params, config.gamma, config.s_order, config.cadence)
+        for path in (config.out_series, config.out_snapshots):
+            if path and not Path(path).parent.is_dir():
+                raise ConfigError(f"output directory of {path!r} does not exist")
     except ValueError as exc:
         return ExperimentResult(STATUS_CONFIG_ERROR, [], {}, message=str(exc))
 

@@ -1,9 +1,15 @@
 """Right-hand side of the coupled velocity/magnetic system in spectral form.
 
-The advective nonlinearities are evaluated pseudo-spectrally (pointwise
-products in physical space, dealiased by the 2/3 rule before re-projection),
-the pressure gradient is eliminated exactly by Leray projection, and the
-mean mode of both fields is held at zero.
+The nonlinearities are evaluated pseudo-spectrally in divergence form,
+du = P div(b (x) b - u (x) u) and db = div(u (x) b - b (x) u) with
+(x) the outer product: the pointwise products are formed in physical
+space, dealiased by the 2/3 rule and differentiated spectrally.  For
+solenoidal fields inside the 2/3 band this equals the advective form
+-(u.grad)u + (b.grad)b, -(u.grad)b + (b.grad)u exactly: the products carry
+no aliasing into the retained band, and d_j(v_j w_i) = (v.grad)w_i + w_i div v
+with div v = 0.  The pressure gradient is eliminated exactly by Leray
+projection, db is solenoidal by antisymmetry, and the mean mode of both
+tendencies is zero because i*k vanishes at k = 0.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 
 from . import spectral as sp
 from .multiplier import DissipationSpec, apply_L, apply_dissipation
-from .spectral import SpectralField, VectorField
+from .spectral import VectorField
 
 
 @dataclass
@@ -38,6 +44,15 @@ class SolutionPair:
     def copy(self) -> "SolutionPair":
         return SolutionPair(self.u.copy(), self.b.copy(), self.time)
 
+    def to_array(self) -> np.ndarray:
+        """Both fields stacked as one array of shape (2, dim, *grid.shape) (a copy)."""
+        return np.stack([self.u.to_array(), self.b.to_array()])
+
+    @classmethod
+    def from_array(cls, grid: sp.Grid, data: np.ndarray, time: float) -> "SolutionPair":
+        """The pair viewing `data` (no copy); inverse of `to_array`."""
+        return cls(VectorField.from_array(grid, data[0]), VectorField.from_array(grid, data[1]), time)
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -56,63 +71,46 @@ class SystemParams:
         )
 
 
-def _physical_components(v: VectorField) -> list[np.ndarray]:
-    return [sp.to_physical(c) for c in v.components]
+def _tendency_array(y: np.ndarray, grid: sp.Grid) -> np.ndarray:
+    """Nonlinear tendency of the stacked state y = (u, b), shape (2, dim, *grid.shape).
 
+    du_i = P d_j(b_j b_i - u_j u_i) and db_i = d_j(b_j u_i - u_j b_i); only the
+    dim(dim+1)/2 symmetric and dim(dim-1)/2 antisymmetric products are
+    transformed, and db is solenoidal by antisymmetry.
+    """
+    dim = grid.dim
+    axes = tuple(range(-dim, 0))
+    phys = np.fft.ifftn(y.reshape((2 * dim,) + grid.shape), axes=axes).real * grid.total_points
+    u, b = phys[:dim], phys[dim:]
+    sym = list(zip(*np.triu_indices(dim)))
+    anti = list(zip(*np.triu_indices(dim, 1)))
+    products = [b[i] * b[j] - u[i] * u[j] for i, j in sym]
+    products += [b[j] * u[i] - u[j] * b[i] for i, j in anti]
+    spec = np.fft.fftn(np.stack(products), axes=axes) / grid.total_points
+    spec *= grid.dealias_mask
 
-def _gradient_table(v: VectorField) -> list[list[np.ndarray]]:
-    """grads[i][j] = d v_i / d x_j in physical space."""
-    return [_physical_components(sp.gradient(comp)) for comp in v.components]
-
-
-def _advect(carrier_phys: list[np.ndarray], grads: list[list[np.ndarray]], grid: sp.Grid) -> list[np.ndarray]:
-    """(carrier . grad) field, in physical space, one array per component."""
-    out = []
-    for i in range(grid.dim):
-        acc = carrier_phys[0] * grads[i][0]
-        for j in range(1, grid.dim):
-            acc += carrier_phys[j] * grads[i][j]
-        out.append(acc)
+    k = grid.kmesh
+    out = np.zeros_like(y)
+    for (i, j), s in zip(sym, spec):
+        out[0, i] += k[j] * s
+        if i != j:
+            out[0, j] += k[i] * s
+    for (i, j), a in zip(anti, spec[len(sym):]):
+        out[1, i] += k[j] * a
+        out[1, j] -= k[i] * a
+    out *= 1j
+    out[0] = sp.leray_array(out[0], grid)
     return out
 
 
-def _spectral_dealiased(phys: list[np.ndarray], grid: sp.Grid) -> VectorField:
-    comps = []
-    for arr in phys:
-        coeffs = np.fft.fftn(arr) / grid.total_points
-        coeffs *= grid.dealias_mask
-        coeffs[(0,) * grid.dim] = 0.0  # mean mode held at zero
-        comps.append(SpectralField(grid, coeffs))
-    return VectorField(tuple(comps))
-
-
 def nonlinear_tendency(state: SolutionPair) -> tuple[VectorField, VectorField]:
-    """Advection/stretching terms: du = P(-(u.grad)u + (b.grad)b) and
-    db = -(u.grad)b + (b.grad)u, the latter re-projected defensively."""
-    grid = state.grid
-    if grid.points < 8:
-        raise ValueError("resolution too small to dealias")
-
+    """Advection/stretching terms du = P(-(u.grad)u + (b.grad)b) and
+    db = -(u.grad)b + (b.grad)u, evaluated in divergence form."""
     # overflow here is a blow-up in progress; the stepper detects it after
     # the step rather than warning mid-evaluation
     with np.errstate(over="ignore", invalid="ignore"):
-        u_phys = _physical_components(state.u)
-        b_phys = _physical_components(state.b)
-        grad_u = _gradient_table(state.u)
-        grad_b = _gradient_table(state.b)
-
-        u_adv_u = _advect(u_phys, grad_u, grid)
-        b_adv_b = _advect(b_phys, grad_b, grid)
-        u_adv_b = _advect(u_phys, grad_b, grid)
-        b_adv_u = _advect(b_phys, grad_u, grid)
-
-        du = _spectral_dealiased(
-            [bb - uu for uu, bb in zip(u_adv_u, b_adv_b)], grid
-        )
-        db = _spectral_dealiased(
-            [bu - ub for ub, bu in zip(u_adv_b, b_adv_u)], grid
-        )
-        return sp.leray_project(du), sp.leray_project(db)
+        out = _tendency_array(state.to_array(), state.grid)
+    return VectorField.from_array(state.grid, out[0]), VectorField.from_array(state.grid, out[1])
 
 
 def full_tendency(state: SolutionPair, params: SystemParams) -> tuple[VectorField, VectorField]:

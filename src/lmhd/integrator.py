@@ -16,7 +16,6 @@ import numpy as np
 from . import spectral as sp
 from .dynamics import SolutionPair, SystemParams, nonlinear_tendency
 from .multiplier import symbol_on_grid
-from .spectral import SpectralField, VectorField
 
 
 @dataclass(frozen=True)
@@ -48,18 +47,6 @@ class BlowupError(RuntimeError):
         self.step = step
 
 
-def _stack(state: SolutionPair) -> np.ndarray:
-    grid = state.grid
-    arrays = [c.coeffs for c in state.u.components] + [c.coeffs for c in state.b.components]
-    return np.stack(arrays).reshape((2, grid.dim) + grid.shape)
-
-
-def _unstack(data: np.ndarray, grid: sp.Grid, time: float) -> SolutionPair:
-    u = VectorField(tuple(SpectralField(grid, data[0, j].copy()) for j in range(grid.dim)))
-    b = VectorField(tuple(SpectralField(grid, data[1, j].copy()) for j in range(grid.dim)))
-    return SolutionPair(u, b, time)
-
-
 def _decay_rates(params: SystemParams, grid: sp.Grid) -> np.ndarray:
     """coefficient * m(|k|)^2 for both fields, stacked like the state."""
     rate_u = params.diss_u.coefficient * symbol_on_grid(params.diss_u, grid) ** 2
@@ -71,8 +58,8 @@ def _tendency_stack(data: np.ndarray, grid: sp.Grid, time: float,
                     nonlinear: Callable | None) -> np.ndarray:
     if nonlinear is None:
         return np.zeros_like(data)
-    du, db = nonlinear(_unstack(data, grid, time))
-    return _stack(SolutionPair(du, db, time))
+    du, db = nonlinear(SolutionPair.from_array(grid, data, time))
+    return SolutionPair(du, db, time).to_array()
 
 
 def step(state: SolutionPair, params: SystemParams, dt: float,
@@ -85,7 +72,7 @@ def step(state: SolutionPair, params: SystemParams, dt: float,
     e_half = np.exp(-rates * (dt / 2.0))
     e_full = e_half * e_half
 
-    y = _stack(state)
+    y = state.to_array()
     t = state.time
     n1 = _tendency_stack(y, grid, t, nonlinear)
     n2 = _tendency_stack(e_half * (y + (dt / 2.0) * n1), grid, t + dt / 2.0, nonlinear)
@@ -93,7 +80,7 @@ def step(state: SolutionPair, params: SystemParams, dt: float,
     n4 = _tendency_stack(e_full * y + dt * (e_half * n3), grid, t + dt, nonlinear)
 
     y_new = e_full * y + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
-    return _unstack(y_new, grid, t + dt)
+    return SolutionPair.from_array(grid, y_new, t + dt)
 
 
 def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
@@ -119,10 +106,8 @@ def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
             dt = min(config.dt, config.t_end - state.time)
         state = step(state, params, dt, nonlinear=nonlinear)
         n += 1
-        for field in (state.u, state.b):
-            for comp in field.components:
-                if not np.all(np.isfinite(comp.coeffs.view(np.float64))):
-                    raise BlowupError(state.time, n)
+        if not np.all(np.isfinite(state.to_array())):
+            raise BlowupError(state.time, n)
         if observer is not None:
             observer(n, state)
     return state

@@ -8,6 +8,7 @@ coeff(0) equals the mean of the samples.  All wavenumbers are integers.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -136,6 +137,15 @@ class VectorField:
     def copy(self) -> "VectorField":
         return VectorField(tuple(c.copy() for c in self.components))
 
+    def to_array(self) -> np.ndarray:
+        """Component coefficients stacked on axis 0 (a copy)."""
+        return np.stack([c.coeffs for c in self.components])
+
+    @classmethod
+    def from_array(cls, grid: Grid, data: np.ndarray) -> "VectorField":
+        """Components that view the rows of `data` (no copy)."""
+        return cls(tuple(SpectralField(grid, row) for row in data))
+
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(tuple(a + b for a, b in zip(self.components, other.components)))
 
@@ -225,33 +235,33 @@ def gradient(f: SpectralField) -> VectorField:
     return VectorField(comps)
 
 
-def _k_dot(v: VectorField) -> np.ndarray:
-    """Coefficients of k . v_hat(k), summed over components."""
-    out = np.zeros(v.grid.shape, dtype=np.complex128)
-    for j, comp in enumerate(v.components):
-        out += v.grid.kmesh[j] * comp.coeffs
+def _k_dot(comps: np.ndarray, grid: Grid) -> np.ndarray:
+    """Coefficients of k . v_hat(k) for components stacked on axis 0."""
+    out = grid.kmesh[0] * comps[0]
+    for j in range(1, grid.dim):
+        out += grid.kmesh[j] * comps[j]
     return out
 
 
+def leray_array(comps: np.ndarray, grid: Grid) -> np.ndarray:
+    """Leray projection of components stacked on axis 0 (zero mode untouched)."""
+    kdotv = _k_dot(comps, grid)
+    kdotv /= np.where(grid.k_squared > 0.0, grid.k_squared, 1.0)
+    return comps - grid.kmesh * kdotv
+
+
 def divergence(v: VectorField) -> SpectralField:
-    return SpectralField(v.grid, 1j * _k_dot(v))
+    return SpectralField(v.grid, 1j * _k_dot(v.to_array(), v.grid))
 
 
 def leray_project(v: VectorField) -> VectorField:
     """Orthogonal projection onto divergence-free fields (zero mode untouched)."""
-    grid = v.grid
-    kdotv = _k_dot(v)
-    kdotv /= np.where(grid.k_squared > 0.0, grid.k_squared, 1.0)
-    comps = tuple(
-        SpectralField(grid, comp.coeffs - grid.kmesh[j] * kdotv)
-        for j, comp in enumerate(v.components)
-    )
-    return VectorField(comps)
+    return VectorField.from_array(v.grid, leray_array(v.to_array(), v.grid))
 
 
 def solenoidal_residual(v: VectorField) -> float:
     """max_k |k . v_hat(k)| normalized by max(1, ||v||_L2)."""
-    return float(np.max(np.abs(_k_dot(v)))) / max(1.0, vector_l2_norm(v))
+    return float(np.max(np.abs(_k_dot(v.to_array(), v.grid)))) / max(1.0, vector_l2_norm(v))
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -347,13 +357,13 @@ def read_snapshot(path: str) -> list[SpectralField]:
         version, dim, points, count = struct.unpack("<IIII", header)
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
+        if count == 0:
+            raise ValueError("snapshot holds no fields")
+        # checked before make_grid, so a forged header cannot allocate a huge mesh
+        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if dim not in (2, 3) or payload_bytes != 16 * count * points**dim:
+            raise ValueError("snapshot size does not match its header")
         grid = make_grid(dim, points)
-        fields = []
-        per_field = 2 * grid.total_points
-        for _ in range(count):
-            raw = np.frombuffer(fh.read(8 * per_field), dtype="<f8")
-            if raw.size != per_field:
-                raise ValueError("truncated snapshot payload")
-            coeffs = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
-            fields.append(SpectralField(grid, coeffs))
-    return fields
+        raw = np.frombuffer(fh.read(), dtype="<f8")
+    coeffs = (raw[0::2] + 1j * raw[1::2]).reshape((count,) + grid.shape)
+    return [SpectralField(grid, c) for c in coeffs]

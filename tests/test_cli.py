@@ -39,7 +39,10 @@ def test_run_ok(cfg_path, capsys):
 
 def test_run_config_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    for text in ("grid.bogus = 1\n", "ic.sed = 3\n", "grid.points = 16\ngrid.points = 32\n"):
+    missing = tmp_path / "missing"
+    for text in ("grid.bogus = 1\n", "ic.sed = 3\n", "grid.points = 16\ngrid.points = 32\n",
+                 BASE_CFG + f"out.series = {missing / 'series.csv'}\n",
+                 BASE_CFG + f"out.snapshots = {missing / 'snap'}\nout.snapshot_times = 0.01\n"):
         path.write_text(text)
         assert main(["run", str(path)]) == 2
 

@@ -74,11 +74,13 @@ class TestNonlinearTendency:
         assert all(np.max(np.abs(c.coeffs)) <= 1e-13 * scale for c in du.components)
         assert all(np.max(np.abs(c.coeffs)) <= 1e-13 * scale for c in db.components)
 
-    def test_matches_convolution_oracle(self):
-        grid = sp.make_grid(2, 8)
+    # 3D keeps band 1: the O(modes^2) oracle is slow at band 2
+    @pytest.mark.parametrize("dim, band", [(2, 2), (3, 1)], ids=["2d-8", "3d-8"])
+    def test_matches_convolution_oracle(self, dim, band):
+        grid = sp.make_grid(dim, 8)
         state = SolutionPair(
-            random_solenoidal(grid, seed=11, band_per_axis=2),
-            random_solenoidal(grid, seed=12, band_per_axis=2),
+            random_solenoidal(grid, seed=11, band_per_axis=band),
+            random_solenoidal(grid, seed=12, band_per_axis=band),
         )
         du, db = nonlinear_tendency(state)
         du_o, db_o = tendency_oracle(state)
@@ -199,12 +201,14 @@ class TestEnergyFlux:
         flux, rate = energy_flux_identity(state, params)
         assert flux == 0.0 and rate == 0.0
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_nonlinear_flux_vanishes(self, grid32, seed):
-        params = make_params()
+    @pytest.mark.parametrize("dim, points, seed", [(2, 32, s) for s in range(5)] + [(3, 16, 0)],
+                             ids=["0", "1", "2", "3", "4", "3d-16"])
+    def test_nonlinear_flux_vanishes(self, dim, points, seed):
+        params = make_params(dim=dim)
+        grid = sp.make_grid(dim, points)
         state = SolutionPair(
-            random_solenoidal(grid32, seed=500 + 2 * seed),
-            random_solenoidal(grid32, seed=501 + 2 * seed),
+            random_solenoidal(grid, seed=500 + 2 * seed),
+            random_solenoidal(grid, seed=501 + 2 * seed),
         )
         flux, _ = energy_flux_identity(state, params)
         scale = sp.vector_l2_norm(state.u) ** 2 + sp.vector_l2_norm(state.b) ** 2

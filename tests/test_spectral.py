@@ -1,5 +1,7 @@
 """Transforms, differential multipliers, projection, norms, snapshots."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -270,9 +272,15 @@ class TestSnapshots(object):
         with pytest.raises(ValueError):
             sp.read_snapshot(str(path))
 
-    def test_truncated_header_rejected(self, tmp_path, grid16):
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw[:10],
+        lambda raw: raw + b"\0" * 4,
+        lambda raw: raw[:16] + struct.pack("<I", 0),
+        lambda raw: raw[:4] + struct.pack("<IIII", 1, 3, 4096, 1),
+    ], ids=["truncated_header", "trailing_bytes", "zero_count", "forged_3d_4096"])
+    def test_malformed_rejected(self, tmp_path, grid16, corrupt):
         path = tmp_path / "state.lmhd"
         sp.write_snapshot(str(path), [sp.zero_field(grid16)])
-        path.write_bytes(path.read_bytes()[:10])
+        path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(ValueError):
             sp.read_snapshot(str(path))
