@@ -21,7 +21,7 @@ import numpy as np
 from . import spectral as sp
 from .dynamics import SolutionPair, SystemParams
 from .integrator import BlowupError, StepperConfig, run
-from .lpaley import grad_uinf_split, gradient_fields
+from .lpaley import grad_uinf_split
 from .multiplier import (
     E,
     DissipationSpec,
@@ -61,17 +61,6 @@ class DiagnosticRecord:
 RECORD_FIELDS = [f.name for f in dataclasses.fields(DiagnosticRecord)]
 
 
-def _vector_hs_sq(v: VectorField, s: float) -> float:
-    return sp.vector_hs_norm(v, s) ** 2
-
-
-def _weighted_l2_sq(fields: list[SpectralField], weight: np.ndarray) -> float:
-    total = 0.0
-    for f in fields:
-        total += sp.lp_norm(SpectralField(f.grid, f.coeffs * weight), 2) ** 2
-    return total
-
-
 def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: float,
                 prev: DiagnosticRecord | None = None) -> DiagnosticRecord:
     """Compute one snapshot; cumulative integrals continue from prev.
@@ -87,16 +76,19 @@ def _make_record(state: SolutionPair, params: SystemParams, gamma: float, s: flo
                  prev: DiagnosticRecord | None) -> DiagnosticRecord:
     u, b = state.u, state.b
     grid = state.grid
-    m1_symbol = symbol_on_grid(params.diss_u, grid)
-    m2_symbol = symbol_on_grid(params.diss_b, grid)
+    power_u = sp.mode_power(u.to_array())
+    power_b = sp.mode_power(b.to_array())
+    power = power_u + power_b
+    l_u_density = symbol_on_grid(params.diss_u, grid) ** 2 * power_u
 
-    energy = 0.5 * (sp.vector_l2_norm(u) ** 2 + sp.vector_l2_norm(b) ** 2)
-    diss_u = _weighted_l2_sq(list(u.components), m1_symbol)
-    diss_b = _weighted_l2_sq(list(b.components), m2_symbol)
-    diss_grad_u = _weighted_l2_sq(gradient_fields(u), m1_symbol)
-    x_norm = _vector_hs_sq(u, 1.0) + _vector_hs_sq(b, 1.0)
-    y_norm = _vector_hs_sq(u, s) + _vector_hs_sq(b, s)
-    gamma_norm = _vector_hs_sq(u, gamma) + _vector_hs_sq(b, gamma)
+    energy = 0.5 * float(np.sum(power))
+    diss_u = float(np.sum(l_u_density))
+    diss_b = float(np.sum(symbol_on_grid(params.diss_b, grid) ** 2 * power_b))
+    # sum_j |m k_j u_hat|^2 = m^2 |k|^2 |u_hat|^2
+    diss_grad_u = float(np.sum(grid.k_squared * l_u_density))
+    x_norm, y_norm, gamma_norm = (
+        float(np.sum(sp.radial_power(grid.kmag, 2.0 * order) * power)) for order in (1.0, s, gamma)
+    )
 
     split_low, split_high, grad_u_inf = grad_uinf_split(u, params.diss_u, E + x_norm)
 
@@ -395,12 +387,19 @@ class RunConfig:
                              max_steps=self.max_steps)
 
 
+def _finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"value must be a finite number, got {value.strip()!r}")
+    return number
+
+
 def _dt(value: str) -> float | None:
-    return None if value == "adaptive" else float(value)
+    return None if value == "adaptive" else _finite(value)
 
 
 def _floats(value: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in value.split(",") if v.strip())
+    return tuple(_finite(v) for v in value.split(",") if v.strip())
 
 
 def _ints(value: str) -> tuple[int, ...]:
@@ -412,36 +411,40 @@ def _ints(value: str) -> tuple[int, ...]:
 _CONFIG_KEYS = {
     "grid.n": ("run", "dim", int),
     "grid.points": ("run", "points", int),
-    "params.nu": ("run", "nu", float),
-    "params.eta": ("run", "eta", float),
-    "params.alpha": ("run", "alpha", float),
-    "params.beta": ("run", "beta", float),
+    "params.nu": ("run", "nu", _finite),
+    "params.eta": ("run", "eta", _finite),
+    "params.alpha": ("run", "alpha", _finite),
+    "params.beta": ("run", "beta", _finite),
     **{f"params.{g}.kind": (g, "kind", str) for g in ("g1", "g2")},
-    **{f"params.{g}.{p}": (g, p, float)
+    **{f"params.{g}.{p}": (g, p, _finite)
        for g in ("g1", "g2") for p in ("c", "epsilon", "period", "height")},
     "ic.name": ("run", "ic_name", str),
     "ic.seed": ("ic", "seed", int),
-    "ic.band": ("ic", "band", float),
-    "ic.amplitude": ("ic", "amplitude", float),
+    "ic.band": ("ic", "band", _finite),
+    "ic.amplitude": ("ic", "amplitude", _finite),
     "ic.k": ("ic", "k", _ints),
     "stepper.dt": ("run", "dt", _dt),
-    "stepper.cfl": ("run", "cfl", float),
-    "stepper.t_end": ("run", "t_end", float),
+    "stepper.cfl": ("run", "cfl", _finite),
+    "stepper.t_end": ("run", "t_end", _finite),
     "stepper.max_steps": ("run", "max_steps", int),
     "diag.cadence": ("run", "cadence", int),
-    "diag.gamma": ("run", "gamma", float),
-    "diag.s": ("run", "s_order", float),
+    "diag.gamma": ("run", "gamma", _finite),
+    "diag.s": ("run", "s_order", _finite),
     "out.series": ("run", "out_series", str),
     "out.snapshots": ("run", "out_snapshots", str),
     "out.snapshot_times": ("run", "snapshot_times", _floats),
-    "check.energy_tol": ("run", "energy_tol", float),
+    "check.energy_tol": ("run", "energy_tol", _finite),
 }
 
 
 def parse_config(path: str) -> RunConfig:
     """Parse the flat key = value run-configuration format."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

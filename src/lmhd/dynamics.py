@@ -80,8 +80,7 @@ def _tendency_array(y: np.ndarray, grid: sp.Grid) -> np.ndarray:
     """
     dim = grid.dim
     axes = tuple(range(-dim, 0))
-    phys = np.fft.ifftn(y.reshape((2 * dim,) + grid.shape), axes=axes).real * grid.total_points
-    u, b = phys[:dim], phys[dim:]
+    u, b = sp.to_physical_array(y, grid)
     sym = list(zip(*np.triu_indices(dim)))
     anti = list(zip(*np.triu_indices(dim, 1)))
     products = [b[i] * b[j] - u[i] * u[j] for i, j in sym]

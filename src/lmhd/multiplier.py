@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid, VectorField, SpectralField
+from .spectral import Grid, SpectralField, VectorField, radial_power
 
 E = float(np.e)
 
@@ -164,8 +164,7 @@ def symbol(spec: DissipationSpec, radius) -> float | np.ndarray:
     r = np.asarray(radius, dtype=np.float64)
     if np.any(r < 0):
         raise ValueError("radius must be >= 0")
-    base = np.where(r > 0.0, r, 1.0) ** spec.exponent
-    out = np.where(r > 0.0, base / spec.g(r), 0.0)
+    out = radial_power(r, spec.exponent) / spec.g(r)
     return out if out.ndim else float(out)
 
 

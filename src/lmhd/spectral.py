@@ -210,29 +210,37 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Real samples of a field assumed conjugate-symmetric (no validation)."""
-    return np.fft.ifftn(f.coeffs).real * f.grid.total_points
+    return to_physical_array(f.coeffs, f.grid)
+
+
+def to_physical_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real samples of coefficient arrays stacked on leading axes, in one batched ifftn."""
+    return np.fft.ifftn(coeffs, axes=tuple(range(-grid.dim, 0))).real * grid.total_points
 
 
 # ---------------------------------------------------------------------------
 # differential multipliers
 # ---------------------------------------------------------------------------
 
+def radial_power(r: np.ndarray | float, s: float) -> np.ndarray:
+    """r^s for radii r >= 0, with 0 at r = 0 for every s."""
+    r = np.asarray(r, dtype=np.float64)
+    return np.where(r > 0.0, np.where(r > 0.0, r, 1.0) ** s, 0.0)
+
+
 def fractional_derivative(f: SpectralField, s: float) -> SpectralField:
     """Multiply coefficients by |k|^s; the zero mode is always sent to 0."""
-    kmag = f.grid.kmag
-    with np.errstate(divide="ignore"):
-        mult = np.where(kmag > 0.0, kmag, 1.0) ** s
-    mult = np.where(kmag > 0.0, mult, 0.0)
-    return SpectralField(f.grid, f.coeffs * mult)
+    return SpectralField(f.grid, f.coeffs * radial_power(f.grid.kmag, s))
+
+
+def gradient_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Coefficients i*k_j*coeffs, with j on a new axis just before the grid axes."""
+    return 1j * grid.kmesh * np.expand_dims(coeffs, -grid.dim - 1)
 
 
 def gradient(f: SpectralField) -> VectorField:
     """Spectral gradient: component j has coefficients i*k_j*f_hat(k)."""
-    comps = tuple(
-        SpectralField(f.grid, 1j * f.grid.kmesh[j] * f.coeffs)
-        for j in range(f.grid.dim)
-    )
-    return VectorField(comps)
+    return VectorField.from_array(f.grid, gradient_array(f.coeffs, f.grid))
 
 
 def _k_dot(comps: np.ndarray, grid: Grid) -> np.ndarray:
@@ -273,12 +281,19 @@ def dealias(f: SpectralField) -> SpectralField:
 # norms and inner products
 # ---------------------------------------------------------------------------
 
+def mode_power(comps: np.ndarray) -> np.ndarray:
+    """Parseval density (2*pi)^N * sum_i |v_hat_i(k)|^2 of components stacked on axis 0.
+
+    Its sum is ||v||_L2^2; weighted by |k|^(2s) or m(|k|)^2 it sums to the
+    Sobolev and dissipation norms.
+    """
+    return BOX_LENGTH ** (comps.ndim - 1) * np.sum(comps.real**2 + comps.imag**2, axis=0)
+
+
 def lp_norm(f: SpectralField, p: float) -> float:
     """L^p norm for p in {1, 2, inf}; L^2 is computed spectrally (Parseval)."""
     if p == 2:
-        return float(
-            np.sqrt(BOX_LENGTH ** f.grid.dim * np.sum(np.abs(f.coeffs) ** 2))
-        )
+        return float(np.sqrt(np.sum(mode_power(f.coeffs[None]))))
     if p == 1:
         return float(np.sum(np.abs(to_physical(f))) * f.grid.cell_volume)
     if p == np.inf:
@@ -288,11 +303,8 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 def hs_norm(f: SpectralField, s: float) -> float:
     """Homogeneous Sobolev norm ||Lambda^s f||_L2 (zero mode excluded)."""
-    kmag = f.grid.kmag
-    weights = np.where(kmag > 0.0, np.where(kmag > 0.0, kmag, 1.0) ** (2.0 * s), 0.0)
-    return float(
-        np.sqrt(BOX_LENGTH ** f.grid.dim * np.sum(weights * np.abs(f.coeffs) ** 2))
-    )
+    weights = radial_power(f.grid.kmag, 2.0 * s)
+    return float(np.sqrt(np.sum(weights * mode_power(f.coeffs[None]))))
 
 
 def l2_inner(f: SpectralField, g: SpectralField) -> float:
@@ -304,20 +316,16 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
 
 
 def vector_l2_norm(v: VectorField) -> float:
-    return float(np.sqrt(sum(lp_norm(c, 2) ** 2 for c in v.components)))
+    return float(np.sqrt(np.sum(mode_power(v.to_array()))))
 
 
 def vector_l2_inner(v: VectorField, w: VectorField) -> float:
     return float(sum(l2_inner(a, b) for a, b in zip(v.components, w.components)))
 
 
-def vector_hs_norm(v: VectorField, s: float) -> float:
-    return float(np.sqrt(sum(hs_norm(c, s) ** 2 for c in v.components)))
-
-
 def vector_linf_norm(v: VectorField) -> float:
     """Componentwise grid max; underestimates the true sup between grid points."""
-    return max(lp_norm(c, np.inf) for c in v.components)
+    return float(np.max(np.abs(to_physical_array(v.to_array(), v.grid))))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +337,7 @@ SNAPSHOT_VERSION = 1
 
 
 def write_snapshot(path: str, fields: list[SpectralField]) -> None:
-    """Write fields as {magic, version, N, points, count} + little-endian doubles."""
+    """Write fields as {magic, version, N, points, count} + little-endian complex128."""
     if not fields:
         raise ValueError("snapshot requires at least one field")
     grid = fields[0].grid
@@ -338,12 +346,7 @@ def write_snapshot(path: str, fields: list[SpectralField]) -> None:
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<IIII", SNAPSHOT_VERSION, grid.dim, grid.points, len(fields)))
-        for f in fields:
-            flat = np.ascontiguousarray(f.coeffs).ravel()
-            interleaved = np.empty(2 * flat.size, dtype="<f8")
-            interleaved[0::2] = flat.real
-            interleaved[1::2] = flat.imag
-            fh.write(interleaved.tobytes())
+        fh.write(np.stack([f.coeffs for f in fields]).astype("<c16").tobytes())
 
 
 def read_snapshot(path: str) -> list[SpectralField]:
@@ -364,6 +367,7 @@ def read_snapshot(path: str) -> list[SpectralField]:
         if dim not in (2, 3) or payload_bytes != 16 * count * points**dim:
             raise ValueError("snapshot size does not match its header")
         grid = make_grid(dim, points)
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    coeffs = (raw[0::2] + 1j * raw[1::2]).reshape((count,) + grid.shape)
+        # astype copies, so the returned coefficients are writable
+        coeffs = np.frombuffer(fh.read(), dtype="<c16").astype(np.complex128)
+    coeffs = coeffs.reshape((count,) + grid.shape)
     return [SpectralField(grid, c) for c in coeffs]

@@ -37,14 +37,23 @@ def test_run_ok(cfg_path, capsys):
     assert "energy_residual" in out
 
 
+NON_FINITE = {"stepper.dt = 0.001": "stepper.dt = nan", "params.nu = 1.0": "params.nu = nan",
+              "params.alpha = 2.0": "params.alpha = inf", "stepper.t_end = 0.02": "stepper.t_end = nan"}
+
+
 def test_run_config_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     missing = tmp_path / "missing"
     for text in ("grid.bogus = 1\n", "ic.sed = 3\n", "grid.points = 16\ngrid.points = 32\n",
                  BASE_CFG + f"out.series = {missing / 'series.csv'}\n",
-                 BASE_CFG + f"out.snapshots = {missing / 'snap'}\nout.snapshot_times = 0.01\n"):
+                 BASE_CFG + f"out.snapshots = {missing / 'snap'}\nout.snapshot_times = 0.01\n",
+                 *(BASE_CFG.replace(old, new) for old, new in NON_FINITE.items())):
         path.write_text(text)
         assert main(["run", str(path)]) == 2
+    # a UTF-16 byte-order mark is not UTF-8
+    path.write_bytes(b"\xff\xfe" + BASE_CFG.encode("utf-16-le"))
+    assert main(["run", str(path)]) == 2
+    assert main(["sweep", str(path), "--vary", "g1=constant_one"]) == 2
 
 
 def test_run_adaptive(tmp_path, capsys):

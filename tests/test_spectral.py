@@ -256,15 +256,22 @@ class TestSnapshots(object):
         for a, b in zip(fields, back):
             assert a.grid == b.grid
             assert np.array_equal(a.coeffs, b.coeffs)
+            assert b.coeffs.flags.writeable
 
     def test_header(self, tmp_path, grid16):
         path = str(tmp_path / "state.lmhd")
-        sp.write_snapshot(path, [sp.zero_field(grid16)])
+        f = sp.zero_field(grid16)
+        f.coeffs[1, 2] = 0.25 - 1.5j
+        sp.write_snapshot(path, [f])
         raw = open(path, "rb").read()
         assert raw[:4] == b"LMHD"
         version, dim, points, count = np.frombuffer(raw[4:20], dtype="<u4")
         assert (version, dim, points, count) == (1, 2, 16, 1)
         assert len(raw) == 20 + 16 * 16 * 16
+        # row-major (re, im) float64 pairs: coefficient [1, 2] has flat index 18
+        payload = bytearray(16 * 16 * 16)
+        payload[16 * 18:16 * 19] = struct.pack("<dd", 0.25, -1.5)
+        assert raw[20:] == payload
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.lmhd"
