@@ -18,6 +18,7 @@ from .diagnostics import (
     STATUS_CONFIG_ERROR,
     STATUS_OK,
     evaluate_checks,
+    finite_float,
     parse_config,
     read_series,
     run_experiment,
@@ -76,10 +77,12 @@ def _cmd_check(args) -> int:
         if args.config:
             config = parse_config(args.config)
             nu, eta, g1, params = config.nu, config.eta, config.g1, config.system_params()
-            energy_tol = config.energy_tol if args.energy_tol is None else args.energy_tol
+            energy_tol = config.energy_tol
         else:
-            nu, eta, g1, params = args.nu, args.eta, make_g(args.g1), None
-            energy_tol = args.energy_tol
+            nu, eta, g1, params = finite_float(args.nu), finite_float(args.eta), make_g(args.g1), None
+            energy_tol = None
+        if args.energy_tol is not None:
+            energy_tol = finite_float(args.energy_tol)
         report, failures = evaluate_checks(records, nu, eta, g1, params, energy_tol)
     except (OSError, ValueError) as exc:
         return _config_error(exc)
@@ -97,9 +100,9 @@ def _cmd_osgood(args) -> int:
             if "=" not in token:
                 raise ValueError(f"expected key=value, got {token!r}")
             key, value = token.split("=", 1)
-            params[key] = float(value)
+            params[key] = finite_float(value)
         g = make_g(args.g, **params)
-        verdict = osgood_classify(g, upper_limit=args.limit, samples=args.samples)
+        verdict = osgood_classify(g, upper_limit=finite_float(args.limit), samples=args.samples)
     except (ValueError, TypeError) as exc:
         return _config_error(exc)
     print(json.dumps({

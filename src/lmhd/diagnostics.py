@@ -31,7 +31,6 @@ from .multiplier import (
     partial_integral,
     symbol_on_grid,
 )
-from .spectral import SpectralField, VectorField
 
 
 class ConfigError(ValueError):
@@ -76,8 +75,7 @@ def _make_record(state: SolutionPair, params: SystemParams, gamma: float, s: flo
                  prev: DiagnosticRecord | None) -> DiagnosticRecord:
     u, b = state.u, state.b
     grid = state.grid
-    power_u = sp.mode_power(u.to_array())
-    power_b = sp.mode_power(b.to_array())
+    power_u, power_b = sp.mode_power(u.coeffs), sp.mode_power(b.coeffs)
     power = power_u + power_b
     l_u_density = symbol_on_grid(params.diss_u, grid) ** 2 * power_u
 
@@ -266,15 +264,10 @@ def evaluate_checks(records: list[DiagnosticRecord], nu: float, eta: float, g1: 
 
 def _pair_from_samples(u_samples: list[np.ndarray], b_samples: list[np.ndarray],
                        grid: sp.Grid) -> SolutionPair:
-    def build(samples):
-        comps = []
-        for arr in samples:
-            f = sp.dealias(sp.forward_transform(arr, grid))
-            f.coeffs[(0,) * grid.dim] = 0.0
-            comps.append(f)
-        return sp.leray_project(VectorField(tuple(comps)))
-
-    return SolutionPair(build(u_samples), build(b_samples), 0.0)
+    coeffs = sp.to_spectral_array(np.array([u_samples, b_samples], dtype=np.float64), grid)
+    coeffs *= grid.dealias_mask
+    coeffs[(...,) + (0,) * grid.dim] = 0.0
+    return SolutionPair.from_array(grid, sp.leray_array(coeffs, grid), 0.0)
 
 
 def initial_condition(name: str, params: dict, grid: sp.Grid) -> SolutionPair:
@@ -302,18 +295,11 @@ def initial_condition(name: str, params: dict, grid: sp.Grid) -> SolutionPair:
         rng = np.random.default_rng(seed)
         keep = (grid.kmag > 0.0) & (grid.kmag <= band)
 
-        def build(count):
-            comps = []
-            for _ in range(count):
-                f = sp.forward_transform(rng.standard_normal(grid.shape), grid)
-                comps.append(SpectralField(grid, f.coeffs * keep))
-            return sp.leray_project(VectorField(tuple(comps)))
-
-        u = build(grid.dim)
-        b = build(grid.dim)
-        norm = math.sqrt(sp.vector_l2_norm(u) ** 2 + sp.vector_l2_norm(b) ** 2)
-        scale = amplitude / max(norm, 1e-300)
-        return SolutionPair(u * scale, b * scale, 0.0)
+        samples = rng.standard_normal((2, grid.dim) + grid.shape)
+        pair = SolutionPair.from_array(
+            grid, sp.leray_array(sp.to_spectral_array(samples, grid) * keep, grid), 0.0)
+        norm = math.sqrt(sp.vector_l2_norm(pair.u) ** 2 + sp.vector_l2_norm(pair.b) ** 2)
+        return SolutionPair.from_array(grid, pair.data * (amplitude / max(norm, 1e-300)), 0.0)
     if name == "single_mode":
         k = params.get("k", (1, 0))
         if isinstance(k, str):
@@ -387,19 +373,20 @@ class RunConfig:
                              max_steps=self.max_steps)
 
 
-def _finite(value: str) -> float:
+def finite_float(value: str | float) -> float:
+    """float(value), rejecting nan and inf with a ConfigError."""
     number = float(value)
     if not math.isfinite(number):
-        raise ConfigError(f"value must be a finite number, got {value.strip()!r}")
+        raise ConfigError(f"value must be a finite number, got {str(value).strip()!r}")
     return number
 
 
 def _dt(value: str) -> float | None:
-    return None if value == "adaptive" else _finite(value)
+    return None if value == "adaptive" else finite_float(value)
 
 
 def _floats(value: str) -> tuple[float, ...]:
-    return tuple(_finite(v) for v in value.split(",") if v.strip())
+    return tuple(finite_float(v) for v in value.split(",") if v.strip())
 
 
 def _ints(value: str) -> tuple[int, ...]:
@@ -411,29 +398,29 @@ def _ints(value: str) -> tuple[int, ...]:
 _CONFIG_KEYS = {
     "grid.n": ("run", "dim", int),
     "grid.points": ("run", "points", int),
-    "params.nu": ("run", "nu", _finite),
-    "params.eta": ("run", "eta", _finite),
-    "params.alpha": ("run", "alpha", _finite),
-    "params.beta": ("run", "beta", _finite),
+    "params.nu": ("run", "nu", finite_float),
+    "params.eta": ("run", "eta", finite_float),
+    "params.alpha": ("run", "alpha", finite_float),
+    "params.beta": ("run", "beta", finite_float),
     **{f"params.{g}.kind": (g, "kind", str) for g in ("g1", "g2")},
-    **{f"params.{g}.{p}": (g, p, _finite)
+    **{f"params.{g}.{p}": (g, p, finite_float)
        for g in ("g1", "g2") for p in ("c", "epsilon", "period", "height")},
     "ic.name": ("run", "ic_name", str),
     "ic.seed": ("ic", "seed", int),
-    "ic.band": ("ic", "band", _finite),
-    "ic.amplitude": ("ic", "amplitude", _finite),
+    "ic.band": ("ic", "band", finite_float),
+    "ic.amplitude": ("ic", "amplitude", finite_float),
     "ic.k": ("ic", "k", _ints),
     "stepper.dt": ("run", "dt", _dt),
-    "stepper.cfl": ("run", "cfl", _finite),
-    "stepper.t_end": ("run", "t_end", _finite),
+    "stepper.cfl": ("run", "cfl", finite_float),
+    "stepper.t_end": ("run", "t_end", finite_float),
     "stepper.max_steps": ("run", "max_steps", int),
     "diag.cadence": ("run", "cadence", int),
-    "diag.gamma": ("run", "gamma", _finite),
-    "diag.s": ("run", "s_order", _finite),
+    "diag.gamma": ("run", "gamma", finite_float),
+    "diag.s": ("run", "s_order", finite_float),
     "out.series": ("run", "out_series", str),
     "out.snapshots": ("run", "out_snapshots", str),
     "out.snapshot_times": ("run", "snapshot_times", _floats),
-    "check.energy_tol": ("run", "energy_tol", _finite),
+    "check.energy_tol": ("run", "energy_tol", finite_float),
 }
 
 
@@ -538,8 +525,7 @@ class _SnapshotObserver:
         while self.pending and state.time >= self.pending[0] - 1e-12:
             t = self.pending.pop(0)
             path = f"{self.prefix}_t{t:.6f}.lmhd"
-            fields = list(state.u.components) + list(state.b.components)
-            sp.write_snapshot(path, fields)
+            sp.write_snapshot(path, list(state.u.components + state.b.components))
             self.written.append(path)
 
 

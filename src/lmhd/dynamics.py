@@ -23,35 +23,43 @@ from .multiplier import DissipationSpec, apply_L, apply_dissipation
 from .spectral import VectorField
 
 
-@dataclass
 class SolutionPair:
-    """Velocity and magnetic fields at one instant."""
+    """Velocity and magnetic fields at one instant, stored as one array.
 
-    u: VectorField
-    b: VectorField
-    time: float = 0.0
+    `data` has shape (2, dim, *grid.shape); `u` and `b` are VectorField views
+    of data[0] and data[1], so writing to them writes to the pair.  The
+    constructor copies u and b into a new array; `from_array` wraps one.
+    """
 
-    def __post_init__(self):
-        if self.u.grid != self.b.grid:
+    def __init__(self, u: VectorField, b: VectorField, time: float = 0.0):
+        if u.grid != b.grid:
             raise ValueError("velocity and magnetic fields must share one grid")
-        if self.time < 0.0:
-            raise ValueError("time must be >= 0")
-
-    @property
-    def grid(self) -> sp.Grid:
-        return self.u.grid
-
-    def copy(self) -> "SolutionPair":
-        return SolutionPair(self.u.copy(), self.b.copy(), self.time)
-
-    def to_array(self) -> np.ndarray:
-        """Both fields stacked as one array of shape (2, dim, *grid.shape) (a copy)."""
-        return np.stack([self.u.to_array(), self.b.to_array()])
+        self._wrap(u.grid, np.stack([u.coeffs, b.coeffs]), time)
 
     @classmethod
     def from_array(cls, grid: sp.Grid, data: np.ndarray, time: float) -> "SolutionPair":
-        """The pair viewing `data` (no copy); inverse of `to_array`."""
-        return cls(VectorField.from_array(grid, data[0]), VectorField.from_array(grid, data[1]), time)
+        """The pair stored in `data`, shape (2, dim, *grid.shape) (no copy)."""
+        if data.shape != (2, grid.dim) + grid.shape:
+            raise ValueError(f"array shape {data.shape} does not match a pair on {grid}")
+        pair = cls.__new__(cls)
+        pair._wrap(grid, data, time)
+        return pair
+
+    def _wrap(self, grid: sp.Grid, data: np.ndarray, time: float) -> None:
+        if time < 0.0:
+            raise ValueError("time must be >= 0")
+        self.grid, self.data, self.time = grid, data, time
+
+    @property
+    def u(self) -> VectorField:
+        return VectorField.from_array(self.grid, self.data[0])
+
+    @property
+    def b(self) -> VectorField:
+        return VectorField.from_array(self.grid, self.data[1])
+
+    def copy(self) -> "SolutionPair":
+        return SolutionPair.from_array(self.grid, self.data.copy(), self.time)
 
 
 @dataclass(frozen=True)
@@ -79,13 +87,12 @@ def _tendency_array(y: np.ndarray, grid: sp.Grid) -> np.ndarray:
     transformed, and db is solenoidal by antisymmetry.
     """
     dim = grid.dim
-    axes = tuple(range(-dim, 0))
     u, b = sp.to_physical_array(y, grid)
     sym = list(zip(*np.triu_indices(dim)))
     anti = list(zip(*np.triu_indices(dim, 1)))
     products = [b[i] * b[j] - u[i] * u[j] for i, j in sym]
     products += [b[j] * u[i] - u[j] * b[i] for i, j in anti]
-    spec = np.fft.fftn(np.stack(products), axes=axes) / grid.total_points
+    spec = sp.to_spectral_array(np.stack(products), grid)
     spec *= grid.dealias_mask
 
     k = grid.kmesh
@@ -108,7 +115,7 @@ def nonlinear_tendency(state: SolutionPair) -> tuple[VectorField, VectorField]:
     # overflow here is a blow-up in progress; the stepper detects it after
     # the step rather than warning mid-evaluation
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _tendency_array(state.to_array(), state.grid)
+        out = _tendency_array(state.data, state.grid)
     return VectorField.from_array(state.grid, out[0]), VectorField.from_array(state.grid, out[1])
 
 

@@ -59,7 +59,7 @@ def _tendency_stack(data: np.ndarray, grid: sp.Grid, time: float,
     if nonlinear is None:
         return np.zeros_like(data)
     du, db = nonlinear(SolutionPair.from_array(grid, data, time))
-    return SolutionPair(du, db, time).to_array()
+    return SolutionPair(du, db, time).data
 
 
 def step(state: SolutionPair, params: SystemParams, dt: float,
@@ -72,7 +72,7 @@ def step(state: SolutionPair, params: SystemParams, dt: float,
     e_half = np.exp(-rates * (dt / 2.0))
     e_full = e_half * e_half
 
-    y = state.to_array()
+    y = state.data
     t = state.time
     n1 = _tendency_stack(y, grid, t, nonlinear)
     n2 = _tendency_stack(e_half * (y + (dt / 2.0) * n1), grid, t + dt / 2.0, nonlinear)
@@ -89,8 +89,9 @@ def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
     """Step from state0 until t_end or max_steps, invoking observer each step.
 
     The observer receives (step_index, state) with index 0 for the initial
-    state; it must not mutate the state.  Identical inputs give bit-identical
-    trajectories.
+    state; it must not mutate the state: `state.u`, `state.b` and their
+    components are views of `state.data`, which the next step reads.  state0
+    itself is never written.  Identical inputs give bit-identical trajectories.
     """
     state = state0.copy()
     if observer is not None:
@@ -106,7 +107,7 @@ def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
             dt = min(config.dt, config.t_end - state.time)
         state = step(state, params, dt, nonlinear=nonlinear)
         n += 1
-        if not np.all(np.isfinite(state.to_array())):
+        if not np.all(np.isfinite(state.data)):
             raise BlowupError(state.time, n)
         if observer is not None:
             observer(n, state)

@@ -145,9 +145,7 @@ def bernstein_ratio(f: SpectralField, j: int, k_order: int, p: float, q: float,
                     mult = mult * (1j * grid.kmesh[axis])
                 numerator = max(numerator, sp.lp_norm(SpectralField(grid, f.coeffs * mult), q))
 
-    inv_p = 0.0 if p == np.inf else 1.0 / p
-    inv_q = 0.0 if q == np.inf else 1.0 / q
-    weight = 2.0 ** (j * (order + dim * (inv_p - inv_q)))
+    weight = 2.0 ** (j * (order + dim * (_inv(p) - _inv(q))))
     denom = weight * sp.lp_norm(f, p)
     if denom == 0.0:
         return 0.0
@@ -171,11 +169,10 @@ def grad_uinf_split(u: VectorField, diss: DissipationSpec, m1: float) -> tuple[f
     if m1 < E:
         raise ValueError("threshold m1 must be >= e")
     grid = u.grid
-    coeffs = u.to_array()
-    l_u_density = symbol_on_grid(diss, grid) ** 2 * sp.mode_power(coeffs)
+    l_u_density = symbol_on_grid(diss, grid) ** 2 * sp.mode_power(u.coeffs)
     l_u_sq = float(np.sum(l_u_density))
     l_grad_sq = float(np.sum(grid.k_squared * l_u_density))
-    lhs = float(np.max(np.abs(sp.to_physical_array(sp.gradient_array(coeffs, grid), grid))))
+    lhs = float(np.max(np.abs(sp.to_physical_array(sp.gradient_array(u.coeffs, grid), grid))))
     low_term = float(diss.g(m1)) * float(np.sqrt(np.log(m1))) * float(np.sqrt(l_u_sq))
     high_term = float(m1) ** -0.5 * float(np.sqrt(l_grad_sq))
     return low_term, high_term, lhs

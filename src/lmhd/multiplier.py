@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, VectorField, radial_power
+from .spectral import Grid, VectorField, radial_power
 
 E = float(np.e)
 
@@ -60,6 +60,8 @@ class GFunction:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown g kind {self.kind!r}")
+        if not np.all(np.isfinite([self.c, self.epsilon, self.period, self.height])):
+            raise ValueError("g parameters c, epsilon, period and height must be finite")
         if self.kind == "power_log" and self.c < 1.0:
             raise ValueError("power_log requires c >= 1 so that g >= 1")
         if self.kind == "power" and self.epsilon <= 0.0:
@@ -182,13 +184,13 @@ def symbol_on_grid(spec: DissipationSpec, grid: Grid) -> np.ndarray:
 def apply_L(v: VectorField, spec: DissipationSpec) -> VectorField:
     """Multiply each coefficient by the unsquared symbol m(|k|)."""
     m = symbol_on_grid(spec, v.grid)
-    return VectorField(tuple(SpectralField(v.grid, c.coeffs * m) for c in v.components))
+    return VectorField.from_array(v.grid, v.coeffs * m)
 
 
 def apply_dissipation(v: VectorField, spec: DissipationSpec) -> VectorField:
     """Dissipation operator: coefficient * m(|k|)^2 per coefficient."""
     m2 = spec.coefficient * symbol_on_grid(spec, v.grid) ** 2
-    return VectorField(tuple(SpectralField(v.grid, c.coeffs * m2) for c in v.components))
+    return VectorField.from_array(v.grid, v.coeffs * m2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +239,8 @@ def osgood_classify(g: GFunction, upper_limit: float = 1e100, samples: int = 200
     decay slower than 0.99 per window reads as divergence, a geometric tail
     with ratio at most 0.9 as convergence, anything between is inconclusive.
     """
-    if upper_limit < 10.0 * E:
-        raise ValueError("upper_limit must be at least 10*e")
+    if not 10.0 * E <= upper_limit < np.inf:
+        raise ValueError("upper_limit must be finite and at least 10*e")
     if samples < 1000:
         raise ValueError("samples must be at least 1000")
 

@@ -79,8 +79,34 @@ def make_grid(dim: int, points: int) -> Grid:
     return _GRID_CACHE[key]
 
 
+class _FieldArithmetic:
+    """Vector-space operations on `coeffs`, shared by scalar and vector fields."""
+
+    def _new(self, coeffs: np.ndarray):
+        raise NotImplementedError
+
+    def copy(self):
+        return self._new(self.coeffs.copy())
+
+    def __add__(self, other):
+        _check_same_grid(self.grid, other.grid)
+        return self._new(self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        _check_same_grid(self.grid, other.grid)
+        return self._new(self.coeffs - other.coeffs)
+
+    def __mul__(self, scalar: float):
+        return self._new(self.coeffs * scalar)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._new(-self.coeffs)
+
+
 @dataclass
-class SpectralField:
+class SpectralField(_FieldArithmetic):
     """One scalar field stored as complex Fourier coefficients."""
 
     grid: Grid
@@ -94,71 +120,44 @@ class SpectralField:
         if self.coeffs.dtype != np.complex128:
             self.coeffs = self.coeffs.astype(np.complex128)
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self.grid, other.grid)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self.grid, other.grid)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
+    def _new(self, coeffs: np.ndarray) -> "SpectralField":
+        return SpectralField(self.grid, coeffs)
 
 
-@dataclass
-class VectorField:
-    """N spectral components sharing one grid."""
+class VectorField(_FieldArithmetic):
+    """N spectral components sharing one grid, stored as one array.
 
-    components: tuple[SpectralField, ...]
+    `coeffs` has shape (N, *grid.shape); `components` are SpectralField views
+    of its rows, so writing to a component writes to the field.  The
+    constructor copies the components into a new array; `from_array` wraps one.
+    """
 
-    def __post_init__(self):
-        self.components = tuple(self.components)
-        grids = {c.grid for c in self.components}
-        if len(grids) != 1:
+    def __init__(self, components):
+        components = tuple(components)
+        if len({c.grid for c in components}) != 1:
             raise ValueError("all components must share one grid")
-        if len(self.components) != self.grid.dim:
-            raise ValueError(
-                f"expected {self.grid.dim} components, got {len(self.components)}"
-            )
-
-    @property
-    def grid(self) -> Grid:
-        return self.components[0].grid
-
-    def copy(self) -> "VectorField":
-        return VectorField(tuple(c.copy() for c in self.components))
-
-    def to_array(self) -> np.ndarray:
-        """Component coefficients stacked on axis 0 (a copy)."""
-        return np.stack([c.coeffs for c in self.components])
+        grid = components[0].grid
+        if len(components) != grid.dim:
+            raise ValueError(f"expected {grid.dim} components, got {len(components)}")
+        self.grid = grid
+        self.coeffs = np.stack([c.coeffs for c in components])
 
     @classmethod
     def from_array(cls, grid: Grid, data: np.ndarray) -> "VectorField":
-        """Components that view the rows of `data` (no copy)."""
-        return cls(tuple(SpectralField(grid, row) for row in data))
+        """The field stored in `data`, shape (N, *grid.shape) (no copy)."""
+        if data.shape != (grid.dim,) + grid.shape:
+            raise ValueError(f"array shape {data.shape} does not hold {grid.dim} fields on {grid}")
+        field = cls.__new__(cls)
+        field.grid = grid
+        field.coeffs = data.astype(np.complex128, copy=False)
+        return field
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a + b for a, b in zip(self.components, other.components)))
+    def _new(self, coeffs: np.ndarray) -> "VectorField":
+        return VectorField.from_array(self.grid, coeffs)
 
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __mul__(self, scalar: float) -> "VectorField":
-        return VectorField(tuple(c * scalar for c in self.components))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(tuple(-c for c in self.components))
+    @property
+    def components(self) -> tuple[SpectralField, ...]:
+        return tuple(SpectralField(self.grid, row) for row in self.coeffs)
 
 
 def _check_same_grid(a: Grid, b: Grid) -> None:
@@ -171,7 +170,7 @@ def zero_field(grid: Grid) -> SpectralField:
 
 
 def zero_vector(grid: Grid) -> VectorField:
-    return VectorField(tuple(zero_field(grid) for _ in range(grid.dim)))
+    return VectorField.from_array(grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +186,12 @@ def forward_transform(samples: np.ndarray, grid: Grid | None = None) -> Spectral
         grid = make_grid(samples.ndim, samples.shape[0])
     elif samples.shape != grid.shape:
         raise ValueError(f"sample shape {samples.shape} does not match grid {grid.shape}")
-    coeffs = np.fft.fftn(samples) / grid.total_points
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, to_spectral_array(samples, grid))
+
+
+def to_spectral_array(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    """Coefficients of real sample arrays stacked on leading axes, in one batched fftn."""
+    return np.fft.fftn(samples, axes=tuple(range(-grid.dim, 0))) / grid.total_points
 
 
 def conjugate_symmetry_residual(f: SpectralField) -> float:
@@ -244,32 +247,29 @@ def gradient(f: SpectralField) -> VectorField:
 
 
 def _k_dot(comps: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients of k . v_hat(k) for components stacked on axis 0."""
-    out = grid.kmesh[0] * comps[0]
-    for j in range(1, grid.dim):
-        out += grid.kmesh[j] * comps[j]
-    return out
+    """Coefficients of k . v_hat(k) for components on the axis before the grid axes."""
+    return np.sum(grid.kmesh * comps, axis=-grid.dim - 1)
 
 
 def leray_array(comps: np.ndarray, grid: Grid) -> np.ndarray:
-    """Leray projection of components stacked on axis 0 (zero mode untouched)."""
+    """Leray projection of components on the axis before the grid axes (zero mode untouched)."""
     kdotv = _k_dot(comps, grid)
     kdotv /= np.where(grid.k_squared > 0.0, grid.k_squared, 1.0)
-    return comps - grid.kmesh * kdotv
+    return comps - grid.kmesh * np.expand_dims(kdotv, -grid.dim - 1)
 
 
 def divergence(v: VectorField) -> SpectralField:
-    return SpectralField(v.grid, 1j * _k_dot(v.to_array(), v.grid))
+    return SpectralField(v.grid, 1j * _k_dot(v.coeffs, v.grid))
 
 
 def leray_project(v: VectorField) -> VectorField:
     """Orthogonal projection onto divergence-free fields (zero mode untouched)."""
-    return VectorField.from_array(v.grid, leray_array(v.to_array(), v.grid))
+    return VectorField.from_array(v.grid, leray_array(v.coeffs, v.grid))
 
 
 def solenoidal_residual(v: VectorField) -> float:
     """max_k |k . v_hat(k)| normalized by max(1, ||v||_L2)."""
-    return float(np.max(np.abs(_k_dot(v.to_array(), v.grid)))) / max(1.0, vector_l2_norm(v))
+    return float(np.max(np.abs(_k_dot(v.coeffs, v.grid)))) / max(1.0, vector_l2_norm(v))
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -307,25 +307,22 @@ def hs_norm(f: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(weights * mode_power(f.coeffs[None]))))
 
 
-def l2_inner(f: SpectralField, g: SpectralField) -> float:
-    """L^2 inner product of two real fields, computed spectrally."""
+def l2_inner(f: SpectralField | VectorField, g: SpectralField | VectorField) -> float:
+    """L^2 inner product of two real scalar or vector fields, computed spectrally."""
     _check_same_grid(f.grid, g.grid)
-    return float(
-        BOX_LENGTH ** f.grid.dim * np.sum(f.coeffs * np.conj(g.coeffs)).real
-    )
+    return float(BOX_LENGTH ** f.grid.dim * np.sum(f.coeffs * np.conj(g.coeffs)).real)
 
 
 def vector_l2_norm(v: VectorField) -> float:
-    return float(np.sqrt(np.sum(mode_power(v.to_array()))))
+    return float(np.sqrt(np.sum(mode_power(v.coeffs))))
 
 
-def vector_l2_inner(v: VectorField, w: VectorField) -> float:
-    return float(sum(l2_inner(a, b) for a, b in zip(v.components, w.components)))
+vector_l2_inner = l2_inner
 
 
 def vector_linf_norm(v: VectorField) -> float:
     """Componentwise grid max; underestimates the true sup between grid points."""
-    return float(np.max(np.abs(to_physical_array(v.to_array(), v.grid))))
+    return float(np.max(np.abs(to_physical_array(v.coeffs, v.grid))))
 
 
 # ---------------------------------------------------------------------------

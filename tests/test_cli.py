@@ -94,7 +94,19 @@ def test_run_and_check_report_identical_constants(tmp_path, capsys):
         assert report[key] == summary[key]
 
 
-@pytest.mark.parametrize("case", ["empty_series", "header_only_series", "bad_osgood_value"])
+NON_FINITE_ARGS = {
+    "check_nu_nan": ["--nu", "nan"],
+    "check_eta_inf": ["--eta", "inf"],
+    "check_energy_tol_nan": ["--energy-tol", "nan"],
+    "osgood_epsilon_nan": ["osgood", "power", "epsilon=nan"],
+    "osgood_c_inf": ["osgood", "power_log", "c=inf"],
+    "osgood_limit_nan": ["osgood", "power", "--limit", "nan"],
+    "osgood_limit_inf": ["osgood", "power", "--limit", "inf"],
+}
+
+
+@pytest.mark.parametrize("case", ["empty_series", "header_only_series", "bad_osgood_value",
+                                  *NON_FINITE_ARGS])
 def test_bad_input_exits_2(case, tmp_path, capsys):
     series = tmp_path / "series.csv"
     if case == "empty_series":
@@ -103,8 +115,15 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
     elif case == "header_only_series":
         series.write_text(",".join(RECORD_FIELDS) + "\n")
         argv = ["check", str(series)]
-    else:
+    elif case == "bad_osgood_value":
         argv = ["osgood", "power", "epsilon=abc"]
+    elif case.startswith("check"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + f"out.series = {series}\n")
+        assert main(["run", str(cfg)]) == 0
+        argv = ["check", str(series), *NON_FINITE_ARGS[case]]
+    else:
+        argv = NON_FINITE_ARGS[case]
     assert main(argv) == 2
 
 

@@ -55,6 +55,13 @@ class TestGFunction:
         with pytest.raises(ValueError):
             make_g("tabulated", points=((0.0, 0.5),))
 
+    @pytest.mark.parametrize("kind, param", [("power_log", "c"), ("power", "epsilon"),
+                                             ("spiky", "period"), ("spiky", "height")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, kind, param, value):
+        with pytest.raises(ValueError, match="finite"):
+            make_g(kind, **{param: value})
+
     def test_power_log_value(self):
         g = make_g("power_log", c=1.0)
         assert abs(g(10.0) - np.sqrt(np.log(E + 10.0))) < 1e-14
@@ -201,6 +208,12 @@ class TestOsgood:
             osgood_classify(g, upper_limit=5.0)
         with pytest.raises(ValueError):
             osgood_classify(g, samples=10)
+
+    @pytest.mark.parametrize("limit", [np.inf, np.nan])
+    def test_non_finite_limit_rejected(self, limit):
+        # an infinite limit made the window loop run forever
+        with pytest.raises(ValueError, match="finite"):
+            osgood_classify(make_g("constant_one"), upper_limit=limit)
 
     def test_partial_integral_closed_form_power(self):
         # g(tau) = (e+tau)^0.1 gives integrand below 1/tau^1.2 for large tau;

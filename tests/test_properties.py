@@ -1,7 +1,9 @@
-"""Property tests of the spectral operators, the cached dissipation symbol
-and the diagnostic record on random 2D/3D grids and fields."""
+"""Property tests of the spectral operators, the cached dissipation symbol,
+the diagnostic record, the state storage and the snapshot format on random
+2D/3D grids and fields."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from lmhd import spectral as sp
 from lmhd.diagnostics import make_record
-from lmhd.dynamics import SolutionPair, SystemParams
+from lmhd.dynamics import SolutionPair, SystemParams, nonlinear_tendency
+from lmhd.integrator import StepperConfig, run, step
 from lmhd.multiplier import E, DissipationSpec, make_g, symbol, symbol_on_grid
 from lmhd.spectral import SpectralField, VectorField
 
@@ -102,3 +105,81 @@ def test_record_matches_physical_space_reference(grid, seed, diss_u, diss_b, gam
     expected["split_high"] = math.sqrt(expected["diss_grad_u"] / threshold)
     for name, value in expected.items():
         assert abs(getattr(record, name) - value) <= 1e-12 * abs(value), name
+
+
+def random_pair(grid, seed):
+    return SolutionPair(random_solenoidal(grid, seed), random_solenoidal(grid, seed + 1), 0.0)
+
+
+@property_settings
+@given(grids, seeds, specs)
+def test_step_and_run_leave_input_unchanged_and_step_is_solenoidal(grid, seed, diss_u):
+    state = random_pair(grid, seed)
+    before = state.data.copy()
+    params = SystemParams(diss_u, DissipationSpec(0.0, 1.0, make_g("constant_one")), grid.dim)
+    new = step(state, params, 1e-3)
+    run(state, params, StepperConfig(t_end=2e-3, dt=1e-3))
+    assert np.array_equal(state.data, before)
+    assert not np.shares_memory(new.data, state.data)
+    assert max(sp.solenoidal_residual(new.u), sp.solenoidal_residual(new.b)) <= 1e-12
+
+
+@property_settings
+@given(grids, seeds)
+def test_nonlinear_tendency_is_energy_neutral(grid, seed):
+    state = random_pair(grid, seed)
+    du, db = nonlinear_tendency(state)
+    flux = sp.vector_l2_inner(du, state.u) + sp.vector_l2_inner(db, state.b)
+    scale = sp.vector_l2_norm(du) * sp.vector_l2_norm(state.u) + sp.vector_l2_norm(db) * sp.vector_l2_norm(state.b)
+    assert abs(flux) <= 1e-12 * scale
+
+
+@property_settings
+@given(grids, seeds)
+def test_pair_views_and_copies(grid, seed):
+    u, b = random_solenoidal(grid, seed), random_solenoidal(grid, seed + 1)
+    pair = SolutionPair(u, b, 0.5)
+    assert not np.shares_memory(pair.data, u.coeffs)
+    assert not np.shares_memory(pair.data, b.coeffs)
+    assert np.array_equal(pair.u.coeffs, u.coeffs) and np.array_equal(pair.b.coeffs, b.coeffs)
+
+    data = pair.data.copy()
+    view = SolutionPair.from_array(grid, data, 0.5)
+    assert view.data is data
+    for part in (view.u.coeffs, view.b.coeffs, view.u.components[-1].coeffs, view.b.components[0].coeffs):
+        assert np.shares_memory(part, data)
+    view.b.components[0].coeffs[(1,) * grid.dim] = 7.0
+    assert data[1, 0][(1,) * grid.dim] == 7.0
+
+
+@property_settings
+@given(grids, seeds, st.floats(0.0, 10.0))
+def test_snapshot_round_trip_is_bit_exact(tmp_path_factory, grid, seed, time):
+    rng = np.random.default_rng(seed)
+    shape = (2, grid.dim) + grid.shape
+    state = SolutionPair.from_array(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), time)
+    path = tmp_path_factory.mktemp("snap") / "state.lmhd"
+    sp.write_snapshot(str(path), list(state.u.components) + list(state.b.components))
+    fields = sp.read_snapshot(str(path))
+    assert len(fields) == 2 * grid.dim
+    back = SolutionPair(VectorField(fields[:grid.dim]), VectorField(fields[grid.dim:]), time)
+    assert back.data.tobytes() == state.data.tobytes()
+
+
+headers = st.builds(lambda version, dim, points, count, payload:
+                    struct.pack("<IIII", version, dim, points, count) + payload,
+                    st.sampled_from([0, 1, 2]), st.sampled_from([0, 1, 2, 3, 4]),
+                    st.sampled_from([0, 1, 2, 3, 4, 8, 2**31]), st.integers(0, 3),
+                    st.binary(max_size=64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=80), headers))
+def test_read_snapshot_rejects_bad_bytes_with_value_error(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("fuzz") / "bad.lmhd"
+    path.write_bytes(sp.SNAPSHOT_MAGIC + body)
+    try:
+        fields = sp.read_snapshot(str(path))
+    except ValueError:
+        return
+    assert fields and all(f.coeffs.shape == fields[0].grid.shape for f in fields)
