@@ -30,7 +30,7 @@ from .multiplier import (
     osgood_classify,
     symbol,
 )
-from .dynamics import SolutionPair, SystemParams, energy_flux_identity, full_tendency, nonlinear_tendency
+from .dynamics import SolutionPair, SystemParams, energy_flux_identity, nonlinear_tendency
 from .integrator import BlowupError, StepperConfig, run, step
 from .lpaley import (
     BesovIndex,

@@ -21,7 +21,7 @@ import numpy as np
 from . import spectral as sp
 from .dynamics import SolutionPair, SystemParams
 from .integrator import BlowupError, StepperConfig, run
-from .lpaley import grad_uinf_split
+from .lpaley import grad_uinf_split_array
 from .multiplier import (
     E,
     DissipationSpec,
@@ -68,55 +68,53 @@ def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: floa
     record keeps them rather than warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _make_record(state, params, gamma, s, prev)
+        grid = state.grid
+        power_u, power_b = (sp.mode_power(c) for c in state.data)
+        power = power_u + power_b
+        l_u_density = symbol_on_grid(params.diss_u, grid) ** 2 * power_u
 
+        energy = 0.5 * float(np.sum(power))
+        diss_u = float(np.sum(l_u_density))
+        diss_b = float(np.sum(symbol_on_grid(params.diss_b, grid) ** 2 * power_b))
+        # sum_j |m k_j u_hat|^2 = m^2 |k|^2 |u_hat|^2
+        diss_grad_u = float(np.sum(grid.k_squared * l_u_density))
+        x_norm, y_norm, gamma_norm = (
+            float(np.sum(sp.radial_power(grid.kmag, 2.0 * order) * power)) for order in (1.0, s, gamma)
+        )
 
-def _make_record(state: SolutionPair, params: SystemParams, gamma: float, s: float,
-                 prev: DiagnosticRecord | None) -> DiagnosticRecord:
-    u, b = state.u, state.b
-    grid = state.grid
-    power_u, power_b = sp.mode_power(u.coeffs), sp.mode_power(b.coeffs)
-    power = power_u + power_b
-    l_u_density = symbol_on_grid(params.diss_u, grid) ** 2 * power_u
+        split_low, split_high, grad_u_inf = grad_uinf_split_array(
+            state.data[0], grid, params.diss_u, E + x_norm, diss_u, diss_grad_u)
+        # solenoidal_residual of u and b, normalised by their own L2 norms
+        div_u, div_b = (float(np.max(np.abs(kv))) / max(1.0, float(np.sqrt(np.sum(p))))
+                        for kv, p in zip(sp._k_dot(state.data, grid), (power_u, power_b)))
 
-    energy = 0.5 * float(np.sum(power))
-    diss_u = float(np.sum(l_u_density))
-    diss_b = float(np.sum(symbol_on_grid(params.diss_b, grid) ** 2 * power_b))
-    # sum_j |m k_j u_hat|^2 = m^2 |k|^2 |u_hat|^2
-    diss_grad_u = float(np.sum(grid.k_squared * l_u_density))
-    x_norm, y_norm, gamma_norm = (
-        float(np.sum(sp.radial_power(grid.kmag, 2.0 * order) * power)) for order in (1.0, s, gamma)
-    )
+        t = state.time
+        if prev is None:
+            cum_diss = cum_diss_b = cum_diss_grad = 0.0
+        else:
+            half_dt = 0.5 * (t - prev.t)
+            cum_diss = prev.cum_diss + half_dt * (prev.diss_u + diss_u)
+            cum_diss_b = prev.cum_diss_b + half_dt * (prev.diss_b + diss_b)
+            cum_diss_grad = prev.cum_diss_grad + half_dt * (prev.diss_grad_u + diss_grad_u)
 
-    split_low, split_high, grad_u_inf = grad_uinf_split(u, params.diss_u, E + x_norm)
-
-    t = state.time
-    if prev is None:
-        cum_diss = cum_diss_b = cum_diss_grad = 0.0
-    else:
-        half_dt = 0.5 * (t - prev.t)
-        cum_diss = prev.cum_diss + half_dt * (prev.diss_u + diss_u)
-        cum_diss_b = prev.cum_diss_b + half_dt * (prev.diss_b + diss_b)
-        cum_diss_grad = prev.cum_diss_grad + half_dt * (prev.diss_grad_u + diss_grad_u)
-
-    return DiagnosticRecord(
-        t=t,
-        energy=energy,
-        diss_u=diss_u,
-        diss_b=diss_b,
-        diss_grad_u=diss_grad_u,
-        x_norm=x_norm,
-        y_norm=y_norm,
-        gamma_norm=gamma_norm,
-        grad_u_inf=grad_u_inf,
-        split_low=split_low,
-        split_high=split_high,
-        cum_diss=cum_diss,
-        cum_diss_b=cum_diss_b,
-        cum_diss_grad=cum_diss_grad,
-        div_u=sp.solenoidal_residual(u),
-        div_b=sp.solenoidal_residual(b),
-    )
+        return DiagnosticRecord(
+            t=t,
+            energy=energy,
+            diss_u=diss_u,
+            diss_b=diss_b,
+            diss_grad_u=diss_grad_u,
+            x_norm=x_norm,
+            y_norm=y_norm,
+            gamma_norm=gamma_norm,
+            grad_u_inf=grad_u_inf,
+            split_low=split_low,
+            split_high=split_high,
+            cum_diss=cum_diss,
+            cum_diss_b=cum_diss_b,
+            cum_diss_grad=cum_diss_grad,
+            div_u=div_u,
+            div_b=div_b,
+        )
 
 
 class DiagnosticTracker:
@@ -228,12 +226,15 @@ def evaluate_checks(records: list[DiagnosticRecord], nu: float, eta: float, g1: 
                     energy_tol: float | None) -> tuple[dict, list[str]]:
     """Every estimate check the series is long enough for.
 
-    Returns the measured values by name and the failure messages. The
-    energy tolerance is optional; the Gronwall and gamma constants fail
-    when not finite and the divergence residual above 1e-8.
+    Returns the measured values by name and the failure messages. A non-finite
+    record field fails the series outright; the energy tolerance is optional;
+    the constants fail when not finite and the divergence residual above 1e-8.
     """
     report: dict = {}
     failures: list[str] = []
+    bad = [(name, r.t) for r in records for name in RECORD_FIELDS if not math.isfinite(getattr(r, name))]
+    if bad:
+        return report, [f"non-finite record field {bad[0][0]} at t={bad[0][1]}"]
     if len(records) >= _MIN_ENERGY_RECORDS:
         residual = energy_balance_residual(records, nu, eta)
         report["energy_residual"] = residual
@@ -460,7 +461,7 @@ def config_from_mapping(raw: dict[str, str]) -> RunConfig:
         return RunConfig(ic_params=sections["ic"], **kwargs)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -540,7 +541,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         for path in (config.out_series, config.out_snapshots):
             if path and not Path(path).parent.is_dir():
                 raise ConfigError(f"output directory of {path!r} does not exist")
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         return ExperimentResult(STATUS_CONFIG_ERROR, [], {}, message=str(exc))
 
     snapshots = (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .multiplier import DissipationSpec, apply_L, apply_dissipation
+from .multiplier import DissipationSpec, apply_L
 from .spectral import VectorField
 
 
@@ -79,53 +79,45 @@ class SystemParams:
         )
 
 
-def _tendency_array(y: np.ndarray, grid: sp.Grid) -> np.ndarray:
+def tendency(y: np.ndarray, grid: sp.Grid) -> np.ndarray:
     """Nonlinear tendency of the stacked state y = (u, b), shape (2, dim, *grid.shape).
 
     du_i = P d_j(b_j b_i - u_j u_i) and db_i = d_j(b_j u_i - u_j b_i); only the
     dim(dim+1)/2 symmetric and dim(dim-1)/2 antisymmetric products are
-    transformed, and db is solenoidal by antisymmetry.
+    transformed, and db is solenoidal by antisymmetry.  This is the stepper's
+    hot path; `nonlinear_tendency` wraps it for a SolutionPair.
     """
-    dim = grid.dim
-    u, b = sp.to_physical_array(y, grid)
-    sym = list(zip(*np.triu_indices(dim)))
-    anti = list(zip(*np.triu_indices(dim, 1)))
-    products = [b[i] * b[j] - u[i] * u[j] for i, j in sym]
-    products += [b[j] * u[i] - u[j] * b[i] for i, j in anti]
-    spec = sp.to_spectral_array(np.stack(products), grid)
-    spec *= grid.dealias_mask
-
+    sym = list(zip(*np.triu_indices(grid.dim)))
+    anti = list(zip(*np.triu_indices(grid.dim, 1)))
     k = grid.kmesh
-    out = np.zeros_like(y)
-    for (i, j), s in zip(sym, spec):
-        out[0, i] += k[j] * s
-        if i != j:
-            out[0, j] += k[i] * s
-    for (i, j), a in zip(anti, spec[len(sym):]):
-        out[1, i] += k[j] * a
-        out[1, j] -= k[i] * a
-    out *= 1j
-    out[0] = sp.leray_array(out[0], grid)
+    # overflow here is a blow-up in progress; the stepper detects it after
+    # the step rather than warning mid-evaluation
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, b = sp.to_physical_array(y, grid)
+        products = [b[i] * b[j] - u[i] * u[j] for i, j in sym]
+        products += [b[j] * u[i] - u[j] * b[i] for i, j in anti]
+        spec = sp.to_spectral_array(np.stack(products), grid)
+        spec *= grid.dealias_mask
+
+        out = np.zeros_like(y)
+        for (i, j), s in zip(sym, spec):
+            out[0, i] += k[j] * s
+            if i != j:
+                out[0, j] += k[i] * s
+        for (i, j), a in zip(anti, spec[len(sym):]):
+            out[1, i] += k[j] * a
+            out[1, j] -= k[i] * a
+        out *= 1j
+        out[0] = sp.leray_array(out[0], grid)
     return out
 
 
 def nonlinear_tendency(state: SolutionPair) -> tuple[VectorField, VectorField]:
     """Advection/stretching terms du = P(-(u.grad)u + (b.grad)b) and
-    db = -(u.grad)b + (b.grad)u, evaluated in divergence form."""
-    # overflow here is a blow-up in progress; the stepper detects it after
-    # the step rather than warning mid-evaluation
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _tendency_array(state.data, state.grid)
+    db = -(u.grad)b + (b.grad)u, evaluated in divergence form, as views of
+    one `tendency` array."""
+    out = tendency(state.data, state.grid)
     return VectorField.from_array(state.grid, out[0]), VectorField.from_array(state.grid, out[1])
-
-
-def full_tendency(state: SolutionPair, params: SystemParams) -> tuple[VectorField, VectorField]:
-    """Nonlinear tendency minus the dissipation operators."""
-    du, db = nonlinear_tendency(state)
-    return (
-        du - apply_dissipation(state.u, params.diss_u),
-        db - apply_dissipation(state.b, params.diss_b),
-    )
 
 
 def energy_flux_identity(state: SolutionPair, params: SystemParams) -> tuple[float, float]:
@@ -135,7 +127,7 @@ def energy_flux_identity(state: SolutionPair, params: SystemParams) -> tuple[flo
              nu*||L1 u||_L2^2 + eta*||L2 b||_L2^2).
     """
     du, db = nonlinear_tendency(state)
-    flux = sp.vector_l2_inner(du, state.u) + sp.vector_l2_inner(db, state.b)
+    flux = sp.l2_inner(du, state.u) + sp.l2_inner(db, state.b)
     rate = (
         params.diss_u.coefficient * sp.vector_l2_norm(apply_L(state.u, params.diss_u)) ** 2
         + params.diss_b.coefficient * sp.vector_l2_norm(apply_L(state.b, params.diss_b)) ** 2

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import SolutionPair, SystemParams, nonlinear_tendency
+from .dynamics import SolutionPair, SystemParams, tendency
 from .multiplier import symbol_on_grid
 
 
@@ -54,17 +54,14 @@ def _decay_rates(params: SystemParams, grid: sp.Grid) -> np.ndarray:
     return np.stack([rate_u, rate_b])[:, None]
 
 
-def _tendency_stack(data: np.ndarray, grid: sp.Grid, time: float,
-                    nonlinear: Callable | None) -> np.ndarray:
-    if nonlinear is None:
-        return np.zeros_like(data)
-    du, db = nonlinear(SolutionPair.from_array(grid, data, time))
-    return SolutionPair(du, db, time).data
-
-
 def step(state: SolutionPair, params: SystemParams, dt: float,
-         nonlinear: Callable | None = nonlinear_tendency) -> SolutionPair:
-    """Advance one integrating-factor RK4 step of size dt."""
+         nonlinear: Callable | None = tendency) -> SolutionPair:
+    """Advance one integrating-factor RK4 step of size dt.
+
+    `nonlinear(data, grid)` returns the nonlinear tendency of the state array
+    as a new array of its shape, never writing to `data`; None means no
+    nonlinearity, so the step is the exact linear decay.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     grid = state.grid
@@ -73,25 +70,28 @@ def step(state: SolutionPair, params: SystemParams, dt: float,
     e_full = e_half * e_half
 
     y = state.data
-    t = state.time
-    n1 = _tendency_stack(y, grid, t, nonlinear)
-    n2 = _tendency_stack(e_half * (y + (dt / 2.0) * n1), grid, t + dt / 2.0, nonlinear)
-    n3 = _tendency_stack(e_half * y + (dt / 2.0) * n2, grid, t + dt / 2.0, nonlinear)
-    n4 = _tendency_stack(e_full * y + dt * (e_half * n3), grid, t + dt, nonlinear)
+    if nonlinear is None:
+        return SolutionPair.from_array(grid, e_full * y, state.time + dt)
+    n1 = nonlinear(y, grid)
+    n2 = nonlinear(e_half * (y + (dt / 2.0) * n1), grid)
+    n3 = nonlinear(e_half * y + (dt / 2.0) * n2, grid)
+    n4 = nonlinear(e_full * y + dt * (e_half * n3), grid)
 
     y_new = e_full * y + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
-    return SolutionPair.from_array(grid, y_new, t + dt)
+    return SolutionPair.from_array(grid, y_new, state.time + dt)
 
 
 def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
         observer: Callable[[int, SolutionPair], None] | None = None,
-        nonlinear: Callable | None = nonlinear_tendency) -> SolutionPair:
+        nonlinear: Callable | None = tendency) -> SolutionPair:
     """Step from state0 until t_end or max_steps, invoking observer each step.
 
-    The observer receives (step_index, state) with index 0 for the initial
-    state; it must not mutate the state: `state.u`, `state.b` and their
-    components are views of `state.data`, which the next step reads.  state0
-    itself is never written.  Identical inputs give bit-identical trajectories.
+    Every `step` gets the hook `nonlinear(data, grid) -> array` (None: linear
+    decay only).  The observer receives (step_index, state) with index 0 for
+    the initial state; it must not mutate the state: `state.u`, `state.b` and
+    their components are views of `state.data`, which the next step reads.
+    state0 itself is never written.  Identical inputs give bit-identical
+    trajectories.
     """
     state = state0.copy()
     if observer is not None:

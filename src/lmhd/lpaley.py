@@ -166,13 +166,17 @@ def grad_uinf_split(u: VectorField, diss: DissipationSpec, m1: float) -> tuple[f
     Callers form lhs / (low_term + high_term) to record the measured constant.
     ||L grad u||^2 weights the power of u by m^2 |k|^2, since sum_j k_j^2 = |k|^2.
     """
+    l_u_density = symbol_on_grid(diss, u.grid) ** 2 * sp.mode_power(u.coeffs)
+    return grad_uinf_split_array(u.coeffs, u.grid, diss, m1, float(np.sum(l_u_density)),
+                                 float(np.sum(u.grid.k_squared * l_u_density)))
+
+
+def grad_uinf_split_array(u_coeffs: np.ndarray, grid: sp.Grid, diss: DissipationSpec, m1: float,
+                          l_u_sq: float, l_grad_sq: float) -> tuple[float, float, float]:
+    """`grad_uinf_split` of u_coeffs given l_u_sq = ||L u||^2 and l_grad_sq = ||L grad u||^2."""
     if m1 < E:
         raise ValueError("threshold m1 must be >= e")
-    grid = u.grid
-    l_u_density = symbol_on_grid(diss, grid) ** 2 * sp.mode_power(u.coeffs)
-    l_u_sq = float(np.sum(l_u_density))
-    l_grad_sq = float(np.sum(grid.k_squared * l_u_density))
-    lhs = float(np.max(np.abs(sp.to_physical_array(sp.gradient_array(u.coeffs, grid), grid))))
+    lhs = float(np.max(np.abs(sp.to_physical_array(sp.gradient_array(u_coeffs, grid), grid))))
     low_term = float(diss.g(m1)) * float(np.sqrt(np.log(m1))) * float(np.sqrt(l_u_sq))
     high_term = float(m1) ** -0.5 * float(np.sqrt(l_grad_sq))
     return low_term, high_term, lhs

@@ -317,8 +317,6 @@ def vector_l2_norm(v: VectorField) -> float:
     return float(np.sqrt(np.sum(mode_power(v.coeffs))))
 
 
-vector_l2_inner = l2_inner
-
 
 def vector_linf_norm(v: VectorField) -> float:
     """Componentwise grid max; underestimates the true sup between grid points."""

@@ -39,6 +39,10 @@ def test_run_ok(cfg_path, capsys):
 
 NON_FINITE = {"stepper.dt = 0.001": "stepper.dt = nan", "params.nu = 1.0": "params.nu = nan",
               "params.alpha = 2.0": "params.alpha = inf", "stepper.t_end = 0.02": "stepper.t_end = nan"}
+# integers too large to convert to float
+HUGE = "1" + "0" * 400
+OVERFLOWING = (BASE_CFG.replace("grid.n = 2", f"grid.n = {HUGE}"),
+               BASE_CFG.replace("ic.name = orszag_tang_2d", f"ic.name = single_mode\nic.k = {HUGE},0"))
 
 
 def test_run_config_error(tmp_path, capsys):
@@ -47,9 +51,12 @@ def test_run_config_error(tmp_path, capsys):
     for text in ("grid.bogus = 1\n", "ic.sed = 3\n", "grid.points = 16\ngrid.points = 32\n",
                  BASE_CFG + f"out.series = {missing / 'series.csv'}\n",
                  BASE_CFG + f"out.snapshots = {missing / 'snap'}\nout.snapshot_times = 0.01\n",
-                 *(BASE_CFG.replace(old, new) for old, new in NON_FINITE.items())):
+                 *(BASE_CFG.replace(old, new) for old, new in NON_FINITE.items()), *OVERFLOWING):
         path.write_text(text)
         assert main(["run", str(path)]) == 2
+    for text in OVERFLOWING:
+        path.write_text(text)
+        assert main(["sweep", str(path), "--vary", "g1=constant_one"]) == 2
     # a UTF-16 byte-order mark is not UTF-8
     path.write_bytes(b"\xff\xfe" + BASE_CFG.encode("utf-16-le"))
     assert main(["run", str(path)]) == 2
@@ -134,6 +141,24 @@ def test_check_energy_tolerance_failure(cfg_path, tmp_path, capsys):
     main(["run", str(cfg)])
     capsys.readouterr()
     assert main(["check", str(series), "--energy-tol", "1e-30"]) == 4
+
+
+@pytest.mark.parametrize("field, value, extra", [("x_norm", "inf", []), ("x_norm", "nan", []),
+                                                 ("energy", "nan", ["--energy-tol", "1e-4"]),
+                                                 ("div_u", "nan", [])])
+def test_check_non_finite_record_fails(field, value, extra, tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG + f"out.series = {series}\n")
+    assert main(["run", str(cfg)]) == 0
+    lines = series.read_text().splitlines()
+    row = lines[6].split(",")
+    row[RECORD_FIELDS.index(field)] = value
+    lines[6] = ",".join(row)
+    series.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(series), *extra]) == 4
+    assert f"non-finite record field {field} at t=" in capsys.readouterr().err
 
 
 def test_sweep(cfg_path, capsys):

@@ -362,6 +362,14 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.status == STATUS_CHECK_FAILED and result.exit_code == 4
 
+    def test_overflowing_record_fails_check(self):
+        # |k|^(2s) overflows for s = 200 on a 16^2 grid, so y_norm is not finite
+        cfg = config_from_mapping({"grid.points": "16", "stepper.t_end": "0.002",
+                                   "stepper.dt": "0.001", "diag.s": "200"})
+        result = run_experiment(cfg)
+        assert result.status == STATUS_CHECK_FAILED and result.exit_code == 4
+        assert result.message == "non-finite record field y_norm at t=0.0"
+
     def test_observer_does_not_change_dynamics(self):
         mapping = {
             "grid.points": "16",

@@ -1,18 +1,19 @@
 """Property tests of the spectral operators, the cached dissipation symbol,
-the diagnostic record, the state storage and the snapshot format on random
-2D/3D grids and fields."""
+the diagnostic record, the array tendency, the state storage, the snapshot
+format and the config parser on random 2D/3D grids, fields and inputs."""
 
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lmhd import spectral as sp
-from lmhd.diagnostics import make_record
-from lmhd.dynamics import SolutionPair, SystemParams, nonlinear_tendency
+from lmhd.diagnostics import _CONFIG_KEYS, ConfigError, RunConfig, config_from_mapping, make_record
+from lmhd.dynamics import SolutionPair, SystemParams, nonlinear_tendency, tendency
 from lmhd.integrator import StepperConfig, run, step
+from lmhd.lpaley import grad_uinf_split
 from lmhd.multiplier import E, DissipationSpec, make_g, symbol, symbol_on_grid
 from lmhd.spectral import SpectralField, VectorField
 
@@ -129,9 +130,28 @@ def test_step_and_run_leave_input_unchanged_and_step_is_solenoidal(grid, seed, d
 def test_nonlinear_tendency_is_energy_neutral(grid, seed):
     state = random_pair(grid, seed)
     du, db = nonlinear_tendency(state)
-    flux = sp.vector_l2_inner(du, state.u) + sp.vector_l2_inner(db, state.b)
+    flux = sp.l2_inner(du, state.u) + sp.l2_inner(db, state.b)
     scale = sp.vector_l2_norm(du) * sp.vector_l2_norm(state.u) + sp.vector_l2_norm(db) * sp.vector_l2_norm(state.b)
     assert abs(flux) <= 1e-12 * scale
+
+
+@property_settings
+@given(grids, seeds, specs, specs)
+def test_record_equals_public_split_and_residual(grid, seed, diss_u, diss_b):
+    state = random_pair(grid, seed)
+    record = make_record(state, SystemParams(diss_u, diss_b, grid.dim), gamma=2.5, s=5.0)
+    split = grad_uinf_split(state.u, diss_u, E + record.x_norm)
+    assert (record.split_low, record.split_high, record.grad_u_inf) == split
+    assert record.div_u == sp.solenoidal_residual(state.u)
+    assert record.div_b == sp.solenoidal_residual(state.b)
+
+
+@property_settings
+@given(grids, seeds)
+def test_tendency_equals_stacked_nonlinear_tendency(grid, seed):
+    state = random_pair(grid, seed)
+    du, db = nonlinear_tendency(state)
+    assert tendency(state.data, grid).tobytes() == np.stack([du.coeffs, db.coeffs]).tobytes()
 
 
 @property_settings
@@ -183,3 +203,20 @@ def test_read_snapshot_rejects_bad_bytes_with_value_error(tmp_path_factory, body
     except ValueError:
         return
     assert fields and all(f.coeffs.shape == fields[0].grid.shape for f in fields)
+
+
+# digit strings of any length up to 500, long enough to overflow a float
+digit_strings = st.integers(1, 500).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n))
+config_values = st.one_of(st.text(max_size=40), digit_strings)
+config_keys = st.one_of(st.sampled_from(sorted(_CONFIG_KEYS)), st.text(max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(config_keys, config_values, max_size=4))
+@example({"grid.n": "1" + "0" * 400})
+def test_config_from_mapping_returns_config_or_raises_config_error(raw):
+    try:
+        config = config_from_mapping(raw)
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)
