@@ -66,6 +66,11 @@ def _cmd_sweep(args) -> int:
         print(f"g1={name}: status={result.status} "
               f"max_X={result.summary.get('max_x_norm', float('nan')):.6g} "
               f"gronwall_C={result.summary.get('gronwall_constant', float('nan')):.6g}")
+        if result.status != STATUS_OK:
+            print(f"g1={name}: {result.message}", file=sys.stderr)
+        # a config error does not depend on g1, so every later run would repeat it
+        if result.status == STATUS_CONFIG_ERROR:
+            return result.exit_code
         if result.exit_code > EXIT_CODES[worst]:
             worst = result.status
     return EXIT_CODES[worst]

@@ -10,11 +10,16 @@ no aliasing into the retained band, and d_j(v_j w_i) = (v.grad)w_i + w_i div v
 with div v = 0.  The pressure gradient is eliminated exactly by Leray
 projection, db is solenoidal by antisymmetry, and the mean mode of both
 tendencies is zero because i*k vanishes at k = 0.
+
+Both fields are real, so `tendency` works on the rfftn half spectrum
+(`spectral.to_half`) with real transforms; `SolutionPair` and
+`nonlinear_tendency` stay full-spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -79,27 +84,37 @@ class SystemParams:
         )
 
 
-def tendency(y: np.ndarray, grid: sp.Grid) -> np.ndarray:
-    """Nonlinear tendency of the stacked state y = (u, b), shape (2, dim, *grid.shape).
+# (i, j) index pairs of the symmetric (i <= j) and antisymmetric (i < j) products, per dim
+_PRODUCT_PAIRS = {dim: (tuple(combinations_with_replacement(range(dim), 2)),
+                        tuple(combinations(range(dim), 2))) for dim in (2, 3)}
 
-    du_i = P d_j(b_j b_i - u_j u_i) and db_i = d_j(b_j u_i - u_j b_i); only the
-    dim(dim+1)/2 symmetric and dim(dim-1)/2 antisymmetric products are
-    transformed, and db is solenoidal by antisymmetry.  This is the stepper's
-    hot path; `nonlinear_tendency` wraps it for a SolutionPair.
+
+def tendency(yh: np.ndarray, grid: sp.Grid) -> np.ndarray:
+    """Nonlinear tendency of the stacked state (u, b) on the half spectrum.
+
+    `yh` is `sp.to_half` of a state array, shape (2, dim, *grid.shape[:-1],
+    points//2 + 1), and so is the result.  du_i = P d_j(b_j b_i - u_j u_i)
+    and db_i = d_j(b_j u_i - u_j b_i): one batched irfftn forms u and b, only
+    the dim(dim+1)/2 symmetric and dim(dim-1)/2 antisymmetric products go
+    through one batched rfftn, and db is solenoidal by antisymmetry.  This is
+    the stepper's hot path; `nonlinear_tendency` wraps it for a SolutionPair.
     """
-    sym = list(zip(*np.triu_indices(grid.dim)))
-    anti = list(zip(*np.triu_indices(grid.dim, 1)))
-    k = grid.kmesh
+    sym, anti = _PRODUCT_PAIRS[grid.dim]
+    k = grid.half_kmesh
     # overflow here is a blow-up in progress; the stepper detects it after
     # the step rather than warning mid-evaluation
     with np.errstate(over="ignore", invalid="ignore"):
-        u, b = sp.to_physical_array(y, grid)
-        products = [b[i] * b[j] - u[i] * u[j] for i, j in sym]
-        products += [b[j] * u[i] - u[j] * b[i] for i, j in anti]
-        spec = sp.to_spectral_array(np.stack(products), grid)
-        spec *= grid.dealias_mask
+        u, b = sp.half_to_physical(yh, grid)
+        # filled in place: np.stack of the products costs about as much as the FFTs at 128^2
+        products = np.empty((len(sym) + len(anti),) + grid.shape)
+        for p, (i, j) in enumerate(sym):
+            np.subtract(b[i] * b[j], u[i] * u[j], out=products[p])
+        for p, (i, j) in enumerate(anti, len(sym)):
+            np.subtract(b[j] * u[i], u[j] * b[i], out=products[p])
+        spec = sp.physical_to_half(products, grid)
+        spec *= grid.half_dealias_mask
 
-        out = np.zeros_like(y)
+        out = np.zeros_like(yh)
         for (i, j), s in zip(sym, spec):
             out[0, i] += k[j] * s
             if i != j:
@@ -114,10 +129,11 @@ def tendency(y: np.ndarray, grid: sp.Grid) -> np.ndarray:
 
 def nonlinear_tendency(state: SolutionPair) -> tuple[VectorField, VectorField]:
     """Advection/stretching terms du = P(-(u.grad)u + (b.grad)b) and
-    db = -(u.grad)b + (b.grad)u, evaluated in divergence form, as views of
-    one `tendency` array."""
-    out = tendency(state.data, state.grid)
-    return VectorField.from_array(state.grid, out[0]), VectorField.from_array(state.grid, out[1])
+    db = -(u.grad)b + (b.grad)u, evaluated in divergence form: `tendency` of
+    the state's half spectrum, expanded to full-spectrum views."""
+    grid = state.grid
+    out = sp.from_half(tendency(sp.to_half(state.data, grid), grid), grid)
+    return VectorField.from_array(grid, out[0]), VectorField.from_array(grid, out[1])
 
 
 def energy_flux_identity(state: SolutionPair, params: SystemParams) -> tuple[float, float]:

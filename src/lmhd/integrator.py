@@ -4,6 +4,10 @@ The diagonal dissipation is exponentiated exactly per mode; classical RK4
 handles the (non-stiff) advection.  With the nonlinearity disabled the
 scheme reproduces exp(-coeff * m(|k|)^2 * t) decay exactly per step, so the
 step size never restricts the dissipative part.
+
+The states are real, so a step runs its stages on the rfftn half spectrum
+(`spectral.to_half`) and expands the result once (`spectral.from_half`);
+the states it takes and returns are full-spectrum `SolutionPair`s.
 """
 
 from __future__ import annotations
@@ -58,27 +62,31 @@ def step(state: SolutionPair, params: SystemParams, dt: float,
          nonlinear: Callable | None = tendency) -> SolutionPair:
     """Advance one integrating-factor RK4 step of size dt.
 
-    `nonlinear(data, grid)` returns the nonlinear tendency of the state array
-    as a new array of its shape, never writing to `data`; None means no
-    nonlinearity, so the step is the exact linear decay.
+    The four stages run on the half spectrum of `state.data`:
+    `nonlinear(half, grid)` returns the nonlinear tendency of a half-spectrum
+    state array as a new array of its shape, never writing to `half`, and the
+    new state is expanded to the full spectrum once.  None means no
+    nonlinearity: the step is the exact linear decay of the full spectrum.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     grid = state.grid
     rates = _decay_rates(params, grid)
+    y = state.data
+    if nonlinear is not None:
+        rates, y = sp.to_half(rates, grid), sp.to_half(y, grid)
     e_half = np.exp(-rates * (dt / 2.0))
     e_full = e_half * e_half
-
-    y = state.data
     if nonlinear is None:
         return SolutionPair.from_array(grid, e_full * y, state.time + dt)
+
     n1 = nonlinear(y, grid)
     n2 = nonlinear(e_half * (y + (dt / 2.0) * n1), grid)
     n3 = nonlinear(e_half * y + (dt / 2.0) * n2, grid)
     n4 = nonlinear(e_full * y + dt * (e_half * n3), grid)
 
     y_new = e_full * y + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
-    return SolutionPair.from_array(grid, y_new, state.time + dt)
+    return SolutionPair.from_array(grid, sp.from_half(y_new, grid), state.time + dt)
 
 
 def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
@@ -86,9 +94,10 @@ def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
         nonlinear: Callable | None = tendency) -> SolutionPair:
     """Step from state0 until t_end or max_steps, invoking observer each step.
 
-    Every `step` gets the hook `nonlinear(data, grid) -> array` (None: linear
-    decay only).  The observer receives (step_index, state) with index 0 for
-    the initial state; it must not mutate the state: `state.u`, `state.b` and
+    Every `step` gets the hook `nonlinear(half, grid) -> half array` on the
+    half spectrum (None: exact linear decay only).  The observer receives
+    (step_index, state) with index 0 for the initial state; every state is
+    full-spectrum.  It must not mutate the state: `state.u`, `state.b` and
     their components are views of `state.data`, which the next step reads.
     state0 itself is never written.  Identical inputs give bit-identical
     trajectories.

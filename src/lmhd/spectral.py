@@ -4,6 +4,11 @@ Fields live on the torus [0, 2*pi)^N with N in {2, 3}, stored as complex
 Fourier coefficients in FFT order.  The forward transform divides by the
 total point count, so coefficients are Fourier-series coefficients and
 coeff(0) equals the mean of the samples.  All wavenumbers are integers.
+
+A real field's spectrum is conjugate-symmetric, so its columns 0..n/2 of
+the last axis (the `rfftn` half spectrum) determine it.  `to_half` and
+`from_half` are the only code that maps between the two layouts; the time
+stepper works on half spectra, and fields stay full-spectrum.
 """
 
 from __future__ import annotations
@@ -51,6 +56,15 @@ class Grid:
         for axis_k in mesh:
             keep &= np.abs(axis_k) < cutoff
         self.dealias_mask = keep
+
+        # the half-spectrum set: the same arrays on columns 0..n/2 of the last axis
+        half = (Ellipsis, slice(0, points // 2 + 1))
+        self.half_kmesh = np.ascontiguousarray(self.kmesh[half])
+        self.half_k_squared = np.ascontiguousarray(self.k_squared[half])
+        self.half_dealias_mask = np.ascontiguousarray(keep[half])
+        # half-spectrum index of -k for the full columns n/2+1..n-1 (from_half's gather)
+        neg = -np.arange(points) % points
+        self._mirror = (Ellipsis,) + np.ix_(*(neg,) * (dim - 1), neg[points // 2 + 1:])
 
     def coordinates(self) -> list[np.ndarray]:
         """Physical mesh coordinates, one array per axis (ij indexing)."""
@@ -194,6 +208,29 @@ def to_spectral_array(samples: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.fftn(samples, axes=tuple(range(-grid.dim, 0))) / grid.total_points
 
 
+def to_half(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """The half spectrum (columns 0..n/2 of the last axis) of full coefficient arrays (a view)."""
+    return coeffs[..., : grid.points // 2 + 1]
+
+
+def from_half(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """The full spectrum whose half is `half`, completed by conjugate symmetry."""
+    full = np.empty(half.shape[:-1] + (grid.points,), dtype=np.complex128)
+    full[..., : half.shape[-1]] = half
+    np.conjugate(half[grid._mirror], out=full[..., half.shape[-1]:])
+    return full
+
+
+def physical_to_half(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectra of real sample arrays stacked on leading axes, in one batched rfftn."""
+    return np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward")
+
+
+def half_to_physical(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real samples of half spectra stacked on leading axes, in one batched irfftn."""
+    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.dim, 0)), norm="forward")
+
+
 def conjugate_symmetry_residual(f: SpectralField) -> float:
     """Max |coeff(-k) - conj(coeff(k))|, the defect from representing real data."""
     c = f.coeffs
@@ -217,8 +254,9 @@ def to_physical(f: SpectralField) -> np.ndarray:
 
 
 def to_physical_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real samples of coefficient arrays stacked on leading axes, in one batched ifftn."""
-    return np.fft.ifftn(coeffs, axes=tuple(range(-grid.dim, 0))).real * grid.total_points
+    """Real samples of conjugate-symmetric coefficient arrays stacked on leading
+    axes (no validation), in one batched irfftn of their half spectra."""
+    return half_to_physical(to_half(coeffs, grid), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +284,25 @@ def gradient(f: SpectralField) -> VectorField:
     return VectorField.from_array(f.grid, gradient_array(f.coeffs, f.grid))
 
 
+def _mesh(comps: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(kmesh, k_squared) for the layout of comps: full or half spectrum."""
+    if comps.shape[-1] == grid.points:
+        return grid.kmesh, grid.k_squared
+    return grid.half_kmesh, grid.half_k_squared
+
+
 def _k_dot(comps: np.ndarray, grid: Grid) -> np.ndarray:
     """Coefficients of k . v_hat(k) for components on the axis before the grid axes."""
-    return np.sum(grid.kmesh * comps, axis=-grid.dim - 1)
+    return np.sum(_mesh(comps, grid)[0] * comps, axis=-grid.dim - 1)
 
 
 def leray_array(comps: np.ndarray, grid: Grid) -> np.ndarray:
-    """Leray projection of components on the axis before the grid axes (zero mode untouched)."""
+    """Leray projection of components on the axis before the grid axes, full or half
+    spectrum (zero mode untouched)."""
+    kmesh, k_squared = _mesh(comps, grid)
     kdotv = _k_dot(comps, grid)
-    kdotv /= np.where(grid.k_squared > 0.0, grid.k_squared, 1.0)
-    return comps - grid.kmesh * np.expand_dims(kdotv, -grid.dim - 1)
+    kdotv /= np.where(k_squared > 0.0, k_squared, 1.0)
+    return comps - kmesh * np.expand_dims(kdotv, -grid.dim - 1)
 
 
 def divergence(v: VectorField) -> SpectralField:

@@ -168,6 +168,15 @@ def test_sweep(cfg_path, capsys):
     assert "g1=constant_one" in out and "g1=iterated_log" in out
 
 
+def test_sweep_reports_config_error_once(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(OVERFLOWING[1])
+    assert main(["sweep", str(path), "--vary", "g1=constant_one,iterated_log"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["g1=constant_one: status=config_error max_X=nan gronwall_C=nan"]
+    assert captured.err == "g1=constant_one: int too large to convert to float\n"
+
+
 def test_sweep_requires_g1(cfg_path):
     assert main(["sweep", str(cfg_path), "--vary", "nu=1,2"]) == 2
 

@@ -1,9 +1,11 @@
-"""Integrating-factor RK4: exact linear decay, determinism, CFL, blow-up."""
+"""Integrating-factor RK4: exact linear decay, determinism, CFL, blow-up,
+and the transforms of the half-spectrum hot path."""
 
 import numpy as np
 import pytest
 
 from lmhd import spectral as sp
+from lmhd.diagnostics import make_record
 from lmhd.dynamics import SolutionPair, SystemParams
 from lmhd.integrator import BlowupError, StepperConfig, run, step
 from lmhd.multiplier import DissipationSpec, make_g
@@ -178,3 +180,28 @@ class TestConservation:
         final = run(state0, params, StepperConfig(t_end=0.1, dt=1e-3))
         assert sp.solenoidal_residual(final.u) <= 1e-12
         assert sp.solenoidal_residual(final.b) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
+def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
+    """One fixed-dt step is 4 irfftn + 4 rfftn and one record 1 irfftn, with no
+    complex fftn/ifftn, so a fall-back to the full spectrum fails here."""
+    grid = sp.make_grid(dim, points)
+    state = SolutionPair(random_solenoidal(grid, 1), random_solenoidal(grid, 2))
+    params = SystemParams(DissipationSpec(1.0, 2.0, make_g("iterated_log")),
+                          DissipationSpec(0.0, 1.0, make_g("constant_one")), dim)
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+
+    new = step(state, params, 1e-3)
+    assert sorted(calls) == ["irfftn"] * 4 + ["rfftn"] * 4
+    calls.clear()
+    make_record(new, params, gamma=2.5, s=5.0)
+    assert calls == ["irfftn"]

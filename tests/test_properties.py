@@ -1,6 +1,7 @@
-"""Property tests of the spectral operators, the cached dissipation symbol,
-the diagnostic record, the array tendency, the state storage, the snapshot
-format and the config parser on random 2D/3D grids, fields and inputs."""
+"""Property tests of the spectral operators, the half-spectrum layout, the
+cached dissipation symbol, the diagnostic record, the half-spectrum tendency
+against a full-spectrum reference, the state storage, the snapshot format and
+the config parser on random 2D/3D grids, fields and inputs."""
 
 import math
 import struct
@@ -146,12 +147,68 @@ def test_record_equals_public_split_and_residual(grid, seed, diss_u, diss_b):
     assert record.div_b == sp.solenoidal_residual(state.b)
 
 
+def full_spectrum_tendency(y, grid):
+    """Reference: the divergence-form tendency of a full-spectrum state array,
+    with complex ifftn/fftn over the whole spectrum."""
+    sym = list(zip(*np.triu_indices(grid.dim)))
+    anti = list(zip(*np.triu_indices(grid.dim, 1)))
+    axes = tuple(range(-grid.dim, 0))
+    k = grid.kmesh
+    u, b = np.fft.ifftn(y, axes=axes).real * grid.total_points
+    products = [b[i] * b[j] - u[i] * u[j] for i, j in sym]
+    products += [b[j] * u[i] - u[j] * b[i] for i, j in anti]
+    spec = np.fft.fftn(np.stack(products), axes=axes) / grid.total_points
+    spec *= grid.dealias_mask
+    out = np.zeros_like(y)
+    for (i, j), s in zip(sym, spec):
+        out[0, i] += k[j] * s
+        if i != j:
+            out[0, j] += k[i] * s
+    for (i, j), a in zip(anti, spec[len(sym):]):
+        out[1, i] += k[j] * a
+        out[1, j] -= k[i] * a
+    out *= 1j
+    out[0] = sp.leray_array(out[0], grid)
+    return out
+
+
+@property_settings
+@given(grids, seeds)
+def test_half_spectrum_tendency_matches_full_spectrum_reference(grid, seed):
+    y = random_pair(grid, seed).data
+    expected = full_spectrum_tendency(y, grid)
+    got = sp.from_half(tendency(sp.to_half(y, grid), grid), grid)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@property_settings
+@given(grids, seeds, st.integers(1, 3))
+def test_from_half_restores_spectra_of_real_samples(grid, seed, count):
+    samples = np.random.default_rng(seed).standard_normal((count,) + grid.shape)
+    coeffs = sp.to_spectral_array(samples, grid)
+    assert sp.to_half(coeffs, grid).shape == (count,) + grid.shape[:-1] + (grid.points // 2 + 1,)
+    restored = sp.from_half(sp.to_half(coeffs, grid), grid)
+    assert np.max(np.abs(restored - coeffs)) <= 1e-15 * np.max(np.abs(coeffs))
+
+
+@property_settings
+@given(grids, seeds, specs)
+def test_step_output_is_conjugate_symmetric(grid, seed, diss_u):
+    params = SystemParams(diss_u, DissipationSpec(0.0, 1.0, make_g("constant_one")), grid.dim)
+    new = step(random_pair(grid, seed), params, 1e-2)
+    scale = np.max(np.abs(new.data))
+    for f in new.u.components + new.b.components:
+        assert sp.conjugate_symmetry_residual(f) <= 1e-14 * scale
+
+
 @property_settings
 @given(grids, seeds)
 def test_tendency_equals_stacked_nonlinear_tendency(grid, seed):
     state = random_pair(grid, seed)
     du, db = nonlinear_tendency(state)
-    assert tendency(state.data, grid).tobytes() == np.stack([du.coeffs, db.coeffs]).tobytes()
+    half = tendency(sp.to_half(state.data, grid), grid)
+    assert sp.from_half(half, grid).tobytes() == np.stack([du.coeffs, db.coeffs]).tobytes()
+    assert sp.to_half(np.stack([du.coeffs, db.coeffs]), grid).tobytes() == half.tobytes()
 
 
 @property_settings
