@@ -104,7 +104,7 @@ def tendency(yh: np.ndarray, grid: sp.Grid) -> np.ndarray:
     # overflow here is a blow-up in progress; the stepper detects it after
     # the step rather than warning mid-evaluation
     with np.errstate(over="ignore", invalid="ignore"):
-        u, b = sp.half_to_physical(yh, grid)
+        u, b = sp.to_physical_array(yh, grid)
         # filled in place: np.stack of the products costs about as much as the FFTs at 128^2
         products = np.empty((len(sym) + len(anti),) + grid.shape)
         for p, (i, j) in enumerate(sym):

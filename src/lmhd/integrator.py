@@ -5,9 +5,10 @@ handles the (non-stiff) advection.  With the nonlinearity disabled the
 scheme reproduces exp(-coeff * m(|k|)^2 * t) decay exactly per step, so the
 step size never restricts the dissipative part.
 
-The states are real, so a step runs its stages on the rfftn half spectrum
-(`spectral.to_half`) and expands the result once (`spectral.from_half`);
-the states it takes and returns are full-spectrum `SolutionPair`s.
+The states are real, so a step, with or without the nonlinearity, runs on
+the rfftn half spectrum (`spectral.to_half`) and expands the result once
+(`spectral.from_half`); the states it takes and returns are full-spectrum
+`SolutionPair`s.
 """
 
 from __future__ import annotations
@@ -52,40 +53,36 @@ class BlowupError(RuntimeError):
 
 
 def _decay_rates(params: SystemParams, grid: sp.Grid) -> np.ndarray:
-    """coefficient * m(|k|)^2 for both fields, stacked like the state."""
-    rate_u = params.diss_u.coefficient * symbol_on_grid(params.diss_u, grid) ** 2
-    rate_b = params.diss_b.coefficient * symbol_on_grid(params.diss_b, grid) ** 2
-    return np.stack([rate_u, rate_b])[:, None]
+    """coefficient * m(|k|)^2 for both fields on the half spectrum, stacked like the state."""
+    return np.stack([spec.coefficient * sp.to_half(symbol_on_grid(spec, grid), grid) ** 2
+                     for spec in (params.diss_u, params.diss_b)])[:, None]
 
 
 def step(state: SolutionPair, params: SystemParams, dt: float,
          nonlinear: Callable | None = tendency) -> SolutionPair:
     """Advance one integrating-factor RK4 step of size dt.
 
-    The four stages run on the half spectrum of `state.data`:
+    The step runs on the half spectrum of `state.data`:
     `nonlinear(half, grid)` returns the nonlinear tendency of a half-spectrum
-    state array as a new array of its shape, never writing to `half`, and the
-    new state is expanded to the full spectrum once.  None means no
-    nonlinearity: the step is the exact linear decay of the full spectrum.
+    state array as a new array of its shape, never writing to `half`.  None
+    means no nonlinearity: the step is the exact linear decay, on the half
+    spectrum as well.  Either way the new state is expanded to the full
+    spectrum once.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     grid = state.grid
-    rates = _decay_rates(params, grid)
-    y = state.data
-    if nonlinear is not None:
-        rates, y = sp.to_half(rates, grid), sp.to_half(y, grid)
-    e_half = np.exp(-rates * (dt / 2.0))
+    y = sp.to_half(state.data, grid)
+    e_half = np.exp(-_decay_rates(params, grid) * (dt / 2.0))
     e_full = e_half * e_half
     if nonlinear is None:
-        return SolutionPair.from_array(grid, e_full * y, state.time + dt)
-
-    n1 = nonlinear(y, grid)
-    n2 = nonlinear(e_half * (y + (dt / 2.0) * n1), grid)
-    n3 = nonlinear(e_half * y + (dt / 2.0) * n2, grid)
-    n4 = nonlinear(e_full * y + dt * (e_half * n3), grid)
-
-    y_new = e_full * y + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+        y_new = e_full * y
+    else:
+        n1 = nonlinear(y, grid)
+        n2 = nonlinear(e_half * (y + (dt / 2.0) * n1), grid)
+        n3 = nonlinear(e_half * y + (dt / 2.0) * n2, grid)
+        n4 = nonlinear(e_full * y + dt * (e_half * n3), grid)
+        y_new = e_full * y + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
     return SolutionPair.from_array(grid, sp.from_half(y_new, grid), state.time + dt)
 
 

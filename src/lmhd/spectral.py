@@ -8,7 +8,9 @@ coeff(0) equals the mean of the samples.  All wavenumbers are integers.
 A real field's spectrum is conjugate-symmetric, so its columns 0..n/2 of
 the last axis (the `rfftn` half spectrum) determine it.  `to_half` and
 `from_half` are the only code that maps between the two layouts; the time
-stepper works on half spectra, and fields stay full-spectrum.
+stepper works on half spectra, and fields stay full-spectrum.  Only real
+transforms are used: spectra enter by `rfftn` completed with `from_half`,
+and leave by one `irfftn` in `to_physical_array`, which takes either layout.
 """
 
 from __future__ import annotations
@@ -62,8 +64,10 @@ class Grid:
         self.half_kmesh = np.ascontiguousarray(self.kmesh[half])
         self.half_k_squared = np.ascontiguousarray(self.k_squared[half])
         self.half_dealias_mask = np.ascontiguousarray(keep[half])
-        # half-spectrum index of -k for the full columns n/2+1..n-1 (from_half's gather)
+        # index of -k on every axis (conjugate_symmetry_residual), and its half-spectrum
+        # source for the full columns n/2+1..n-1 (from_half's gather)
         neg = -np.arange(points) % points
+        self._reflect = (Ellipsis,) + np.ix_(*(neg,) * dim)
         self._mirror = (Ellipsis,) + np.ix_(*(neg,) * (dim - 1), neg[points // 2 + 1:])
 
     def coordinates(self) -> list[np.ndarray]:
@@ -204,8 +208,9 @@ def forward_transform(samples: np.ndarray, grid: Grid | None = None) -> Spectral
 
 
 def to_spectral_array(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients of real sample arrays stacked on leading axes, in one batched fftn."""
-    return np.fft.fftn(samples, axes=tuple(range(-grid.dim, 0))) / grid.total_points
+    """Full-spectrum coefficients of real sample arrays stacked on leading axes,
+    in one batched rfftn completed by conjugate symmetry."""
+    return from_half(physical_to_half(samples, grid), grid)
 
 
 def to_half(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -226,18 +231,9 @@ def physical_to_half(samples: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
-def half_to_physical(half: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real samples of half spectra stacked on leading axes, in one batched irfftn."""
-    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.dim, 0)), norm="forward")
-
-
 def conjugate_symmetry_residual(f: SpectralField) -> float:
     """Max |coeff(-k) - conj(coeff(k))|, the defect from representing real data."""
-    c = f.coeffs
-    flipped = c
-    for axis in range(f.grid.dim):
-        flipped = np.roll(np.flip(flipped, axis=axis), 1, axis=axis)
-    return float(np.max(np.abs(flipped - np.conj(c))))
+    return float(np.max(np.abs(f.coeffs[f.grid._reflect] - np.conj(f.coeffs))))
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
@@ -255,8 +251,10 @@ def to_physical(f: SpectralField) -> np.ndarray:
 
 def to_physical_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Real samples of conjugate-symmetric coefficient arrays stacked on leading
-    axes (no validation), in one batched irfftn of their half spectra."""
-    return half_to_physical(to_half(coeffs, grid), grid)
+    axes, full or half spectrum (no validation), in one batched irfftn of
+    their half spectra."""
+    return np.fft.irfftn(to_half(coeffs, grid), s=grid.shape, axes=tuple(range(-grid.dim, 0)),
+                         norm="forward")
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +273,9 @@ def fractional_derivative(f: SpectralField, s: float) -> SpectralField:
 
 
 def gradient_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients i*k_j*coeffs, with j on a new axis just before the grid axes."""
-    return 1j * grid.kmesh * np.expand_dims(coeffs, -grid.dim - 1)
+    """Coefficients i*k_j*coeffs, full or half spectrum, with j on a new axis just
+    before the grid axes."""
+    return 1j * _mesh(coeffs, grid)[0] * np.expand_dims(coeffs, -grid.dim - 1)
 
 
 def gradient(f: SpectralField) -> VectorField:

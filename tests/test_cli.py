@@ -43,6 +43,11 @@ NON_FINITE = {"stepper.dt = 0.001": "stepper.dt = nan", "params.nu = 1.0": "para
 HUGE = "1" + "0" * 400
 OVERFLOWING = (BASE_CFG.replace("grid.n = 2", f"grid.n = {HUGE}"),
                BASE_CFG.replace("ic.name = orszag_tang_2d", f"ic.name = single_mode\nic.k = {HUGE},0"))
+# single modes outside the 2/3 band of a 32^2 grid (|k_j| < 32/3): k = 11 would be
+# zeroed by the dealias mask, and k = 40 sampled as the k = 8 mode
+OUTSIDE_BAND = tuple(BASE_CFG.replace("grid.points = 16", "grid.points = 32")
+                     .replace("ic.name = orszag_tang_2d", f"ic.name = single_mode\nic.k = {k}")
+                     for k in ("11,0", "40,0"))
 
 
 def test_run_config_error(tmp_path, capsys):
@@ -51,7 +56,8 @@ def test_run_config_error(tmp_path, capsys):
     for text in ("grid.bogus = 1\n", "ic.sed = 3\n", "grid.points = 16\ngrid.points = 32\n",
                  BASE_CFG + f"out.series = {missing / 'series.csv'}\n",
                  BASE_CFG + f"out.snapshots = {missing / 'snap'}\nout.snapshot_times = 0.01\n",
-                 *(BASE_CFG.replace(old, new) for old, new in NON_FINITE.items()), *OVERFLOWING):
+                 *(BASE_CFG.replace(old, new) for old, new in NON_FINITE.items()), *OVERFLOWING,
+                 *OUTSIDE_BAND):
         path.write_text(text)
         assert main(["run", str(path)]) == 2
     for text in OVERFLOWING:
@@ -61,6 +67,55 @@ def test_run_config_error(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe" + BASE_CFG.encode("utf-16-le"))
     assert main(["run", str(path)]) == 2
     assert main(["sweep", str(path), "--vary", "g1=constant_one"]) == 2
+
+
+# blows up at step 1: the first nonlinear step overflows
+BLOWUP_CFG = (BASE_CFG.replace("params.nu = 1.0", "params.nu = 0.0")
+              .replace("ic.name = orszag_tang_2d", "ic.name = random_band\nic.amplitude = 1e150")
+              .replace("stepper.dt = 0.001", "stepper.dt = 1")
+              .replace("stepper.t_end = 0.02", "stepper.t_end = 50"))
+STRICT_CFG = BASE_CFG + "check.energy_tol = 1e-30\n"
+SWEEP = ["--vary", "g1=constant_one,iterated_log"]
+
+# (command, failure mode) -> (config text or None, argv after the command, exit code);
+# "{cfg}" and "{series}" stand for the config file and a series written by BASE_CFG
+EXIT_CONTRACT = {
+    ("run", "ok"): (BASE_CFG, ["{cfg}"], 0),
+    ("run", "config_error"): ("grid.bogus = 1\n", ["{cfg}"], 2),
+    ("run", "missing_config"): (None, ["{cfg}"], 2),
+    ("run", "blowup"): (BLOWUP_CFG, ["{cfg}"], 3),
+    ("run", "check_failed"): (STRICT_CFG, ["{cfg}"], 4),
+    ("sweep", "ok"): (BASE_CFG, ["{cfg}", *SWEEP], 0),
+    ("sweep", "config_error"): ("grid.bogus = 1\n", ["{cfg}", *SWEEP], 2),
+    ("sweep", "unknown_g1"): (BASE_CFG, ["{cfg}", "--vary", "g1=mystery"], 2),
+    ("sweep", "not_g1"): (BASE_CFG, ["{cfg}", "--vary", "nu=1,2"], 2),
+    ("sweep", "blowup"): (BLOWUP_CFG, ["{cfg}", *SWEEP], 3),
+    ("sweep", "check_failed"): (STRICT_CFG, ["{cfg}", *SWEEP], 4),
+    ("check", "ok"): (BASE_CFG, ["{series}", "--config", "{cfg}"], 0),
+    ("check", "missing_series"): (None, ["{cfg}"], 2),
+    ("check", "bad_number"): (None, ["{series}", "--nu", "nan"], 2),
+    ("check", "check_failed"): (STRICT_CFG, ["{series}", "--config", "{cfg}"], 4),
+    ("osgood", "ok"): (None, ["iterated_log"], 0),
+    ("osgood", "unknown_g"): (None, ["mystery"], 2),
+    ("osgood", "bad_limit"): (None, ["power", "--limit", "1"], 2),
+}
+
+
+@pytest.mark.parametrize("command, mode", list(EXIT_CONTRACT), ids="-".join)
+def test_exit_code_contract(command, mode, tmp_path, capsys):
+    """Every failure mode of every command maps to 0, 2, 3 or 4, returned by main."""
+    text, args, expected = EXIT_CONTRACT[(command, mode)]
+    cfg, series = tmp_path / "run.cfg", tmp_path / "series.csv"
+    if "{series}" in args:
+        cfg.write_text(BASE_CFG + f"out.series = {series}\n")
+        assert main(["run", str(cfg)]) == 0
+    if text is not None:
+        cfg.write_text(text)
+    argv = [command] + [a.format(cfg=cfg, series=series) for a in args]
+    assert main(argv) == expected
+    if command == "sweep" and mode in ("blowup", "check_failed"):
+        err = capsys.readouterr().err
+        assert all(f"g1={name}: " in err for name in ("constant_one", "iterated_log"))
 
 
 def test_run_adaptive(tmp_path, capsys):

@@ -193,6 +193,21 @@ class TestInitialConditions:
         assert norm == pytest.approx(1.5, rel=1e-12)
         assert sp.solenoidal_residual(a.u) <= 1e-12
 
+    @pytest.mark.parametrize("band", ["11", "20"])
+    def test_random_band_stays_inside_two_thirds_band(self, band):
+        # both bands reach past points/3 = 10.7; a mode kept there breaks the
+        # energy identity (band 11) or solenoidality (band 20) of an inviscid run
+        config = config_from_mapping({"grid.points": "32", "params.nu": "0", "ic.name": "random_band",
+                                      "ic.band": band, "stepper.dt": "0.001", "stepper.t_end": "0.05",
+                                      "diag.cadence": "5"})
+        grid = sp.make_grid(2, 32)
+        state0 = initial_condition(config.ic_name, config.ic_params, grid)
+        assert not np.any(state0.data[..., ~grid.dealias_mask])
+        result = run_experiment(config)
+        assert result.exit_code == 0
+        assert result.summary["energy_residual"] <= 1e-12
+        assert result.summary["max_div"] <= 1e-12
+
     def test_unknown_name_rejected(self):
         grid = sp.make_grid(2, 16)
         with pytest.raises(ConfigError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lmhd import spectral as sp
-from lmhd.diagnostics import make_record
+from lmhd.diagnostics import config_from_mapping, make_record, run_experiment
 from lmhd.dynamics import SolutionPair, SystemParams
 from lmhd.integrator import BlowupError, StepperConfig, run, step
 from lmhd.multiplier import DissipationSpec, make_g
@@ -184,8 +184,9 @@ class TestConservation:
 
 @pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
 def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
-    """One fixed-dt step is 4 irfftn + 4 rfftn and one record 1 irfftn, with no
-    complex fftn/ifftn, so a fall-back to the full spectrum fails here."""
+    """One fixed-dt step is 4 irfftn + 4 rfftn and one record 1 irfftn, and a whole
+    run_experiment makes no complex fftn/ifftn, so a fall-back to the full
+    spectrum fails here."""
     grid = sp.make_grid(dim, points)
     state = SolutionPair(random_solenoidal(grid, 1), random_solenoidal(grid, 2))
     params = SystemParams(DissipationSpec(1.0, 2.0, make_g("iterated_log")),
@@ -205,3 +206,10 @@ def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
     calls.clear()
     make_record(new, params, gamma=2.5, s=5.0)
     assert calls == ["irfftn"]
+    calls.clear()
+    config = config_from_mapping({"grid.n": str(dim), "grid.points": str(points),
+                                  "ic.name": "random_band", "stepper.dt": "0.001",
+                                  "stepper.t_end": "0.005", "diag.cadence": "1"})
+    result = run_experiment(config)
+    assert result.status == "ok" and result.summary["steps"] == result.summary["records"] - 1 == 5
+    assert "rfftn" in calls and "fftn" not in calls and "ifftn" not in calls

@@ -183,12 +183,31 @@ def test_half_spectrum_tendency_matches_full_spectrum_reference(grid, seed):
 
 @property_settings
 @given(grids, seeds, st.integers(1, 3))
-def test_from_half_restores_spectra_of_real_samples(grid, seed, count):
+def test_to_spectral_array_matches_complex_fftn(grid, seed, count):
     samples = np.random.default_rng(seed).standard_normal((count,) + grid.shape)
     coeffs = sp.to_spectral_array(samples, grid)
+    expected = np.fft.fftn(samples, axes=tuple(range(-grid.dim, 0))) / grid.total_points
     assert sp.to_half(coeffs, grid).shape == (count,) + grid.shape[:-1] + (grid.points // 2 + 1,)
-    restored = sp.from_half(sp.to_half(coeffs, grid), grid)
-    assert np.max(np.abs(restored - coeffs)) <= 1e-15 * np.max(np.abs(coeffs))
+    assert np.max(np.abs(coeffs - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def roll_flip_residual(f):
+    """Reference conjugate_symmetry_residual: coeff(-k) by flipping and rolling every axis."""
+    flipped = f.coeffs
+    for axis in range(f.grid.dim):
+        flipped = np.roll(np.flip(flipped, axis=axis), 1, axis=axis)
+    return float(np.max(np.abs(flipped - np.conj(f.coeffs))))
+
+
+@property_settings
+@given(grids, seeds)
+def test_conjugate_symmetry_residual_equals_roll_flip_reference(grid, seed):
+    rng = np.random.default_rng(seed)
+    arbitrary = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    real = sp.to_spectral_array(rng.standard_normal(grid.shape), grid)
+    for coeffs in (arbitrary, real):
+        f = SpectralField(grid, coeffs)
+        assert sp.conjugate_symmetry_residual(f) == roll_flip_residual(f)
 
 
 @property_settings
