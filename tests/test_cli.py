@@ -78,11 +78,12 @@ STRICT_CFG = BASE_CFG + "check.energy_tol = 1e-30\n"
 SWEEP = ["--vary", "g1=constant_one,iterated_log"]
 
 # (command, failure mode) -> (config text or None, argv after the command, exit code);
-# "{cfg}" and "{series}" stand for the config file and a series written by BASE_CFG
+# "{cfg}" is the config file, "{series}" a series written by BASE_CFG and "{missing}"
+# a path that does not exist
 EXIT_CONTRACT = {
     ("run", "ok"): (BASE_CFG, ["{cfg}"], 0),
     ("run", "config_error"): ("grid.bogus = 1\n", ["{cfg}"], 2),
-    ("run", "missing_config"): (None, ["{cfg}"], 2),
+    ("run", "missing_config"): (None, ["{missing}"], 2),
     ("run", "blowup"): (BLOWUP_CFG, ["{cfg}"], 3),
     ("run", "check_failed"): (STRICT_CFG, ["{cfg}"], 4),
     ("sweep", "ok"): (BASE_CFG, ["{cfg}", *SWEEP], 0),
@@ -92,7 +93,7 @@ EXIT_CONTRACT = {
     ("sweep", "blowup"): (BLOWUP_CFG, ["{cfg}", *SWEEP], 3),
     ("sweep", "check_failed"): (STRICT_CFG, ["{cfg}", *SWEEP], 4),
     ("check", "ok"): (BASE_CFG, ["{series}", "--config", "{cfg}"], 0),
-    ("check", "missing_series"): (None, ["{cfg}"], 2),
+    ("check", "missing_series"): (None, ["{missing}"], 2),
     ("check", "bad_number"): (None, ["{series}", "--nu", "nan"], 2),
     ("check", "check_failed"): (STRICT_CFG, ["{series}", "--config", "{cfg}"], 4),
     ("osgood", "ok"): (None, ["iterated_log"], 0),
@@ -111,7 +112,7 @@ def test_exit_code_contract(command, mode, tmp_path, capsys):
         assert main(["run", str(cfg)]) == 0
     if text is not None:
         cfg.write_text(text)
-    argv = [command] + [a.format(cfg=cfg, series=series) for a in args]
+    argv = [command] + [a.format(cfg=cfg, series=series, missing=tmp_path / "missing") for a in args]
     assert main(argv) == expected
     if command == "sweep" and mode in ("blowup", "check_failed"):
         err = capsys.readouterr().err
