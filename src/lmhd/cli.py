@@ -26,17 +26,10 @@ from .diagnostics import (
 from .multiplier import make_g, osgood_classify
 
 
-def _config_error(exc: Exception) -> int:
-    print(f"config error: {exc}", file=sys.stderr)
-    return EXIT_CODES[STATUS_CONFIG_ERROR]
-
-
 def _cmd_run(args) -> int:
-    try:
-        config = parse_config(args.config)
-    except (ConfigError, OSError) as exc:
-        return _config_error(exc)
-    result = run_experiment(config)
+    result = run_experiment(parse_config(args.config))
+    if result.status == STATUS_CONFIG_ERROR:
+        raise ConfigError(result.message)
     print(json.dumps({"status": result.status, **result.summary}, indent=2))
     if result.message:
         print(result.message, file=sys.stderr)
@@ -44,21 +37,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        base = parse_config(args.config)
-    except (ConfigError, OSError) as exc:
-        return _config_error(exc)
+    base = parse_config(args.config)
     if not args.vary.startswith("g1="):
-        print("sweep currently varies g1 only; expected --vary g1=<name,name,...>", file=sys.stderr)
-        return EXIT_CODES[STATUS_CONFIG_ERROR]
+        raise ValueError("sweep currently varies g1 only; expected --vary g1=<name,name,...>")
     names = [n.strip() for n in args.vary.split("=", 1)[1].split(",") if n.strip()]
     worst = STATUS_OK
     for name in names:
-        config = dataclasses.replace(base)
-        try:
-            config.g1 = make_g(name)
-        except ValueError as exc:
-            return _config_error(exc)
+        config = dataclasses.replace(base, g1=make_g(name))
         if base.out_series:
             stem = Path(base.out_series)
             config.out_series = str(stem.with_name(f"{stem.stem}_{name}{stem.suffix}"))
@@ -77,20 +62,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        records = read_series(args.series)
-        if args.config:
-            config = parse_config(args.config)
-            nu, eta, g1, params = config.nu, config.eta, config.g1, config.system_params()
-            energy_tol = config.energy_tol
-        else:
-            nu, eta, g1, params = finite_float(args.nu), finite_float(args.eta), make_g(args.g1), None
-            energy_tol = None
-        if args.energy_tol is not None:
-            energy_tol = finite_float(args.energy_tol)
-        report, failures = evaluate_checks(records, nu, eta, g1, params, energy_tol)
-    except (OSError, ValueError) as exc:
-        return _config_error(exc)
+    records = read_series(args.series)
+    if args.config:
+        config = parse_config(args.config)
+        nu, eta, g1, params = config.nu, config.eta, config.g1, config.system_params()
+        energy_tol = config.energy_tol
+    else:
+        nu, eta, g1, params = finite_float(args.nu), finite_float(args.eta), make_g(args.g1), None
+        energy_tol = None
+    if args.energy_tol is not None:
+        energy_tol = finite_float(args.energy_tol)
+    report, failures = evaluate_checks(records, nu, eta, g1, params, energy_tol)
     print(json.dumps(report, indent=2))
     if failures:
         print("; ".join(failures), file=sys.stderr)
@@ -99,17 +81,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_osgood(args) -> int:
-    try:
-        params = {}
-        for token in args.params:
-            if "=" not in token:
-                raise ValueError(f"expected key=value, got {token!r}")
-            key, value = token.split("=", 1)
-            params[key] = finite_float(value)
-        g = make_g(args.g, **params)
-        verdict = osgood_classify(g, upper_limit=finite_float(args.limit), samples=args.samples)
-    except (ValueError, TypeError) as exc:
-        return _config_error(exc)
+    params = {}
+    for token in args.params:
+        if "=" not in token:
+            raise ValueError(f"expected key=value, got {token!r}")
+        key, value = token.split("=", 1)
+        params[key] = finite_float(value)
+    verdict = osgood_classify(make_g(args.g, **params), upper_limit=finite_float(args.limit))
     print(json.dumps({
         "g": args.g,
         "classification": verdict.classification,
@@ -146,14 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_osgood.add_argument("g")
     p_osgood.add_argument("params", nargs="*", metavar="key=value")
     p_osgood.add_argument("--limit", type=float, default=1e100)
-    p_osgood.add_argument("--samples", type=int, default=20000)
     p_osgood.set_defaults(func=_cmd_osgood)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every input error of every command exits 2 here."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, ArithmeticError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CODES[STATUS_CONFIG_ERROR]
 
 
 if __name__ == "__main__":

@@ -265,8 +265,25 @@ def _pair_from_samples(u_samples: list[np.ndarray], b_samples: list[np.ndarray],
     return SolutionPair.from_array(grid, sp.leray_array(coeffs, grid), 0.0)
 
 
+# initial condition -> the ic.* parameters it reads
+_IC_PARAMETERS = {"orszag_tang_2d": (), "taylor_green_2d": (),
+                  "random_band": ("seed", "band", "amplitude"), "single_mode": ("k", "amplitude")}
+
+
 def initial_condition(name: str, params: dict, grid: sp.Grid) -> SolutionPair:
-    """Named solenoidal, zero-mean, band-limited initial states."""
+    """Named solenoidal, zero-mean, band-limited initial states; ConfigError for an
+    unknown name, a parameter the named state does not read, or the zero state."""
+    # an unknown name reads every parameter here, and _initial_state rejects the name
+    unread = sorted(set(params).difference(_IC_PARAMETERS.get(name, params)))
+    if unread:
+        raise ConfigError(f"initial condition {name!r} does not read ic.{', ic.'.join(unread)}")
+    state = _initial_state(name, params, grid)
+    if not np.any(state.data):
+        raise ConfigError(f"initial condition {name!r} is identically zero with these ic.* parameters")
+    return state
+
+
+def _initial_state(name: str, params: dict, grid: sp.Grid) -> SolutionPair:
     coords = grid.coordinates()
     if name == "orszag_tang_2d":
         if grid.dim != 2:
@@ -451,8 +468,6 @@ def config_from_mapping(raw: dict[str, str]) -> RunConfig:
             spec = sections[gname]
             kwargs[gname] = make_g(spec.pop("kind"), **spec)
         return RunConfig(ic_params=sections["ic"], **kwargs)
-    except ConfigError:
-        raise
     except (ValueError, TypeError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -533,6 +548,10 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         for path in (config.out_series, config.out_snapshots):
             if path and not Path(path).parent.is_dir():
                 raise ConfigError(f"output directory of {path!r} does not exist")
+        if config.out_series and Path(config.out_series).is_dir():
+            raise ConfigError(f"out.series {config.out_series!r} is a directory, not a file path")
+        if any(not 0.0 <= t <= stepper.t_end for t in config.snapshot_times):
+            raise ConfigError(f"snapshot times must lie in [0, t_end = {stepper.t_end}]")
     except (ValueError, ArithmeticError) as exc:
         return ExperimentResult(STATUS_CONFIG_ERROR, [], {}, message=str(exc))
 

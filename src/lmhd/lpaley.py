@@ -57,11 +57,9 @@ class DyadicPartition:
         return self.psi_hat if j == -1 else self.phi_hats[j]
 
 
-def make_partition(grid: sp.Grid, j_max: int | None = None) -> DyadicPartition:
-    """Build the partition; j_max defaults to the smallest J covering the grid."""
-    kmag_max = float(np.max(grid.kmag))
-    if j_max is None:
-        j_max = int(np.ceil(np.log2(kmag_max / 1.5)))
+def make_partition(grid: sp.Grid) -> DyadicPartition:
+    """Build the partition up to the smallest j_max covering the grid."""
+    j_max = int(np.ceil(np.log2(float(np.max(grid.kmag)) / 1.5)))
     r = grid.kmag
     thetas = {j: _theta(r / 2.0**j) for j in range(-1, j_max + 1)}
     psi_hat = thetas[-1]

@@ -29,7 +29,9 @@ DIVERGES = "diverges"
 CONVERGES = "converges"
 INCONCLUSIVE = "inconclusive"
 
-_KINDS = ("constant_one", "power_log", "iterated_log", "power", "spiky", "tabulated")
+# kind -> the parameters it reads; its keys are the catalog
+_PARAMETERS = {"constant_one": (), "power_log": ("c",), "iterated_log": (), "power": ("epsilon",),
+               "spiky": ("period", "height"), "tabulated": ("points",)}
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class GFunction:
     points: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _PARAMETERS:
             raise ValueError(f"unknown g kind {self.kind!r}")
         if not np.all(np.isfinite([self.c, self.epsilon, self.period, self.height])):
             raise ValueError("g parameters c, epsilon, period and height must be finite")
@@ -69,18 +71,17 @@ class GFunction:
         if self.kind == "spiky" and (self.period <= 0.0 or self.height < 1.0):
             raise ValueError("spiky requires period > 0 and height >= 1")
         if self.kind == "tabulated":
-            pts = tuple((float(r), float(v)) for r, v in self.points)
-            if not pts:
-                raise ValueError("tabulated g requires at least one (radius, value) pair")
-            radii = [r for r, _ in pts]
-            values = [v for _, v in pts]
+            pts = np.asarray(self.points, dtype=np.float64)
+            if pts.ndim != 2 or pts.shape[1] != 2 or pts.size == 0 or not np.all(np.isfinite(pts)):
+                raise ValueError("tabulated g requires a non-empty sequence of finite (radius, value) pairs")
+            radii, values = pts.T.tolist()
             if any(r < 0 for r in radii) or sorted(radii) != radii:
                 raise ValueError("tabulated radii must be non-negative and sorted")
             if any(v < 1.0 for v in values):
                 raise ValueError("tabulated g values must be >= 1")
             if any(b < a for a, b in zip(values, values[1:])):
                 raise ValueError("monotonicity violation: tabulated g must be non-decreasing")
-            object.__setattr__(self, "points", pts)
+            object.__setattr__(self, "points", tuple(map(tuple, pts.tolist())))
 
     def __call__(self, r):
         """Evaluate g at radius r (scalar or array), r >= 0."""
@@ -141,8 +142,13 @@ def _loglog_of_radius(r):
     return np.where(r > E, np.log(np.log(safe)), -1.0)
 
 
-def make_g(kind: str, **params) -> GFunction:
-    """Catalog factory addressable by name plus keyword parameters."""
+def make_g(kind: str, /, **params) -> GFunction:
+    """Catalog factory by name; a parameter the kind does not read raises ValueError."""
+    if kind not in _PARAMETERS:
+        raise ValueError(f"unknown g kind {kind!r}")
+    unread = sorted(set(params).difference(_PARAMETERS[kind]))
+    if unread:
+        raise ValueError(f"g kind {kind!r} does not read {', '.join(unread)}")
     return GFunction(kind=kind, **params)
 
 
@@ -210,6 +216,8 @@ _WINDOW_FLOOR = 0.05
 _RATIO_WINDOWS = 10
 _DIVERGE_THRESHOLD = 0.99
 _CONVERGE_THRESHOLD = 0.90
+_OSGOOD_SAMPLES = 20000
+_PARTIAL_NODES = 4097
 
 
 def _simpson(fvals: np.ndarray, h: float) -> float:
@@ -217,18 +225,16 @@ def _simpson(fvals: np.ndarray, h: float) -> float:
     return h / 3.0 * float(fvals[0] + fvals[-1] + 4.0 * fvals[1:-1:2].sum() + 2.0 * fvals[2:-2:2].sum())
 
 
-def partial_integral(g: GFunction, upper_limit: float, samples: int = 4096) -> float:
+def partial_integral(g: GFunction, upper_limit: float) -> float:
     """integral_e^upper of dtau/(g^2 ln(tau) tau) via the double-log substitution."""
     if upper_limit <= E:
         return 0.0
     sigma_max = float(np.log(np.log(upper_limit)))
-    n = samples + 1 if samples % 2 == 0 else samples
-    n = max(n, 257)
-    sigma = np.linspace(0.0, sigma_max, n)
+    sigma = np.linspace(0.0, sigma_max, _PARTIAL_NODES)
     return _simpson(g.inverse_square_loglog(sigma), sigma[1] - sigma[0])
 
 
-def osgood_classify(g: GFunction, upper_limit: float = 1e100, samples: int = 20000) -> OsgoodVerdict:
+def osgood_classify(g: GFunction, upper_limit: float = 1e100) -> OsgoodVerdict:
     """Classify the Osgood integral by a ratio test on log-scale windows.
 
     The integration range [e, upper_limit] maps to [0, sigma_max] in the
@@ -241,8 +247,6 @@ def osgood_classify(g: GFunction, upper_limit: float = 1e100, samples: int = 200
     """
     if not 10.0 * E <= upper_limit < np.inf:
         raise ValueError("upper_limit must be finite and at least 10*e")
-    if samples < 1000:
-        raise ValueError("samples must be at least 1000")
 
     sigma_max = float(np.log(np.log(upper_limit)))
     bounds = [sigma_max]
@@ -252,9 +256,8 @@ def osgood_classify(g: GFunction, upper_limit: float = 1e100, samples: int = 200
     bounds = bounds[::-1]
 
     n_windows = len(bounds) - 1
-    nodes = max(65, samples // n_windows)
-    if nodes % 2 == 0:
-        nodes += 1
+    # at most 30 windows for any finite limit; Simpson needs an odd node count
+    nodes = _OSGOOD_SAMPLES // n_windows | 1
 
     integrals = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):

@@ -195,14 +195,10 @@ def zero_vector(grid: Grid) -> VectorField:
 # transforms
 # ---------------------------------------------------------------------------
 
-def forward_transform(samples: np.ndarray, grid: Grid | None = None) -> SpectralField:
+def forward_transform(samples: np.ndarray, grid: Grid) -> SpectralField:
     """Transform real samples to Fourier coefficients (mean-normalized)."""
     samples = np.asarray(samples, dtype=np.float64)
-    if grid is None:
-        if samples.ndim not in (2, 3) or len(set(samples.shape)) != 1:
-            raise ValueError(f"samples must be square/cubic 2D or 3D, got shape {samples.shape}")
-        grid = make_grid(samples.ndim, samples.shape[0])
-    elif samples.shape != grid.shape:
+    if samples.shape != grid.shape:
         raise ValueError(f"sample shape {samples.shape} does not match grid {grid.shape}")
     return SpectralField(grid, to_spectral_array(samples, grid))
 

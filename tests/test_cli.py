@@ -1,9 +1,14 @@
 """Exercise the command-line surface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lmhd
 from lmhd.cli import main
 from lmhd.diagnostics import RECORD_FIELDS
 
@@ -76,6 +81,10 @@ BLOWUP_CFG = (BASE_CFG.replace("params.nu = 1.0", "params.nu = 0.0")
               .replace("stepper.t_end = 0.02", "stepper.t_end = 50"))
 STRICT_CFG = BASE_CFG + "check.energy_tol = 1e-30\n"
 SWEEP = ["--vary", "g1=constant_one,iterated_log"]
+# the test runs in its own temporary directory, so "." is an existing directory
+SERIES_DIR_CFG = BASE_CFG + "out.series = .\n"
+RANDOM_BAND_CFG = BASE_CFG.replace("ic.name = orszag_tang_2d", "ic.name = random_band")
+SINGLE_MODE_CFG = BASE_CFG.replace("ic.name = orszag_tang_2d", "ic.name = single_mode")
 
 # (command, failure mode) -> (config text or None, argv after the command, exit code);
 # "{cfg}" is the config file, "{series}" a series written by BASE_CFG and "{missing}"
@@ -86,6 +95,19 @@ EXIT_CONTRACT = {
     ("run", "missing_config"): (None, ["{missing}"], 2),
     ("run", "blowup"): (BLOWUP_CFG, ["{cfg}"], 3),
     ("run", "check_failed"): (STRICT_CFG, ["{cfg}"], 4),
+    ("run", "series_is_directory"): (SERIES_DIR_CFG, ["{cfg}"], 2),
+    **{("run", f"snapshot_time_{name}"): (
+        BASE_CFG + f"out.snapshots = snap\nout.snapshot_times = {times}\n", ["{cfg}"], 2)
+       for name, times in (("after_t_end", "0.0,5.0"), ("negative", "-1.0"))},
+    **{("run", f"unread_{name}"): (text, ["{cfg}"], 2) for name, text in (
+        ("ic_band", BASE_CFG + "ic.band = 3\n"),
+        ("ic_k", BASE_CFG + "ic.k = 5,0\n"),
+        ("g1_epsilon", BASE_CFG + "params.g1.epsilon = 0.3\n"),
+        ("g1_c", BASE_CFG.replace("kind = constant_one", "kind = power\nparams.g1.c = 7")))},
+    **{("run", f"zero_state_{name}"): (text, ["{cfg}"], 2) for name, text in (
+        ("random_band_band", RANDOM_BAND_CFG + "ic.band = 0.5\n"),
+        ("random_band_amplitude", RANDOM_BAND_CFG + "ic.amplitude = 0\n"),
+        ("single_mode_amplitude", SINGLE_MODE_CFG + "ic.amplitude = 0\n"))},
     ("sweep", "ok"): (BASE_CFG, ["{cfg}", *SWEEP], 0),
     ("sweep", "config_error"): ("grid.bogus = 1\n", ["{cfg}", *SWEEP], 2),
     ("sweep", "unknown_g1"): (BASE_CFG, ["{cfg}", "--vary", "g1=mystery"], 2),
@@ -98,13 +120,18 @@ EXIT_CONTRACT = {
     ("check", "check_failed"): (STRICT_CFG, ["{series}", "--config", "{cfg}"], 4),
     ("osgood", "ok"): (None, ["iterated_log"], 0),
     ("osgood", "unknown_g"): (None, ["mystery"], 2),
+    ("osgood", "unknown_g_and_param"): (None, ["mystery", "foo=1"], 2),
     ("osgood", "bad_limit"): (None, ["power", "--limit", "1"], 2),
+    ("osgood", "unread_param"): (None, ["constant_one", "epsilon=5"], 2),
+    ("osgood", "param_named_kind"): (None, ["power", "kind=1"], 2),
+    ("osgood", "tabulated_points_number"): (None, ["tabulated", "points=1"], 2),
 }
 
 
 @pytest.mark.parametrize("command, mode", list(EXIT_CONTRACT), ids="-".join)
-def test_exit_code_contract(command, mode, tmp_path, capsys):
+def test_exit_code_contract(command, mode, tmp_path, capsys, monkeypatch):
     """Every failure mode of every command maps to 0, 2, 3 or 4, returned by main."""
+    monkeypatch.chdir(tmp_path)
     text, args, expected = EXIT_CONTRACT[(command, mode)]
     cfg, series = tmp_path / "run.cfg", tmp_path / "series.csv"
     if "{series}" in args:
@@ -117,6 +144,17 @@ def test_exit_code_contract(command, mode, tmp_path, capsys):
     if command == "sweep" and mode in ("blowup", "check_failed"):
         err = capsys.readouterr().err
         assert all(f"g1={name}: " in err for name in ("constant_one", "iterated_log"))
+
+
+def test_entry_point_exits_2_without_traceback(tmp_path):
+    """The real entry point, in a fresh interpreter, turns an input error into exit 2."""
+    (tmp_path / "run.cfg").write_text(SERIES_DIR_CFG)
+    env = {**os.environ, "PYTHONPATH": str(Path(lmhd.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "lmhd.cli", "run", "run.cfg"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: ")
 
 
 def test_run_adaptive(tmp_path, capsys):
