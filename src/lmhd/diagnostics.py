@@ -550,16 +550,15 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
                 raise ConfigError(f"output directory of {path!r} does not exist")
         if config.out_series and Path(config.out_series).is_dir():
             raise ConfigError(f"out.series {config.out_series!r} is a directory, not a file path")
+        if bool(config.out_snapshots) != bool(config.snapshot_times):
+            raise ConfigError("out.snapshots and out.snapshot_times must be set together")
         if any(not 0.0 <= t <= stepper.t_end for t in config.snapshot_times):
             raise ConfigError(f"snapshot times must lie in [0, t_end = {stepper.t_end}]")
     except (ValueError, ArithmeticError) as exc:
         return ExperimentResult(STATUS_CONFIG_ERROR, [], {}, message=str(exc))
 
-    snapshots = (
-        _SnapshotObserver(config.out_snapshots, config.snapshot_times)
-        if config.out_snapshots and config.snapshot_times
-        else None
-    )
+    snapshots = (_SnapshotObserver(config.out_snapshots, config.snapshot_times)
+                 if config.out_snapshots else None)
     steps_taken = 0
 
     def observer(step_index: int, state: SolutionPair) -> None:

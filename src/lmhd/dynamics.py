@@ -11,8 +11,10 @@ with div v = 0.  The pressure gradient is eliminated exactly by Leray
 projection, db is solenoidal by antisymmetry, and the mean mode of both
 tendencies is zero because i*k vanishes at k = 0.
 
-Both fields are real, so `tendency` works on the rfftn half spectrum
-(`spectral.to_half`) with real transforms; `SolutionPair` and
+`tendency` works on the retained band (`spectral.to_band`): the 2/3 rule
+zeroes every other mode of a tendency, so a state that starts inside the band
+stays there, and the pruned real transforms `spectral.band_to_physical` and
+`spectral.physical_to_band` skip the zeros.  `SolutionPair` and
 `nonlinear_tendency` stay full-spectrum.
 """
 
@@ -89,32 +91,32 @@ _PRODUCT_PAIRS = {dim: (tuple(combinations_with_replacement(range(dim), 2)),
                         tuple(combinations(range(dim), 2))) for dim in (2, 3)}
 
 
-def tendency(yh: np.ndarray, grid: sp.Grid) -> np.ndarray:
-    """Nonlinear tendency of the stacked state (u, b) on the half spectrum.
+def tendency(band: np.ndarray, grid: sp.Grid) -> np.ndarray:
+    """Nonlinear tendency of the stacked state (u, b) on the retained band.
 
-    `yh` is `sp.to_half` of a state array, shape (2, dim, *grid.shape[:-1],
-    points//2 + 1), and so is the result.  du_i = P d_j(b_j b_i - u_j u_i)
-    and db_i = d_j(b_j u_i - u_j b_i): one batched irfftn forms u and b, only
-    the dim(dim+1)/2 symmetric and dim(dim-1)/2 antisymmetric products go
-    through one batched rfftn, and db is solenoidal by antisymmetry.  This is
-    the stepper's hot path; `nonlinear_tendency` wraps it for a SolutionPair.
+    `band` is `sp.to_band` of a state array, shape (2, dim, *grid.band_shape),
+    and so is the result.  du_i = P d_j(b_j b_i - u_j u_i) and
+    db_i = d_j(b_j u_i - u_j b_i): one pruned inverse forms u and b, only the
+    dim(dim+1)/2 symmetric and dim(dim-1)/2 antisymmetric products go through
+    one pruned forward transform, whose band gather is the 2/3 dealiasing, and
+    db is solenoidal by antisymmetry.  This is the stepper's hot path;
+    `nonlinear_tendency` wraps it for a SolutionPair.
     """
     sym, anti = _PRODUCT_PAIRS[grid.dim]
-    k = grid.half_kmesh
+    k = grid.band_kmesh
     # overflow here is a blow-up in progress; the stepper detects it after
     # the step rather than warning mid-evaluation
     with np.errstate(over="ignore", invalid="ignore"):
-        u, b = sp.to_physical_array(yh, grid)
+        u, b = sp.band_to_physical(band, grid)
         # filled in place: np.stack of the products costs about as much as the FFTs at 128^2
         products = np.empty((len(sym) + len(anti),) + grid.shape)
         for p, (i, j) in enumerate(sym):
             np.subtract(b[i] * b[j], u[i] * u[j], out=products[p])
         for p, (i, j) in enumerate(anti, len(sym)):
             np.subtract(b[j] * u[i], u[j] * b[i], out=products[p])
-        spec = sp.physical_to_half(products, grid)
-        spec *= grid.half_dealias_mask
+        spec = sp.physical_to_band(products, grid)
 
-        out = np.zeros_like(yh)
+        out = np.zeros_like(band)
         for (i, j), s in zip(sym, spec):
             out[0, i] += k[j] * s
             if i != j:
@@ -127,12 +129,21 @@ def tendency(yh: np.ndarray, grid: sp.Grid) -> np.ndarray:
     return out
 
 
+def state_band(state: SolutionPair) -> np.ndarray:
+    """`sp.to_band` of the state's array; ValueError if a coefficient outside the
+    band is nonzero, since the band would silently drop it."""
+    if np.any(state.data[..., ~state.grid.dealias_mask]):
+        raise ValueError("state has nonzero coefficients outside the 2/3-rule band")
+    return sp.to_band(state.data, state.grid)
+
+
 def nonlinear_tendency(state: SolutionPair) -> tuple[VectorField, VectorField]:
     """Advection/stretching terms du = P(-(u.grad)u + (b.grad)b) and
     db = -(u.grad)b + (b.grad)u, evaluated in divergence form: `tendency` of
-    the state's half spectrum, expanded to full-spectrum views."""
+    the state's band, expanded to full-spectrum views.  ValueError for a state
+    outside the band."""
     grid = state.grid
-    out = sp.from_half(tendency(sp.to_half(state.data, grid), grid), grid)
+    out = sp.from_half(sp.from_band(tendency(state_band(state), grid), grid), grid)
     return VectorField.from_array(grid, out[0]), VectorField.from_array(grid, out[1])
 
 

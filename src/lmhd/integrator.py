@@ -5,10 +5,11 @@ handles the (non-stiff) advection.  With the nonlinearity disabled the
 scheme reproduces exp(-coeff * m(|k|)^2 * t) decay exactly per step, so the
 step size never restricts the dissipative part.
 
-The states are real, so a step, with or without the nonlinearity, runs on
-the rfftn half spectrum (`spectral.to_half`) and expands the result once
-(`spectral.from_half`); the states it takes and returns are full-spectrum
-`SolutionPair`s.
+A step works on the retained band of the 2/3 rule (`spectral.to_band`):
+states inside the band stay there, so `run` holds only the band between
+steps and expands it to a full-spectrum `SolutionPair` (`spectral.from_band`,
+then `spectral.from_half`) for the observer and the return value.  The
+decay factors are exponentiated once per distinct step size.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import SolutionPair, SystemParams, tendency
+from .dynamics import SolutionPair, SystemParams, state_band, tendency
 from .multiplier import symbol_on_grid
 
 
@@ -53,37 +54,44 @@ class BlowupError(RuntimeError):
 
 
 def _decay_rates(params: SystemParams, grid: sp.Grid) -> np.ndarray:
-    """coefficient * m(|k|)^2 for both fields on the half spectrum, stacked like the state."""
-    return np.stack([spec.coefficient * sp.to_half(symbol_on_grid(spec, grid), grid) ** 2
+    """coefficient * m(|k|)^2 for both fields on the band, stacked like the state."""
+    return np.stack([spec.coefficient * sp.to_band(symbol_on_grid(spec, grid), grid) ** 2
                      for spec in (params.diss_u, params.diss_b)])[:, None]
+
+
+def _advance(y: np.ndarray, grid: sp.Grid, dt: float, e_half: np.ndarray, e_full: np.ndarray,
+             nonlinear: Callable | None) -> np.ndarray:
+    """The band y one IF-RK4 step later, given the decay factors over dt/2 and dt."""
+    if nonlinear is None:
+        return e_full * y
+    n1 = nonlinear(y, grid)
+    n2 = nonlinear(e_half * (y + (dt / 2.0) * n1), grid)
+    n3 = nonlinear(e_half * y + (dt / 2.0) * n2, grid)
+    n4 = nonlinear(e_full * y + dt * (e_half * n3), grid)
+    return e_full * y + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+
+
+def _pair(y: np.ndarray, grid: sp.Grid, time: float) -> SolutionPair:
+    """The full-spectrum state whose band is y."""
+    return SolutionPair.from_array(grid, sp.from_half(sp.from_band(y, grid), grid), time)
 
 
 def step(state: SolutionPair, params: SystemParams, dt: float,
          nonlinear: Callable | None = tendency) -> SolutionPair:
     """Advance one integrating-factor RK4 step of size dt.
 
-    The step runs on the half spectrum of `state.data`:
-    `nonlinear(half, grid)` returns the nonlinear tendency of a half-spectrum
-    state array as a new array of its shape, never writing to `half`.  None
-    means no nonlinearity: the step is the exact linear decay, on the half
-    spectrum as well.  Either way the new state is expanded to the full
-    spectrum once.
+    The step runs on the band of `state.data`: `nonlinear(band, grid)` returns
+    the nonlinear tendency of a band state array as a new array of its shape,
+    never writing to `band`.  None means no nonlinearity: the step is the
+    exact linear decay.  ValueError for a state with a nonzero coefficient
+    outside the band.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     grid = state.grid
-    y = sp.to_half(state.data, grid)
     e_half = np.exp(-_decay_rates(params, grid) * (dt / 2.0))
-    e_full = e_half * e_half
-    if nonlinear is None:
-        y_new = e_full * y
-    else:
-        n1 = nonlinear(y, grid)
-        n2 = nonlinear(e_half * (y + (dt / 2.0) * n1), grid)
-        n3 = nonlinear(e_half * y + (dt / 2.0) * n2, grid)
-        n4 = nonlinear(e_full * y + dt * (e_half * n3), grid)
-        y_new = e_full * y + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
-    return SolutionPair.from_array(grid, sp.from_half(y_new, grid), state.time + dt)
+    y = _advance(state_band(state), grid, dt, e_half, e_half * e_half, nonlinear)
+    return _pair(y, grid, state.time + dt)
 
 
 def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
@@ -91,30 +99,39 @@ def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
         nonlinear: Callable | None = tendency) -> SolutionPair:
     """Step from state0 until t_end or max_steps, invoking observer each step.
 
-    Every `step` gets the hook `nonlinear(half, grid) -> half array` on the
-    half spectrum (None: exact linear decay only).  The observer receives
+    The steps run on the band of the state, with the hook
+    `nonlinear(band, grid) -> band array` of `step` (None: exact linear decay
+    only); ValueError for a state0 outside the band.  The observer receives
     (step_index, state) with index 0 for the initial state; every state is
     full-spectrum.  It must not mutate the state: `state.u`, `state.b` and
-    their components are views of `state.data`, which the next step reads.
-    state0 itself is never written.  Identical inputs give bit-identical
-    trajectories.
+    their components are views of `state.data`.  state0 itself is never
+    written.  Identical inputs give bit-identical trajectories.
     """
+    grid = state0.grid
+    y = state_band(state0)
     state = state0.copy()
     if observer is not None:
         observer(0, state)
-    n = 0
-    kmax = state.grid.points / 2.0
-    while state.time < config.t_end - 1e-14 and n < config.max_steps:
+    rates = _decay_rates(params, grid)
+    factors_dt = None
+    t, n = state0.time, 0
+    kmax = grid.points / 2.0
+    while t < config.t_end - 1e-14 and n < config.max_steps:
         if config.dt is None:
-            vmax = max(sp.vector_linf_norm(state.u), sp.vector_linf_norm(state.b))
-            dt = config.cfl_number / (vmax * kmax) if vmax > 0.0 else config.t_end - state.time
-            dt = min(dt, config.t_end - state.time)
+            vmax = float(np.max(np.abs(sp.band_to_physical(y, grid))))
+            dt = config.cfl_number / (vmax * kmax) if vmax > 0.0 else config.t_end - t
+            dt = min(dt, config.t_end - t)
         else:
-            dt = min(config.dt, config.t_end - state.time)
-        state = step(state, params, dt, nonlinear=nonlinear)
-        n += 1
-        if not np.all(np.isfinite(state.data)):
-            raise BlowupError(state.time, n)
+            dt = min(config.dt, config.t_end - t)
+        if dt != factors_dt:
+            e_half = np.exp(-rates * (dt / 2.0))
+            e_full, factors_dt = e_half * e_half, dt
+        y = _advance(y, grid, dt, e_half, e_full, nonlinear)
+        t, n = t + dt, n + 1
+        if not np.all(np.isfinite(y)):
+            raise BlowupError(t, n)
+        state = None
         if observer is not None:
+            state = _pair(y, grid, t)
             observer(n, state)
-    return state
+    return _pair(y, grid, t) if state is None else state

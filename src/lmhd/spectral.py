@@ -6,11 +6,16 @@ total point count, so coefficients are Fourier-series coefficients and
 coeff(0) equals the mean of the samples.  All wavenumbers are integers.
 
 A real field's spectrum is conjugate-symmetric, so its columns 0..n/2 of
-the last axis (the `rfftn` half spectrum) determine it.  `to_half` and
-`from_half` are the only code that maps between the two layouts; the time
-stepper works on half spectra, and fields stay full-spectrum.  Only real
-transforms are used: spectra enter by `rfftn` completed with `from_half`,
-and leave by one `irfftn` in `to_physical_array`, which takes either layout.
+the last axis (the `rfftn` half spectrum) determine it; `to_half` and
+`from_half` map between the full and half layouts.  The time stepper works on
+the retained band of the 2/3 rule, |k_j| <= kc = (points - 1) // 3 (rows
+0..kc then -kc..-1 on each leading axis, columns 0..kc of the last):
+`to_band` gathers it, which is the dealias mask, and `from_band` places it
+in a half spectrum.  `band_to_physical` and `physical_to_band` are the
+pruned real transforms of the band, equal bit for bit to the half-spectrum
+ones; fields stay full-spectrum.  Only real transforms are used: spectra
+enter by `rfftn` completed with `from_half`, and leave by one `irfftn` in
+`to_physical_array`, which takes the full or half layout.
 """
 
 from __future__ import annotations
@@ -63,7 +68,20 @@ class Grid:
         half = (Ellipsis, slice(0, points // 2 + 1))
         self.half_kmesh = np.ascontiguousarray(self.kmesh[half])
         self.half_k_squared = np.ascontiguousarray(self.k_squared[half])
-        self.half_dealias_mask = np.ascontiguousarray(keep[half])
+        # the band table: the modes the 2/3 rule keeps, |k_j| <= kc on every axis, stored
+        # as rows 0..kc then -kc..-1 on each leading axis and columns 0..kc of the last.
+        # _row_blocks[axis] holds (band index, spectrum index) of the two row blocks.
+        self.kc = kc = (points - 1) // 3
+        self.band_shape = (2 * kc + 1,) * (dim - 1) + (kc + 1,)
+        self._row_blocks = {}
+        for axis in range(-dim, -1):
+            tail = (slice(None),) * (-axis - 1)
+            self._row_blocks[axis] = tuple(
+                ((Ellipsis, band) + tail, (Ellipsis, spectrum) + tail)
+                for band, spectrum in ((slice(0, kc + 1), slice(0, kc + 1)),
+                                       (slice(kc + 1, None), slice(points - kc, None))))
+        self.band_kmesh = to_band(self.kmesh, self)
+        self.band_k_squared = to_band(self.k_squared, self)
         # index of -k on every axis (conjugate_symmetry_residual), and its half-spectrum
         # source for the full columns n/2+1..n-1 (from_half's gather)
         neg = -np.arange(points) % points
@@ -227,6 +245,61 @@ def physical_to_half(samples: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
+def to_band(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """The retained band of full or half coefficient arrays, as a new contiguous
+    array; the gather drops every mode that the 2/3 rule zeroes."""
+    band = coeffs[..., : grid.kc + 1]
+    for axis in range(-grid.dim, -1):
+        band = _keep_rows(band, axis, grid)
+    return band
+
+
+def from_band(band: np.ndarray, grid: Grid) -> np.ndarray:
+    """The half spectrum whose retained band is `band`, zero outside it."""
+    for axis in range(-grid.dim, -1):
+        band = _pad_rows(band, axis, grid)
+    half = np.zeros(band.shape[:-1] + (grid.points // 2 + 1,), dtype=np.complex128)
+    half[..., : grid.kc + 1] = band
+    return half
+
+
+def _keep_rows(x: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
+    """The band rows 0..kc and -kc..-1 of x on one leading axis."""
+    (_, low), (_, high) = grid._row_blocks[axis]
+    return np.concatenate((x[low], x[high]), axis=axis)
+
+
+def _pad_rows(x: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
+    """x with its band rows on one leading axis placed among `points` rows, zero elsewhere."""
+    shape = list(x.shape)
+    shape[axis] = grid.points
+    out = np.zeros(shape, dtype=x.dtype)
+    for band, spectrum in grid._row_blocks[axis]:
+        out[spectrum] = x[band]
+    return out
+
+
+def band_to_physical(band: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real samples of band arrays stacked on leading axes, bit for bit
+    `to_physical_array(from_band(band))`: in irfftn's axis order, each leading
+    axis is padded and gets a complex ifft over only the kc + 1 columns that can
+    be nonzero, then one irfft of the last axis."""
+    for axis in range(-grid.dim, -1):
+        band = np.fft.ifft(_pad_rows(band, axis, grid), axis=axis, norm="forward")
+    return np.fft.irfft(band, n=grid.points, axis=-1, norm="forward")
+
+
+def physical_to_band(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    """Band of real sample arrays stacked on leading axes, bit for bit
+    `to_band(physical_to_half(samples))`: one rfft of the last axis keeps
+    columns 0..kc, then in rfftn's axis order each leading axis gets a complex
+    fft and keeps its band rows."""
+    x = np.fft.rfft(samples, axis=-1, norm="forward")[..., : grid.kc + 1]
+    for axis in range(-2, -grid.dim - 1, -1):
+        x = _keep_rows(np.fft.fft(x, axis=axis, norm="forward"), axis, grid)
+    return x
+
+
 def conjugate_symmetry_residual(f: SpectralField) -> float:
     """Max |coeff(-k) - conj(coeff(k))|, the defect from representing real data."""
     return float(np.max(np.abs(f.coeffs[f.grid._reflect] - np.conj(f.coeffs))))
@@ -280,9 +353,11 @@ def gradient(f: SpectralField) -> VectorField:
 
 
 def _mesh(comps: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(kmesh, k_squared) for the layout of comps: full or half spectrum."""
+    """(kmesh, k_squared) for the layout of comps: full spectrum, half spectrum or band."""
     if comps.shape[-1] == grid.points:
         return grid.kmesh, grid.k_squared
+    if comps.shape[-1] == grid.kc + 1:
+        return grid.band_kmesh, grid.band_k_squared
     return grid.half_kmesh, grid.half_k_squared
 
 
@@ -293,7 +368,7 @@ def _k_dot(comps: np.ndarray, grid: Grid) -> np.ndarray:
 
 def leray_array(comps: np.ndarray, grid: Grid) -> np.ndarray:
     """Leray projection of components on the axis before the grid axes, full or half
-    spectrum (zero mode untouched)."""
+    spectrum or band (zero mode untouched)."""
     kmesh, k_squared = _mesh(comps, grid)
     kdotv = _k_dot(comps, grid)
     kdotv /= np.where(k_squared > 0.0, k_squared, 1.0)

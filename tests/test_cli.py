@@ -99,6 +99,9 @@ EXIT_CONTRACT = {
     **{("run", f"snapshot_time_{name}"): (
         BASE_CFG + f"out.snapshots = snap\nout.snapshot_times = {times}\n", ["{cfg}"], 2)
        for name, times in (("after_t_end", "0.0,5.0"), ("negative", "-1.0"))},
+    ("run", "snapshots_without_times"): (BASE_CFG + "out.snapshots = snap\n", ["{cfg}"], 2),
+    ("run", "snapshot_times_without_snapshots"): (
+        BASE_CFG + "out.snapshot_times = 0.01\n", ["{cfg}"], 2),
     **{("run", f"unread_{name}"): (text, ["{cfg}"], 2) for name, text in (
         ("ic_band", BASE_CFG + "ic.band = 3\n"),
         ("ic_k", BASE_CFG + "ic.k = 5,0\n"),

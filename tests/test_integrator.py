@@ -1,5 +1,5 @@
 """Integrating-factor RK4: exact linear decay, determinism, CFL, blow-up,
-and the transforms of the half-spectrum hot path."""
+and the pruned transforms of the band hot path."""
 
 import numpy as np
 import pytest
@@ -111,19 +111,17 @@ class TestRun:
             random_solenoidal(grid16, seed=6),
         )
         seen = []
-
-        def observer(i, s):
-            seen.append(s.time)
-
-        final = run(state0, params, StepperConfig(t_end=0.02, dt=None, cfl_number=0.4),
-                    observer=observer)
-        dts = np.diff(seen)
-        assert np.all(dts > 0)
+        # the first CFL step is about 0.037, so t_end = 0.2 takes several of them
+        final = run(state0, params, StepperConfig(t_end=0.2, dt=None, cfl_number=0.4),
+                    observer=lambda i, s: seen.append(s))
+        assert len(seen) > 4
         kmax = grid16.points / 2.0
-        # recompute the bound from the recorded trajectory start
-        vmax = max(sp.vector_linf_norm(state0.u), sp.vector_linf_norm(state0.b))
-        assert dts[0] * vmax * kmax <= 0.4 * (1 + 1e-9)
-        assert abs(final.time - 0.02) < 1e-12
+        # every step, recomputed from the observed state it starts from
+        for before, after in zip(seen, seen[1:]):
+            vmax = max(sp.vector_linf_norm(before.u), sp.vector_linf_norm(before.b))
+            dt = min(0.4 / (vmax * kmax), 0.2 - before.time)
+            assert after.time == before.time + dt
+        assert abs(final.time - 0.2) < 1e-12
 
     def test_blowup_signal(self, grid16):
         params = make_params(nu=0.0)
@@ -184,32 +182,38 @@ class TestConservation:
 
 @pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
 def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
-    """One fixed-dt step is 4 irfftn + 4 rfftn and one record 1 irfftn, and a whole
-    run_experiment makes no complex fftn/ifftn, so a fall-back to the full
-    spectrum fails here."""
+    """One fixed-dt step runs per tendency one pruned inverse (a complex ifft per
+    leading axis, then an irfft) and one pruned forward (an rfft, then a complex
+    fft per leading axis), every complex transform over the kc + 1 band
+    columns; one record is 1 irfftn, and a whole run_experiment makes no
+    complex fftn/ifftn, so a fall-back to the half or full spectrum fails here."""
     grid = sp.make_grid(dim, points)
     state = SolutionPair(random_solenoidal(grid, 1), random_solenoidal(grid, 2))
     params = SystemParams(DissipationSpec(1.0, 2.0, make_g("iterated_log")),
                           DissipationSpec(0.0, 1.0, make_g("constant_one")), dim)
     calls = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         original = getattr(np.fft, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)[-1]))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
 
     new = step(state, params, 1e-3)
-    assert sorted(calls) == ["irfftn"] * 4 + ["rfftn"] * 4
+    band_columns = grid.kc + 1
+    assert sorted(calls) == sorted([("ifft", band_columns), ("fft", band_columns)] * 4 * (dim - 1)
+                                   + [("irfft", band_columns), ("rfft", points)] * 4)
     calls.clear()
     make_record(new, params, gamma=2.5, s=5.0)
-    assert calls == ["irfftn"]
+    assert [name for name, _ in calls] == ["irfftn"]
     calls.clear()
     config = config_from_mapping({"grid.n": str(dim), "grid.points": str(points),
                                   "ic.name": "random_band", "stepper.dt": "0.001",
                                   "stepper.t_end": "0.005", "diag.cadence": "1"})
     result = run_experiment(config)
     assert result.status == "ok" and result.summary["steps"] == result.summary["records"] - 1 == 5
-    assert "rfftn" in calls and "fftn" not in calls and "ifftn" not in calls
+    names = {name for name, _ in calls}
+    assert "rfft" in names and "fftn" not in names and "ifftn" not in names
+    assert all(columns == band_columns for name, columns in calls if name in ("fft", "ifft"))

@@ -1,6 +1,7 @@
-"""Property tests of the spectral operators, the half-spectrum layout, the
-cached dissipation symbol, the diagnostic record, the half-spectrum tendency
-against a full-spectrum reference, the state storage, the snapshot format and
+"""Property tests of the spectral operators, the half-spectrum and band
+layouts and the pruned transforms, the cached dissipation symbol, the
+diagnostic record, the band tendency against a full-spectrum reference, the
+out-of-band guard of the stepper, the state storage, the snapshot format and
 the config parser on random 2D/3D grids, fields and inputs."""
 
 import math
@@ -175,9 +176,10 @@ def full_spectrum_tendency(y, grid):
 @property_settings
 @given(grids, seeds)
 def test_half_spectrum_tendency_matches_full_spectrum_reference(grid, seed):
+    # the band tendency, expanded through the half spectrum
     y = random_pair(grid, seed).data
     expected = full_spectrum_tendency(y, grid)
-    got = sp.from_half(tendency(sp.to_half(y, grid), grid), grid)
+    got = sp.from_half(sp.from_band(tendency(sp.to_band(y, grid), grid), grid), grid)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
@@ -225,9 +227,62 @@ def test_step_output_is_conjugate_symmetric(grid, seed, diss_u):
 def test_tendency_equals_stacked_nonlinear_tendency(grid, seed):
     state = random_pair(grid, seed)
     du, db = nonlinear_tendency(state)
-    half = tendency(sp.to_half(state.data, grid), grid)
-    assert sp.from_half(half, grid).tobytes() == np.stack([du.coeffs, db.coeffs]).tobytes()
-    assert sp.to_half(np.stack([du.coeffs, db.coeffs]), grid).tobytes() == half.tobytes()
+    band = tendency(sp.to_band(state.data, grid), grid)
+    full = np.stack([du.coeffs, db.coeffs])
+    assert sp.from_half(sp.from_band(band, grid), grid).tobytes() == full.tobytes()
+    assert sp.to_band(full, grid).tobytes() == band.tobytes()
+
+
+@property_settings
+@given(grids)
+def test_band_is_the_dealias_mask_on_the_half_spectrum(grid):
+    ones = np.ones((2,) + grid.band_shape, dtype=np.complex128)
+    assert np.array_equal(sp.from_band(ones, grid)[0] != 0, sp.to_half(grid.dealias_mask, grid))
+    assert np.array_equal(grid.band_kmesh, sp.to_band(grid.kmesh, grid))
+    assert np.max(np.abs(grid.band_kmesh)) == grid.kc
+
+
+def random_complex(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@property_settings
+@given(grids, seeds, st.integers(1, 3))
+def test_from_band_of_to_band_is_the_masked_half_spectrum(grid, seed, count):
+    x = random_complex((count,) + grid.shape, seed)
+    # np.where rather than x * mask, whose zeros carry the sign of x
+    masked = sp.to_half(np.where(grid.dealias_mask, x, 0.0), grid)
+    assert sp.from_band(sp.to_band(x, grid), grid).tobytes() == masked.tobytes()
+    assert sp.to_band(sp.to_half(x, grid), grid).tobytes() == sp.to_band(x, grid).tobytes()
+
+
+@property_settings
+@given(grids, seeds, st.integers(1, 3))
+def test_pruned_transforms_equal_the_half_spectrum_transforms(grid, seed, count):
+    band = random_complex((count,) + grid.band_shape, seed)
+    expected = sp.to_physical_array(sp.from_band(band, grid), grid)
+    assert sp.band_to_physical(band, grid).tobytes() == expected.tobytes()
+    samples = np.random.default_rng(seed).standard_normal((count,) + grid.shape)
+    expected = sp.to_band(sp.physical_to_half(samples, grid), grid)
+    assert sp.physical_to_band(samples, grid).tobytes() == expected.tobytes()
+
+
+@property_settings
+@given(grids, seeds, st.data())
+def test_step_and_run_reject_a_state_outside_the_band(grid, seed, data):
+    state = random_pair(grid, seed)
+    outside = np.argwhere(~grid.dealias_mask)
+    index = tuple(outside[data.draw(st.integers(0, len(outside) - 1))])
+    state.data[(data.draw(st.integers(0, 1)), data.draw(st.integers(0, grid.dim - 1))) + index] = 1e-3
+    params = SystemParams(DissipationSpec(1.0, 2.0, make_g("constant_one")),
+                          DissipationSpec(0.0, 1.0, make_g("constant_one")), grid.dim)
+    for call in (lambda: step(state, params, 1e-3),
+                 lambda: step(state, params, 1e-3, nonlinear=None),
+                 lambda: run(state, params, StepperConfig(t_end=1e-3, dt=1e-3)),
+                 lambda: nonlinear_tendency(state)):
+        with pytest.raises(ValueError, match="outside the 2/3-rule band"):
+            call()
 
 
 @property_settings
