@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import SolutionPair, SystemParams
+from .dynamics import SolutionPair, SystemParams, state_band
 from .integrator import BlowupError, StepperConfig, run
-from .lpaley import grad_uinf_split_array
+from .lpaley import split_terms
 from .multiplier import (
     E,
     DissipationSpec,
@@ -62,32 +62,36 @@ RECORD_FIELDS = [f.name for f in dataclasses.fields(DiagnosticRecord)]
 
 def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: float,
                 prev: DiagnosticRecord | None = None) -> DiagnosticRecord:
-    """Compute one snapshot; cumulative integrals continue from prev.
+    """Compute one snapshot from the state's band; cumulative integrals continue
+    from prev.  ValueError for a state with a nonzero coefficient outside the band.
 
     Norms of a state that is about to blow up may overflow to inf; the
     record keeps them rather than warning.
     """
+    grid, band = state.grid, state_band(state)
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = state.grid
-        power_u, power_b = (sp.mode_power(c) for c in state.data)
+        # Parseval on the band: grid.band_parseval counts the mirror -k of columns 1..kc
+        power_u, power_b = (grid.band_parseval * sp.mode_power(c) for c in band)
         power = power_u + power_b
-        l_u_density = symbol_on_grid(params.diss_u, grid) ** 2 * power_u
+        m_u, m_b = (sp.to_band(symbol_on_grid(d, grid), grid) for d in (params.diss_u, params.diss_b))
+        l_u_density = m_u**2 * power_u
 
         energy = 0.5 * float(np.sum(power))
         diss_u = float(np.sum(l_u_density))
-        diss_b = float(np.sum(symbol_on_grid(params.diss_b, grid) ** 2 * power_b))
+        diss_b = float(np.sum(m_b**2 * power_b))
         # sum_j |m k_j u_hat|^2 = m^2 |k|^2 |u_hat|^2
-        diss_grad_u = float(np.sum(grid.k_squared * l_u_density))
+        diss_grad_u = float(np.sum(grid.band_k_squared * l_u_density))
+        # |k|^(2 order) = (|k|^2)^order
         x_norm, y_norm, gamma_norm = (
-            float(np.sum(sp.radial_power(grid.kmag, 2.0 * order) * power)) for order in (1.0, s, gamma)
+            float(np.sum(sp.radial_power(grid.band_k_squared, order) * power)) for order in (1.0, s, gamma)
         )
 
-        split_low, split_high, grad_u_inf = grad_uinf_split_array(
-            sp.to_half(state.data[0], grid), grid, params.diss_u, E + x_norm, diss_u, diss_grad_u)
-        # solenoidal_residual of u and b, normalised by their own L2 norms; on the full
-        # spectrum, since a Nyquist-row defect shows only in the columns the half omits
+        grad_u_inf = float(np.max(np.abs(sp.band_to_physical(sp.gradient_array(band[0], grid), grid))))
+        split_low, split_high = split_terms(params.diss_u, E + x_norm, diss_u, diss_grad_u)
+        # solenoidal_residual of u and b, normalised by their own L2 norms; the band holds
+        # every nonzero mode or its mirror, which has the same |k . v_hat|
         div_u, div_b = (float(np.max(np.abs(kv))) / max(1.0, float(np.sqrt(np.sum(p))))
-                        for kv, p in zip(sp._k_dot(state.data, grid), (power_u, power_b)))
+                        for kv, p in zip(sp._k_dot(band, grid), (power_u, power_b)))
 
         t = state.time
         if prev is None:
@@ -256,8 +260,8 @@ def evaluate_checks(records: list[DiagnosticRecord], nu: float, eta: float, g1: 
 # initial conditions
 # ---------------------------------------------------------------------------
 
-def _pair_from_samples(u_samples: list[np.ndarray], b_samples: list[np.ndarray],
-                       grid: sp.Grid) -> SolutionPair:
+def _state_from_samples(u_samples: list[np.ndarray], b_samples: list[np.ndarray],
+                        grid: sp.Grid) -> SolutionPair:
     """The solenoidal, zero-mean pair inside the 2/3 band that every initial state starts from."""
     coeffs = sp.to_spectral_array(np.array([u_samples, b_samples], dtype=np.float64), grid)
     coeffs *= grid.dealias_mask
@@ -292,20 +296,20 @@ def _initial_state(name: str, params: dict, grid: sp.Grid) -> SolutionPair:
         # u = (-2 sin y, 2 sin x), b = (-sin y, sin 2x)
         u = [-2.0 * np.sin(y), 2.0 * np.sin(x)]
         b = [-np.sin(y), np.sin(2.0 * x)]
-        return _pair_from_samples(u, b, grid)
+        return _state_from_samples(u, b, grid)
     if name == "taylor_green_2d":
         if grid.dim != 2:
             raise ConfigError("taylor_green_2d requires a 2D grid")
         x, y = coords
         u = [np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)]
         b = [np.zeros(grid.shape), np.zeros(grid.shape)]
-        return _pair_from_samples(u, b, grid)
+        return _state_from_samples(u, b, grid)
     if name == "random_band":
         seed = int(params.get("seed", 0))
         band = float(params.get("band", 4.0))
         amplitude = float(params.get("amplitude", 1.0))
         samples = np.random.default_rng(seed).standard_normal((2, grid.dim) + grid.shape)
-        data = _pair_from_samples(*samples, grid).data * (grid.kmag <= band)
+        data = _state_from_samples(*samples, grid).data * (grid.kmag <= band)
         norm = math.sqrt(sum(float(np.sum(sp.mode_power(c))) for c in data))
         return SolutionPair.from_array(grid, data * (amplitude / max(norm, 1e-300)), 0.0)
     if name == "single_mode":
@@ -330,7 +334,7 @@ def _initial_state(name: str, params: dict, grid: sp.Grid) -> SolutionPair:
         phase = sum(k[j] * coords[j] for j in range(grid.dim))
         u = [amplitude * e_perp[j] * np.cos(phase) for j in range(grid.dim)]
         b = [np.zeros(grid.shape) for _ in range(grid.dim)]
-        return _pair_from_samples(u, b, grid)
+        return _state_from_samples(u, b, grid)
     raise ConfigError(f"unknown initial condition {name!r}")
 
 
@@ -530,9 +534,10 @@ class _SnapshotObserver:
         self.written: list[str] = []
 
     def __call__(self, step_index: int, state: SolutionPair) -> None:
-        while self.pending and state.time >= self.pending[0] - 1e-12:
-            t = self.pending.pop(0)
-            path = f"{self.prefix}_t{t:.6f}.lmhd"
+        if self.pending and self.pending[0] <= state.time + 1e-12:
+            # one file for every time now due, named by the time of the state it holds
+            self.pending = [t for t in self.pending if t > state.time + 1e-12]
+            path = f"{self.prefix}_t{state.time:.6f}.lmhd"
             sp.write_snapshot(path, list(state.u.components + state.b.components))
             self.written.append(path)
 

@@ -14,8 +14,8 @@ tendencies is zero because i*k vanishes at k = 0.
 `tendency` works on the retained band (`spectral.to_band`): the 2/3 rule
 zeroes every other mode of a tendency, so a state that starts inside the band
 stays there, and the pruned real transforms `spectral.band_to_physical` and
-`spectral.physical_to_band` skip the zeros.  `SolutionPair` and
-`nonlinear_tendency` stay full-spectrum.
+`spectral.physical_to_band` skip the zeros.  `SolutionPair.from_band` keeps
+a band and expands it, the one place that does, when `data` is first read.
 """
 
 from __future__ import annotations
@@ -35,27 +35,42 @@ class SolutionPair:
 
     `data` has shape (2, dim, *grid.shape); `u` and `b` are VectorField views
     of data[0] and data[1], so writing to them writes to the pair.  The
-    constructor copies u and b into a new array; `from_array` wraps one.
+    constructor copies u and b into a new array; `from_array` wraps one, and
+    `from_band` wraps a band and builds `data` from it on first access.
     """
 
     def __init__(self, u: VectorField, b: VectorField, time: float = 0.0):
         if u.grid != b.grid:
             raise ValueError("velocity and magnetic fields must share one grid")
-        self._wrap(u.grid, np.stack([u.coeffs, b.coeffs]), time)
+        self._wrap(u.grid, np.stack([u.coeffs, b.coeffs]), None, time)
 
     @classmethod
     def from_array(cls, grid: sp.Grid, data: np.ndarray, time: float) -> "SolutionPair":
         """The pair stored in `data`, shape (2, dim, *grid.shape) (no copy)."""
         if data.shape != (2, grid.dim) + grid.shape:
             raise ValueError(f"array shape {data.shape} does not match a pair on {grid}")
-        pair = cls.__new__(cls)
-        pair._wrap(grid, data, time)
-        return pair
+        return cls.__new__(cls)._wrap(grid, data, None, time)
 
-    def _wrap(self, grid: sp.Grid, data: np.ndarray, time: float) -> None:
+    @classmethod
+    def from_band(cls, grid: sp.Grid, band: np.ndarray, time: float) -> "SolutionPair":
+        """The pair whose band is `band`, shape (2, dim, *grid.band_shape) (no copy)."""
+        if band.shape != (2, grid.dim) + grid.band_shape:
+            raise ValueError(f"array shape {band.shape} does not match a band pair on {grid}")
+        return cls.__new__(cls)._wrap(grid, None, band, time)
+
+    def _wrap(self, grid: sp.Grid, data, band, time: float) -> "SolutionPair":
         if time < 0.0:
             raise ValueError("time must be >= 0")
-        self.grid, self.data, self.time = grid, data, time
+        self.grid, self._data, self._band, self.time = grid, data, band, time
+        return self
+
+    @property
+    def data(self) -> np.ndarray:
+        # built once, and the band is dropped, so a write through data leaves no stale band
+        if self._data is None:
+            self._data = sp.from_half(sp.from_band(self._band, self.grid), self.grid)
+            self._band = None
+        return self._data
 
     @property
     def u(self) -> VectorField:
@@ -64,9 +79,6 @@ class SolutionPair:
     @property
     def b(self) -> VectorField:
         return VectorField.from_array(self.grid, self.data[1])
-
-    def copy(self) -> "SolutionPair":
-        return SolutionPair.from_array(self.grid, self.data.copy(), self.time)
 
 
 @dataclass(frozen=True)
@@ -130,8 +142,10 @@ def tendency(band: np.ndarray, grid: sp.Grid) -> np.ndarray:
 
 
 def state_band(state: SolutionPair) -> np.ndarray:
-    """`sp.to_band` of the state's array; ValueError if a coefficient outside the
-    band is nonzero, since the band would silently drop it."""
+    """The stored band of a `from_band` pair, else `sp.to_band` of the state's array;
+    ValueError if a coefficient outside the band is nonzero, since the band would drop it."""
+    if state._band is not None:
+        return state._band
     if np.any(state.data[..., ~state.grid.dealias_mask]):
         raise ValueError("state has nonzero coefficients outside the 2/3-rule band")
     return sp.to_band(state.data, state.grid)
@@ -139,12 +153,10 @@ def state_band(state: SolutionPair) -> np.ndarray:
 
 def nonlinear_tendency(state: SolutionPair) -> tuple[VectorField, VectorField]:
     """Advection/stretching terms du = P(-(u.grad)u + (b.grad)b) and
-    db = -(u.grad)b + (b.grad)u, evaluated in divergence form: `tendency` of
-    the state's band, expanded to full-spectrum views.  ValueError for a state
-    outside the band."""
-    grid = state.grid
-    out = sp.from_half(sp.from_band(tendency(state_band(state), grid), grid), grid)
-    return VectorField.from_array(grid, out[0]), VectorField.from_array(grid, out[1])
+    db = -(u.grad)b + (b.grad)u in divergence form: `tendency` of the state's
+    band, as full-spectrum views.  ValueError for a state outside the band."""
+    out = SolutionPair.from_band(state.grid, tendency(state_band(state), state.grid), state.time)
+    return out.u, out.b
 
 
 def energy_flux_identity(state: SolutionPair, params: SystemParams) -> tuple[float, float]:

@@ -7,9 +7,9 @@ step size never restricts the dissipative part.
 
 A step works on the retained band of the 2/3 rule (`spectral.to_band`):
 states inside the band stay there, so `run` holds only the band between
-steps and expands it to a full-spectrum `SolutionPair` (`spectral.from_band`,
-then `spectral.from_half`) for the observer and the return value.  The
-decay factors are exponentiated once per distinct step size.
+steps and hands the observer, and returns, `SolutionPair.from_band` pairs,
+whose full spectrum is built only if something reads it.  The decay factors
+are exponentiated once per distinct step size.
 """
 
 from __future__ import annotations
@@ -71,11 +71,6 @@ def _advance(y: np.ndarray, grid: sp.Grid, dt: float, e_half: np.ndarray, e_full
     return e_full * y + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
 
 
-def _pair(y: np.ndarray, grid: sp.Grid, time: float) -> SolutionPair:
-    """The full-spectrum state whose band is y."""
-    return SolutionPair.from_array(grid, sp.from_half(sp.from_band(y, grid), grid), time)
-
-
 def step(state: SolutionPair, params: SystemParams, dt: float,
          nonlinear: Callable | None = tendency) -> SolutionPair:
     """Advance one integrating-factor RK4 step of size dt.
@@ -91,7 +86,7 @@ def step(state: SolutionPair, params: SystemParams, dt: float,
     grid = state.grid
     e_half = np.exp(-_decay_rates(params, grid) * (dt / 2.0))
     y = _advance(state_band(state), grid, dt, e_half, e_half * e_half, nonlinear)
-    return _pair(y, grid, state.time + dt)
+    return SolutionPair.from_band(grid, y, state.time + dt)
 
 
 def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
@@ -102,14 +97,15 @@ def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
     The steps run on the band of the state, with the hook
     `nonlinear(band, grid) -> band array` of `step` (None: exact linear decay
     only); ValueError for a state0 outside the band.  The observer receives
-    (step_index, state) with index 0 for the initial state; every state is
-    full-spectrum.  It must not mutate the state: `state.u`, `state.b` and
-    their components are views of `state.data`.  state0 itself is never
-    written.  Identical inputs give bit-identical trajectories.
+    (step_index, state) with index 0 for the initial state; every state, and
+    the returned one, is a `SolutionPair.from_band` pair, whose full-spectrum
+    `data` is built on first access.  It must not mutate the state: `state.u`,
+    `state.b` and their components are views of `state.data`.  state0 itself
+    is never written.  Identical inputs give bit-identical trajectories.
     """
     grid = state0.grid
     y = state_band(state0)
-    state = state0.copy()
+    state = SolutionPair.from_band(grid, y, state0.time)
     if observer is not None:
         observer(0, state)
     rates = _decay_rates(params, grid)
@@ -130,8 +126,7 @@ def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
         t, n = t + dt, n + 1
         if not np.all(np.isfinite(y)):
             raise BlowupError(t, n)
-        state = None
+        state = SolutionPair.from_band(grid, y, t)
         if observer is not None:
-            state = _pair(y, grid, t)
             observer(n, state)
-    return _pair(y, grid, t) if state is None else state
+    return state

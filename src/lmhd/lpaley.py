@@ -165,21 +165,21 @@ def grad_uinf_split(u: VectorField, diss: DissipationSpec, m1: float) -> tuple[f
     ||L grad u||^2 weights the power of u by m^2 |k|^2, since sum_j k_j^2 = |k|^2.
     """
     l_u_density = symbol_on_grid(diss, u.grid) ** 2 * sp.mode_power(u.coeffs)
-    return grad_uinf_split_array(u.coeffs, u.grid, diss, m1, float(np.sum(l_u_density)),
-                                 float(np.sum(u.grid.k_squared * l_u_density)))
+    low_term, high_term = split_terms(diss, m1, float(np.sum(l_u_density)),
+                                      float(np.sum(u.grid.k_squared * l_u_density)))
+    lhs = float(np.max(np.abs(sp.to_physical_array(sp.gradient_array(u.coeffs, u.grid), u.grid))))
+    return low_term, high_term, lhs
 
 
-def grad_uinf_split_array(u_coeffs: np.ndarray, grid: sp.Grid, diss: DissipationSpec, m1: float,
-                          l_u_sq: float, l_grad_sq: float) -> tuple[float, float, float]:
-    """`grad_uinf_split` of u_coeffs, full or half spectrum, given l_u_sq = ||L u||^2
-    and l_grad_sq = ||L grad u||^2; the gradient is formed on the half spectrum."""
+def split_terms(diss: DissipationSpec, m1: float, l_u_sq: float,
+                l_grad_sq: float) -> tuple[float, float]:
+    """(low_term, high_term) of `grad_uinf_split`, given l_u_sq = ||L u||^2 and
+    l_grad_sq = ||L grad u||^2; each caller forms the gradient sup in its own layout."""
     if m1 < E:
         raise ValueError("threshold m1 must be >= e")
-    grad = sp.gradient_array(sp.to_half(u_coeffs, grid), grid)
-    lhs = float(np.max(np.abs(sp.to_physical_array(grad, grid))))
     low_term = float(diss.g(m1)) * float(np.sqrt(np.log(m1))) * float(np.sqrt(l_u_sq))
     high_term = float(m1) ** -0.5 * float(np.sqrt(l_grad_sq))
-    return low_term, high_term, lhs
+    return low_term, high_term
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def _quarter_band(f: SpectralField) -> SpectralField:
 def _grad_norm(f: SpectralField, p: float) -> float:
     """p-norm of the pointwise Euclidean magnitude of grad f."""
     grid = f.grid
-    grad = sp.to_physical_array(sp.gradient_array(sp.to_half(f.coeffs, grid), grid), grid)
+    grad = sp.to_physical_array(sp.gradient_array(f.coeffs, grid), grid)
     mags = np.sqrt(np.sum(grad**2, axis=0))
     if p == np.inf:
         return float(np.max(mags))

@@ -5,17 +5,17 @@ Fourier coefficients in FFT order.  The forward transform divides by the
 total point count, so coefficients are Fourier-series coefficients and
 coeff(0) equals the mean of the samples.  All wavenumbers are integers.
 
-A real field's spectrum is conjugate-symmetric, so its columns 0..n/2 of
-the last axis (the `rfftn` half spectrum) determine it; `to_half` and
-`from_half` map between the full and half layouts.  The time stepper works on
-the retained band of the 2/3 rule, |k_j| <= kc = (points - 1) // 3 (rows
-0..kc then -kc..-1 on each leading axis, columns 0..kc of the last):
-`to_band` gathers it, which is the dealias mask, and `from_band` places it
-in a half spectrum.  `band_to_physical` and `physical_to_band` are the
-pruned real transforms of the band, equal bit for bit to the half-spectrum
-ones; fields stay full-spectrum.  Only real transforms are used: spectra
-enter by `rfftn` completed with `from_half`, and leave by one `irfftn` in
-`to_physical_array`, which takes the full or half layout.
+Operators take one of two layouts: the full spectrum, which fields hold at
+the API edge, or the retained band of the 2/3 rule, |k_j| <= kc =
+(points - 1) // 3 (rows 0..kc then -kc..-1 on each leading axis, columns
+0..kc of the last), which the stepper and the records work on.  `to_band`
+gathers the band, which is the dealias mask, and `from_band` places it in a
+half spectrum.  The half spectrum, columns 0..n/2 of the last axis that
+determine a real field's conjugate-symmetric spectrum, appears only inside
+the real transforms: spectra enter by `rfftn` completed with `from_half`,
+and leave by one `irfftn` of the full array in `to_physical_array`.
+`band_to_physical` and `physical_to_band` are the pruned real transforms of
+the band, equal bit for bit to the half-spectrum ones.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ class Grid:
             keep &= np.abs(axis_k) < cutoff
         self.dealias_mask = keep
 
-        # the half-spectrum set: the same arrays on columns 0..n/2 of the last axis
-        half = (Ellipsis, slice(0, points // 2 + 1))
-        self.half_kmesh = np.ascontiguousarray(self.kmesh[half])
-        self.half_k_squared = np.ascontiguousarray(self.k_squared[half])
         # the band table: the modes the 2/3 rule keeps, |k_j| <= kc on every axis, stored
         # as rows 0..kc then -kc..-1 on each leading axis and columns 0..kc of the last.
         # _row_blocks[axis] holds (band index, spectrum index) of the two row blocks.
@@ -82,6 +78,7 @@ class Grid:
                                        (slice(kc + 1, None), slice(points - kc, None))))
         self.band_kmesh = to_band(self.kmesh, self)
         self.band_k_squared = to_band(self.k_squared, self)
+        self.band_parseval = np.where(np.arange(kc + 1) > 0, 2.0, 1.0)  # 1..kc: also their -k
         # index of -k on every axis (conjugate_symmetry_residual), and its half-spectrum
         # source for the full columns n/2+1..n-1 (from_half's gather)
         neg = -np.arange(points) % points
@@ -319,9 +316,9 @@ def to_physical(f: SpectralField) -> np.ndarray:
 
 
 def to_physical_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real samples of conjugate-symmetric coefficient arrays stacked on leading
-    axes, full or half spectrum (no validation), in one batched irfftn of
-    their half spectra."""
+    """Real samples of conjugate-symmetric full-spectrum coefficient arrays
+    stacked on leading axes (no validation), in one batched irfftn of their
+    half spectra."""
     return np.fft.irfftn(to_half(coeffs, grid), s=grid.shape, axes=tuple(range(-grid.dim, 0)),
                          norm="forward")
 
@@ -342,7 +339,7 @@ def fractional_derivative(f: SpectralField, s: float) -> SpectralField:
 
 
 def gradient_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients i*k_j*coeffs, full or half spectrum, with j on a new axis just
+    """Coefficients i*k_j*coeffs, full spectrum or band, with j on a new axis just
     before the grid axes."""
     return 1j * _mesh(coeffs, grid)[0] * np.expand_dims(coeffs, -grid.dim - 1)
 
@@ -353,12 +350,10 @@ def gradient(f: SpectralField) -> VectorField:
 
 
 def _mesh(comps: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(kmesh, k_squared) for the layout of comps: full spectrum, half spectrum or band."""
-    if comps.shape[-1] == grid.points:
-        return grid.kmesh, grid.k_squared
+    """(kmesh, k_squared) for the layout of comps: full spectrum or band."""
     if comps.shape[-1] == grid.kc + 1:
         return grid.band_kmesh, grid.band_k_squared
-    return grid.half_kmesh, grid.half_k_squared
+    return grid.kmesh, grid.k_squared
 
 
 def _k_dot(comps: np.ndarray, grid: Grid) -> np.ndarray:
@@ -367,7 +362,7 @@ def _k_dot(comps: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def leray_array(comps: np.ndarray, grid: Grid) -> np.ndarray:
-    """Leray projection of components on the axis before the grid axes, full or half
+    """Leray projection of components on the axis before the grid axes, full
     spectrum or band (zero mode untouched)."""
     kmesh, k_squared = _mesh(comps, grid)
     kdotv = _k_dot(comps, grid)

@@ -349,6 +349,24 @@ class TestRunExperiment:
         fields = sp.read_snapshot(str(snaps[0]))
         assert len(fields) == 4  # u and b components
 
+    def test_adaptive_snapshots_are_named_by_the_time_of_the_state_they_hold(self, tmp_path):
+        # adaptive steps do not fall on the requested times: each file holds the
+        # first state at or after its time, and its name says which
+        cfg = config_from_mapping({
+            "grid.points": "16",
+            "stepper.t_end": "0.2",
+            "stepper.dt": "adaptive",
+            "out.snapshots": str(tmp_path / "snap"),
+            "out.snapshot_times": "0.05,0.1",
+        })
+        result = run_experiment(cfg)
+        assert result.status == STATUS_OK
+        paths = result.summary["snapshots"]
+        assert len(paths) == 2
+        for path, requested in zip(paths, (0.05, 0.1)):
+            t = min(r.t for r in result.records if r.t >= requested - 1e-12)
+            assert t > requested and path == f"{tmp_path / 'snap'}_t{t:.6f}.lmhd"
+
     def test_config_error_status(self):
         for key, value in (("ic.name", "nope"), ("diag.cadence", "0")):
             result = run_experiment(config_from_mapping({"grid.points": "16", key: value}))

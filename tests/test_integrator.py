@@ -185,7 +185,7 @@ def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
     """One fixed-dt step runs per tendency one pruned inverse (a complex ifft per
     leading axis, then an irfft) and one pruned forward (an rfft, then a complex
     fft per leading axis), every complex transform over the kc + 1 band
-    columns; one record is 1 irfftn, and a whole run_experiment makes no
+    columns; one record is one pruned inverse, and a whole run_experiment makes no
     complex fftn/ifftn, so a fall-back to the half or full spectrum fails here."""
     grid = sp.make_grid(dim, points)
     state = SolutionPair(random_solenoidal(grid, 1), random_solenoidal(grid, 2))
@@ -207,7 +207,7 @@ def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
                                    + [("irfft", band_columns), ("rfft", points)] * 4)
     calls.clear()
     make_record(new, params, gamma=2.5, s=5.0)
-    assert [name for name, _ in calls] == ["irfftn"]
+    assert calls == [("ifft", band_columns)] * (dim - 1) + [("irfft", band_columns)]
     calls.clear()
     config = config_from_mapping({"grid.n": str(dim), "grid.points": str(points),
                                   "ic.name": "random_band", "stepper.dt": "0.001",
@@ -217,3 +217,24 @@ def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
     names = {name for name, _ in calls}
     assert "rfft" in names and "fftn" not in names and "ifftn" not in names
     assert all(columns == band_columns for name, columns in calls if name in ("fft", "ifft"))
+
+
+@pytest.mark.parametrize("snapshot_times", ["", "0.002,0.006"])
+def test_observed_run_expands_the_band_only_for_snapshots(monkeypatch, tmp_path, snapshot_times):
+    """A cadence-5 run_experiment records from the band: no state is expanded to
+    the full spectrum except for a snapshot, once per written file."""
+    expanded = []
+    original = sp.from_band
+
+    def counted(band, grid):
+        expanded.append(band.shape)
+        return original(band, grid)
+
+    monkeypatch.setattr(sp, "from_band", counted)
+    mapping = {"grid.points": "16", "ic.name": "random_band", "stepper.dt": "0.001",
+               "stepper.t_end": "0.01", "diag.cadence": "5"}
+    if snapshot_times:
+        mapping.update({"out.snapshots": str(tmp_path / "snap"), "out.snapshot_times": snapshot_times})
+    result = run_experiment(config_from_mapping(mapping))
+    assert result.status == "ok" and result.summary["steps"] == 10 and result.summary["records"] == 3
+    assert len(expanded) == len(result.summary.get("snapshots", [])) == 2 * bool(snapshot_times)

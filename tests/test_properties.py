@@ -4,6 +4,7 @@ diagnostic record, the band tendency against a full-spectrum reference, the
 out-of-band guard of the stepper, the state storage, the snapshot format and
 the config parser on random 2D/3D grids, fields and inputs."""
 
+import dataclasses
 import math
 import struct
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lmhd import spectral as sp
 from lmhd.diagnostics import _CONFIG_KEYS, ConfigError, RunConfig, config_from_mapping, make_record
-from lmhd.dynamics import SolutionPair, SystemParams, nonlinear_tendency, tendency
+from lmhd.dynamics import SolutionPair, SystemParams, nonlinear_tendency, state_band, tendency
 from lmhd.integrator import StepperConfig, run, step
 from lmhd.lpaley import grad_uinf_split
 from lmhd.multiplier import E, DissipationSpec, make_g, symbol, symbol_on_grid
@@ -143,9 +144,42 @@ def test_record_equals_public_split_and_residual(grid, seed, diss_u, diss_b):
     state = random_pair(grid, seed)
     record = make_record(state, SystemParams(diss_u, diss_b, grid.dim), gamma=2.5, s=5.0)
     split = grad_uinf_split(state.u, diss_u, E + record.x_norm)
-    assert (record.split_low, record.split_high, record.grad_u_inf) == split
-    assert record.div_u == sp.solenoidal_residual(state.u)
-    assert record.div_b == sp.solenoidal_residual(state.b)
+    # the record sums over the band, the public functions over the full spectrum
+    expected = split + (sp.solenoidal_residual(state.u), sp.solenoidal_residual(state.b))
+    got = (record.split_low, record.split_high, record.grad_u_inf, record.div_u, record.div_b)
+    for value, reference in zip(got, expected):
+        assert abs(value - reference) <= 1e-14 * abs(reference)
+
+
+@property_settings
+@given(grids, seeds, specs, specs, st.floats(0.0, 10.0))
+def test_record_of_a_band_pair_equals_record_of_its_full_spectrum(grid, seed, diss_u, diss_b, time):
+    params = SystemParams(diss_u, diss_b, grid.dim)
+    pair = SolutionPair.from_band(grid, state_band(random_pair(grid, seed)), time)
+    band_record = make_record(pair, params, gamma=2.5, s=5.0)
+    full_record = make_record(SolutionPair.from_array(grid, pair.data.copy(), time), params, gamma=2.5, s=5.0)
+    assert (np.array(dataclasses.astuple(band_record)).tobytes()
+            == np.array(dataclasses.astuple(full_record)).tobytes())
+
+
+@property_settings
+@given(grids, seeds, st.data())
+def test_band_pair_builds_data_once_and_sees_writes_through_it(grid, seed, data):
+    band = state_band(random_pair(grid, seed))
+    pair = SolutionPair.from_band(grid, band, 0.0)
+    assert state_band(pair) is band
+    assert pair.data is pair.data
+    # a band mode: inside the mask, in columns 0..kc (the mirrored columns are not stored)
+    stored = np.argwhere(grid.dealias_mask[..., : grid.kc + 1])
+    inside = tuple(stored[data.draw(st.integers(0, len(stored) - 1))])
+    pair.u.components[0].coeffs[inside] += 1.0
+    assert np.count_nonzero(state_band(pair) != band) == 1
+    outside = tuple(np.argwhere(~grid.dealias_mask)[data.draw(st.integers(0, (~grid.dealias_mask).sum() - 1))])
+    pair.b.components[-1].coeffs[outside] = 1e-3
+    params = SystemParams(DissipationSpec(1.0, 2.0, make_g("constant_one")),
+                          DissipationSpec(0.0, 1.0, make_g("constant_one")), grid.dim)
+    with pytest.raises(ValueError, match="outside the 2/3-rule band"):
+        step(pair, params, 1e-3)
 
 
 def full_spectrum_tendency(y, grid):
@@ -280,7 +314,8 @@ def test_step_and_run_reject_a_state_outside_the_band(grid, seed, data):
     for call in (lambda: step(state, params, 1e-3),
                  lambda: step(state, params, 1e-3, nonlinear=None),
                  lambda: run(state, params, StepperConfig(t_end=1e-3, dt=1e-3)),
-                 lambda: nonlinear_tendency(state)):
+                 lambda: nonlinear_tendency(state),
+                 lambda: make_record(state, params, gamma=2.5, s=5.0)):
         with pytest.raises(ValueError, match="outside the 2/3-rule band"):
             call()
 
