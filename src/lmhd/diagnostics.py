@@ -174,17 +174,23 @@ def gronwall_bound_check(records: list[DiagnosticRecord], g1: GFunction,
                          params: SystemParams | None = None) -> GronwallReport:
     """Smallest C with F(e + X(t)) - F(e + X(0)) <= C * int_0^t (1 + diss_u).
 
-    F is the running Osgood integral of g1.  Monotone-decaying X gives C = 0.
+    F is the running Osgood integral of g1, taken at every record in one
+    `partial_integral` pass, so F is non-decreasing in X and a non-increasing
+    X gives C = 0. ValueError for an empty series or a non-finite x_norm.
     """
     if not records:
         raise ValueError("empty series")
+    x_norm = np.array([r.x_norm for r in records])
+    bad = np.flatnonzero(~np.isfinite(x_norm))
+    if bad.size:
+        raise ValueError(f"x_norm is not finite at record {bad[0]} (t={records[bad[0]].t})")
     warning = None
     if params is not None and not params.theorem_regime():
         warning = "parameters are outside the theorem regime (need nu>0, eta=0, alpha>=1+N/2)"
-    f0 = partial_integral(g1, E + records[0].x_norm)
+    f0, *f = partial_integral(g1, E + x_norm).tolist()
     constant = 0.0
-    for r in records[1:]:
-        lhs = partial_integral(g1, E + r.x_norm) - f0
+    for r, fr in zip(records[1:], f):
+        lhs = fr - f0
         rhs = (r.t - records[0].t) + r.cum_diss
         if rhs > 0.0:
             constant = max(constant, lhs / rhs)

@@ -225,13 +225,42 @@ def _simpson(fvals: np.ndarray, h: float) -> float:
     return h / 3.0 * float(fvals[0] + fvals[-1] + 4.0 * fvals[1:-1:2].sum() + 2.0 * fvals[2:-2:2].sum())
 
 
-def partial_integral(g: GFunction, upper_limit: float) -> float:
-    """integral_e^upper of dtau/(g^2 ln(tau) tau) via the double-log substitution."""
-    if upper_limit <= E:
-        return 0.0
-    sigma_max = float(np.log(np.log(upper_limit)))
-    sigma = np.linspace(0.0, sigma_max, _PARTIAL_NODES)
-    return _simpson(g.inverse_square_loglog(sigma), sigma[1] - sigma[0])
+def partial_integral(g: GFunction, upper_limit) -> float | np.ndarray:
+    """integral_e^x of dtau/(g^2 ln(tau) tau) at each limit x, via the double-log substitution.
+
+    `upper_limit` is a scalar (gives a float) or an array of limits (gives an
+    array of the same shape). All limits share one composite Simpson pass: the
+    double-log limits sigma_i = ln ln max(x_i, e) are sorted, each panel
+    [0, sigma_(1)], [sigma_(1), sigma_(2)], ... takes the smallest even number
+    of intervals, at least 2, whose step is <= sigma_max / 4096, and the panel
+    sums are accumulated. One limit is the 4097-node rule on [0, sigma]; limits
+    at or below e give 0, and the values are non-decreasing in x. ValueError
+    for a limit that is not finite.
+    """
+    x = np.asarray(upper_limit, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("upper_limit must be finite")
+    sigma = np.log(np.log(np.maximum(x.ravel(), E)))
+    order = np.argsort(sigma)
+    cuts = np.concatenate(([0.0], sigma[order]))
+    out = np.zeros(x.size)
+    if cuts[-1] > 0.0:
+        widths = np.diff(cuts)
+        half = np.ceil(widths * ((_PARTIAL_NODES - 1) // 2) / cuts[-1])
+        intervals = 2 * np.maximum(half, 1).astype(np.int64)
+        ends = np.cumsum(intervals + 1) - 1
+        starts = ends - intervals
+        panel = np.repeat(np.arange(x.size), intervals + 1)
+        j = np.arange(panel.size) - starts[panel]
+        steps = widths / intervals
+        nodes = cuts[panel] + j * steps[panel]
+        nodes[ends] = cuts[1:]
+        # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 within each panel
+        weights = np.where(j % 2 == 1, 4.0, 2.0)
+        weights[starts] = weights[ends] = 1.0
+        panel_sums = steps / 3.0 * np.add.reduceat(weights * g.inverse_square_loglog(nodes), starts)
+        out[order] = np.cumsum(panel_sums)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def osgood_classify(g: GFunction, upper_limit: float = 1e100) -> OsgoodVerdict:

@@ -5,10 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmhd import spectral as sp
 from lmhd.diagnostics import (
     ConfigError,
+    DiagnosticRecord,
     DiagnosticTracker,
     RECORD_FIELDS,
     RunConfig,
@@ -29,7 +31,7 @@ from lmhd.diagnostics import (
 )
 from lmhd.dynamics import SolutionPair, SystemParams
 from lmhd.integrator import StepperConfig, run
-from lmhd.multiplier import DissipationSpec, make_g
+from lmhd.multiplier import DissipationSpec, GFunction, make_g
 
 E = float(np.e)
 
@@ -109,6 +111,16 @@ class TestEnergyBalance:
         assert energy_balance_residual(thinned, 1.0, 0.0) <= dt**2 / 12.0 * t_end * 8.0
 
 
+GRONWALL_KINDS = [make_g("constant_one"), make_g("power_log"), make_g("iterated_log"), make_g("power"),
+                  make_g("spiky"), make_g("tabulated", points=((0.0, 1.0), (10.0, 2.0), (1e6, 3.0)))]
+
+
+def synthetic_records(t, x_norm):
+    """Records with the given times and X, and zero for every other field."""
+    zero = dict.fromkeys(RECORD_FIELDS, 0.0)
+    return [DiagnosticRecord(**{**zero, "t": float(ti), "x_norm": float(xi)}) for ti, xi in zip(t, x_norm)]
+
+
 class TestGronwall:
     def test_monotone_decay_gives_zero_constant(self):
         records, params = linear_mode_tracker(t_end=0.05, dt=1e-3)
@@ -126,6 +138,41 @@ class TestGronwall:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             gronwall_bound_check([], make_g("constant_one"))
+
+    def test_staircase_constant_is_exact(self):
+        # g = 2 between the jumps at 10 and 1e6, so F(e + X) - F(e + X(0)) is
+        # (lnln(e + X) - lnln(e + X(0))) / 4 in closed form
+        g = make_g("tabulated", points=((0.0, 1.0), (10.0, 2.0), (1e6, 3.0)))
+        x_norm = np.linspace(256.0, 264.0, 17)
+        t = np.linspace(0.0, 1.0, 17)
+        exact = (np.log(np.log(E + x_norm[1:])) - np.log(np.log(E + x_norm[0]))) / 4.0
+        constant = gronwall_bound_check(synthetic_records(t, x_norm), g).constant
+        assert constant == pytest.approx(np.max(exact / t[1:]), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(GRONWALL_KINDS),
+           st.lists(st.floats(0.0, 1e12), min_size=1, max_size=30).map(lambda xs: sorted(xs, reverse=True)))
+    def test_non_increasing_x_gives_zero_constant(self, g, x_norm):
+        records = synthetic_records(np.arange(len(x_norm), dtype=float), np.array(x_norm))
+        assert gronwall_bound_check(records, g).constant == 0.0
+
+    @pytest.mark.parametrize("g", GRONWALL_KINDS, ids=lambda g: g.kind)
+    def test_one_quadrature_pass_per_check(self, g, monkeypatch):
+        calls = []
+        original = GFunction.inverse_square_loglog
+        monkeypatch.setattr(GFunction, "inverse_square_loglog",
+                            lambda self, sigma: calls.append(1) or original(self, sigma))
+        records = synthetic_records(np.linspace(0.0, 1.0, 20), np.linspace(1.0, 50.0, 20))
+        gronwall_bound_check(records, g)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("index, value", [(3, np.inf), (0, np.nan), (9, -np.inf)])
+    def test_non_finite_x_norm_rejected(self, index, value):
+        x_norm = np.linspace(1.0, 10.0, 10)
+        x_norm[index] = value
+        records = synthetic_records(np.linspace(0.0, 1.0, 10), x_norm)
+        with pytest.raises(ValueError, match=f"x_norm is not finite at record {index} "):
+            gronwall_bound_check(records, make_g("iterated_log"))
 
 
 class TestGammaLogDerivative:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmhd import spectral as sp
 from lmhd.multiplier import (
@@ -33,6 +34,7 @@ CATALOG = [
     make_g("spiky", period=0.6, height=2.0),
     make_g("tabulated", points=((0.0, 1.0), (4.0, 1.5), (64.0, 2.0))),
 ]
+SMOOTH = [g for g in CATALOG if g.kind not in ("spiky", "tabulated")]
 
 
 class TestGFunction:
@@ -237,3 +239,49 @@ class TestOsgood:
             h = g.inverse_square_loglog(sigma)
             masses.append(np.trapezoid(h, sigma))
         assert masses[1] == pytest.approx(masses[0], rel=1e-6)
+
+
+# limits from below e up to 1e300, log-uniform in the exponent
+limits = st.lists(st.floats(-1.0, 300.0).map(lambda p: 10.0**p), min_size=1, max_size=40)
+
+
+class TestPartialIntegral:
+    """The running Osgood integral F(x) = integral_e^x, one limit or many in one pass."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(SMOOTH), limits)
+    def test_array_matches_per_limit_calls(self, g, xs):
+        # the shared pass steps no coarser than max sigma / 4096 on every panel
+        many = partial_integral(g, np.array(xs))
+        one_by_one = np.array([partial_integral(g, x) for x in xs])
+        np.testing.assert_allclose(many, one_by_one, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(CATALOG), limits, st.data())
+    def test_monotone_zero_below_e_and_equal_on_duplicates(self, g, xs, data):
+        xs = xs + data.draw(st.lists(st.sampled_from(xs), max_size=5))
+        x = np.array(xs)
+        values = partial_integral(g, x)
+        order = np.argsort(x, kind="stable")
+        assert np.all(np.diff(values[order]) >= 0.0)
+        assert np.all(values[x <= E] == 0.0)
+        for a in np.unique(x):
+            assert np.unique(values[x == a]).size == 1
+
+    def test_empty_array_gives_empty_array(self):
+        out = partial_integral(make_g("iterated_log"), np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("limit", [np.inf, np.nan, [1e3, np.inf], [np.nan, 1e3]])
+    def test_non_finite_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="finite"):
+            partial_integral(make_g("iterated_log"), limit)
+
+    def test_staircase_differences_are_exact(self):
+        # g = 2 on [10, 1e6), so F(x) - F(x0) = (lnln x - lnln x0) / 4 there; the
+        # jump at 10 lies below every limit and is cut once, for all of them
+        g = make_g("tabulated", points=((0.0, 1.0), (10.0, 2.0), (1e6, 3.0)))
+        x = E + np.linspace(256.0, 264.0, 17)
+        f = partial_integral(g, x)
+        exact = (np.log(np.log(x)) - np.log(np.log(x[0]))) / 4.0
+        np.testing.assert_allclose(f - f[0], exact, rtol=0.0, atol=1e-12)
