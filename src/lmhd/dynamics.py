@@ -14,12 +14,16 @@ tendencies is zero because i*k vanishes at k = 0.
 `tendency` works on the retained band (`spectral.to_band`): the 2/3 rule
 zeroes every other mode of a tendency, so a state that starts inside the band
 stays there, and the pruned real transforms `spectral.band_to_physical` and
-`spectral.physical_to_band` skip the zeros.  `SolutionPair.from_band` keeps
+`spectral.physical_to_band` skip the zeros.  The divergence and the Leray
+projection are a fixed linear map of the products' band spectra, so
+`band_operator` builds it once per grid, at the grid's first tendency, and
+`tendency` applies it as two contractions.  `SolutionPair.from_band` keeps
 a band and expands it, the one place that does, when `data` is first read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
@@ -103,6 +107,30 @@ _PRODUCT_PAIRS = {dim: (tuple(combinations_with_replacement(range(dim), 2)),
                         tuple(combinations(range(dim), 2))) for dim in (2, 3)}
 
 
+@functools.lru_cache(maxsize=8)
+def band_operator(grid: sp.Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The linear map from the band spectra of the products to the band tendency.
+
+    d_u, shape (dim, n_sym, *grid.band_shape), is the Leray projection of the
+    stencil i k_j at component i and i k_i at component j of each symmetric
+    product (i, j); d_b, shape (dim, n_anti, *grid.band_shape), is i k_j at
+    component i and -i k_i at component j of each antisymmetric product.  Both
+    are built at the first call for a grid, cached and shared, so read-only.
+    """
+    sym, anti = _PRODUCT_PAIRS[grid.dim]
+    ik = 1j * grid.band_kmesh
+    stencils = np.zeros((len(sym), grid.dim) + grid.band_shape, dtype=np.complex128)
+    for p, (i, j) in enumerate(sym):
+        stencils[p, i], stencils[p, j] = ik[j], ik[i]
+    d_u = np.ascontiguousarray(np.swapaxes(sp.leray_array(stencils, grid), 0, 1))
+    d_b = np.zeros((grid.dim, len(anti)) + grid.band_shape, dtype=np.complex128)
+    for p, (i, j) in enumerate(anti):
+        d_b[i, p], d_b[j, p] = ik[j], -ik[i]
+    d_u.setflags(write=False)
+    d_b.setflags(write=False)
+    return d_u, d_b
+
+
 def tendency(band: np.ndarray, grid: sp.Grid) -> np.ndarray:
     """Nonlinear tendency of the stacked state (u, b) on the retained band.
 
@@ -111,11 +139,13 @@ def tendency(band: np.ndarray, grid: sp.Grid) -> np.ndarray:
     db_i = d_j(b_j u_i - u_j b_i): one pruned inverse forms u and b, only the
     dim(dim+1)/2 symmetric and dim(dim-1)/2 antisymmetric products go through
     one pruned forward transform, whose band gather is the 2/3 dealiasing, and
-    db is solenoidal by antisymmetry.  This is the stepper's hot path;
-    `nonlinear_tendency` wraps it for a SolutionPair.
+    the divergence and the Leray projection are one contraction of their
+    spectra with each block of the cached `band_operator`.  db is solenoidal
+    by antisymmetry.  This is the stepper's hot path; `nonlinear_tendency`
+    wraps it for a SolutionPair.
     """
     sym, anti = _PRODUCT_PAIRS[grid.dim]
-    k = grid.band_kmesh
+    d_u, d_b = band_operator(grid)
     # overflow here is a blow-up in progress; the stepper detects it after
     # the step rather than warning mid-evaluation
     with np.errstate(over="ignore", invalid="ignore"):
@@ -128,16 +158,9 @@ def tendency(band: np.ndarray, grid: sp.Grid) -> np.ndarray:
             np.subtract(b[j] * u[i], u[j] * b[i], out=products[p])
         spec = sp.physical_to_band(products, grid)
 
-        out = np.zeros_like(band)
-        for (i, j), s in zip(sym, spec):
-            out[0, i] += k[j] * s
-            if i != j:
-                out[0, j] += k[i] * s
-        for (i, j), a in zip(anti, spec[len(sym):]):
-            out[1, i] += k[j] * a
-            out[1, j] -= k[i] * a
-        out *= 1j
-        out[0] = sp.leray_array(out[0], grid)
+        out = np.empty_like(band)
+        np.sum(d_u * spec[None, :len(sym)], axis=1, out=out[0])
+        np.sum(d_b * spec[None, len(sym):], axis=1, out=out[1])
     return out
 
 

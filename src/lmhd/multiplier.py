@@ -220,11 +220,6 @@ _OSGOOD_SAMPLES = 20000
 _PARTIAL_NODES = 4097
 
 
-def _simpson(fvals: np.ndarray, h: float) -> float:
-    # fvals has odd length
-    return h / 3.0 * float(fvals[0] + fvals[-1] + 4.0 * fvals[1:-1:2].sum() + 2.0 * fvals[2:-2:2].sum())
-
-
 def partial_integral(g: GFunction, upper_limit) -> float | np.ndarray:
     """integral_e^x of dtau/(g^2 ln(tau) tau) at each limit x, via the double-log substitution.
 
@@ -282,17 +277,17 @@ def osgood_classify(g: GFunction, upper_limit: float = 1e100) -> OsgoodVerdict:
     while bounds[-1] / _WINDOW_RATIO > _WINDOW_FLOOR:
         bounds.append(bounds[-1] / _WINDOW_RATIO)
     bounds.append(0.0)
-    bounds = bounds[::-1]
+    bounds = np.array(bounds[::-1])
 
-    n_windows = len(bounds) - 1
     # at most 30 windows for any finite limit; Simpson needs an odd node count
-    nodes = _OSGOOD_SAMPLES // n_windows | 1
-
-    integrals = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sigma = np.linspace(lo, hi, nodes)
-        integrals.append(_simpson(g.inverse_square_loglog(sigma), sigma[1] - sigma[0]))
-    integrals = np.array(integrals)
+    nodes = _OSGOOD_SAMPLES // (len(bounds) - 1) | 1
+    # every window's nodes in one (windows, nodes) array, one g pass and Simpson along the
+    # rows; the odd and even nodes are summed as contiguous copies, whose row sums are
+    # numpy's pairwise sums, so each window integral is the one-window rule bit for bit
+    sigma = np.linspace(bounds[:-1], bounds[1:], nodes, axis=-1)
+    f = g.inverse_square_loglog(sigma)
+    odd, even = (np.ascontiguousarray(f[:, first:-1:2]).sum(axis=-1) for first in (1, 2))
+    integrals = (sigma[:, 1] - sigma[:, 0]) / 3.0 * (f[:, 0] + f[:, -1] + 4.0 * odd + 2.0 * even)
     total = float(integrals.sum())
 
     # ratios of consecutive windows, skipping the head window [0, floor)

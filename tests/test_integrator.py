@@ -1,12 +1,12 @@
 """Integrating-factor RK4: exact linear decay, determinism, CFL, blow-up,
-and the pruned transforms of the band hot path."""
+and the pruned transforms and cached band operator of the band hot path."""
 
 import numpy as np
 import pytest
 
 from lmhd import spectral as sp
 from lmhd.diagnostics import config_from_mapping, make_record, run_experiment
-from lmhd.dynamics import SolutionPair, SystemParams
+from lmhd.dynamics import SolutionPair, SystemParams, tendency
 from lmhd.integrator import BlowupError, StepperConfig, run, step
 from lmhd.multiplier import DissipationSpec, make_g
 from lmhd.spectral import SpectralField, VectorField
@@ -217,6 +217,27 @@ def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
     names = {name for name, _ in calls}
     assert "rfft" in names and "fftn" not in names and "ifftn" not in names
     assert all(columns == band_columns for name, columns in calls if name in ("fft", "ifft"))
+
+
+@pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
+def test_step_projects_only_when_the_band_operator_is_built(monkeypatch, dim, points):
+    """After one warm-up tendency has built the grid's band operator, a fixed-dt step
+    makes no Leray projection, so a return to projecting on every call fails here."""
+    grid = sp.make_grid(dim, points)
+    state = SolutionPair(random_solenoidal(grid, 3), random_solenoidal(grid, 4))
+    params = SystemParams(DissipationSpec(1.0, 2.0, make_g("iterated_log")),
+                          DissipationSpec(0.0, 1.0, make_g("constant_one")), dim)
+    tendency(sp.to_band(state.data, grid), grid)
+    calls = []
+    original = sp.leray_array
+
+    def counted(comps, grid):
+        calls.append(comps.shape)
+        return original(comps, grid)
+
+    monkeypatch.setattr(sp, "leray_array", counted)
+    step(state, params, 1e-3)
+    assert calls == []
 
 
 @pytest.mark.parametrize("snapshot_times", ["", "0.002,0.006"])

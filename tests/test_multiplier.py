@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmhd import spectral as sp
+from lmhd import multiplier as mp, spectral as sp
 from lmhd.multiplier import (
     CONVERGES,
     DIVERGES,
@@ -239,6 +239,40 @@ class TestOsgood:
             h = g.inverse_square_loglog(sigma)
             masses.append(np.trapezoid(h, sigma))
         assert masses[1] == pytest.approx(masses[0], rel=1e-6)
+
+
+def per_window_osgood(g, upper_limit):
+    """Reference: the classifier with one linspace, g pass and Simpson rule per window."""
+    bounds = [float(np.log(np.log(upper_limit)))]
+    while bounds[-1] / mp._WINDOW_RATIO > mp._WINDOW_FLOOR:
+        bounds.append(bounds[-1] / mp._WINDOW_RATIO)
+    bounds = bounds[::-1]
+    nodes = mp._OSGOOD_SAMPLES // len(bounds) | 1
+    integrals = []
+    for lo, hi in zip([0.0] + bounds[:-1], bounds):
+        sigma = np.linspace(lo, hi, nodes)
+        f = g.inverse_square_loglog(sigma)
+        integrals.append((sigma[1] - sigma[0]) / 3.0 * float(
+            f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-2:2].sum()))
+    tail = np.array(integrals[-(mp._RATIO_WINDOWS + 1):])
+    if np.any(tail <= 1e-290):
+        return CONVERGES, float(np.sum(integrals)), ()
+    ratios = tuple(float(b / a) for a, b in zip(tail[:-1], tail[1:]))
+    med = float(np.median(ratios))
+    verdict = (DIVERGES if med >= mp._DIVERGE_THRESHOLD
+               else CONVERGES if med <= mp._CONVERGE_THRESHOLD else mp.INCONCLUSIVE)
+    return verdict, float(np.sum(integrals)), ratios
+
+
+@pytest.mark.parametrize("upper_limit", [1e3, 1e12, 1e100, 1e300])
+@pytest.mark.parametrize("g", CATALOG, ids=lambda g: g.kind)
+def test_osgood_windows_in_one_pass_match_per_window_rule(g, upper_limit):
+    verdict = osgood_classify(g, upper_limit)
+    classification, total, ratios = per_window_osgood(g, upper_limit)
+    assert verdict.classification == classification
+    assert verdict.partial_integral == pytest.approx(total, rel=2e-15, abs=0.0)
+    assert len(verdict.window_ratios) == len(ratios)
+    assert np.allclose(verdict.window_ratios, ratios, rtol=2e-15, atol=0.0)
 
 
 # limits from below e up to 1e300, log-uniform in the exponent

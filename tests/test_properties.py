@@ -1,8 +1,9 @@
 """Property tests of the spectral operators, the half-spectrum and band
 layouts and the pruned transforms, the cached dissipation symbol, the
-diagnostic record, the band tendency against a full-spectrum reference, the
-out-of-band guard of the stepper, the state storage, the snapshot format and
-the config parser on random 2D/3D grids, fields and inputs."""
+diagnostic record, the band tendency against a full-spectrum reference, its
+cached band operator, the out-of-band guard of the stepper, the state
+storage, the snapshot format and the config parser on random 2D/3D grids,
+fields and inputs."""
 
 import dataclasses
 import math
@@ -14,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lmhd import spectral as sp
 from lmhd.diagnostics import _CONFIG_KEYS, ConfigError, RunConfig, config_from_mapping, make_record
-from lmhd.dynamics import SolutionPair, SystemParams, nonlinear_tendency, state_band, tendency
+from lmhd.dynamics import (SolutionPair, SystemParams, band_operator, nonlinear_tendency, state_band,
+                           tendency)
 from lmhd.integrator import StepperConfig, run, step
 from lmhd.lpaley import grad_uinf_split
 from lmhd.multiplier import E, DissipationSpec, make_g, symbol, symbol_on_grid
@@ -215,6 +217,21 @@ def test_half_spectrum_tendency_matches_full_spectrum_reference(grid, seed):
     expected = full_spectrum_tendency(y, grid)
     got = sp.from_half(sp.from_band(tendency(sp.to_band(y, grid), grid), grid), grid)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@property_settings
+@given(grids)
+def test_band_operator_is_solenoidal_cached_and_read_only(grid):
+    # rounding in k . d_u grows with |k|, so the bound scales with |k| at each mode
+    d_u, d_b = band_operator(grid)
+    k_dot = np.sum(grid.band_kmesh[:, None] * d_u, axis=0)
+    bound = 1e-15 * np.sqrt(grid.band_k_squared) * np.max(np.abs(d_u))
+    assert np.all(np.abs(k_dot) <= bound)
+    again = band_operator(grid)
+    assert again[0] is d_u and again[1] is d_b
+    for block in (d_u, d_b):
+        with pytest.raises(ValueError):
+            block[(0,) * block.ndim] = 1.0
 
 
 @property_settings
