@@ -6,7 +6,6 @@ Exit codes: 0 ok, 2 config error, 3 blow-up, 4 check failed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,9 +16,11 @@ from .diagnostics import (
     STATUS_CHECK_FAILED,
     STATUS_CONFIG_ERROR,
     STATUS_OK,
+    config_from_mapping,
     evaluate_checks,
     finite_float,
     parse_config,
+    read_config,
     read_series,
     run_experiment,
 )
@@ -36,24 +37,35 @@ def _cmd_run(args) -> int:
     return result.exit_code
 
 
+# check flag -> the config key it sets
+_CHECK_KEYS = {"nu": "params.nu", "eta": "params.eta", "g1": "params.g1.kind",
+               "energy_tol": "check.energy_tol"}
+
+
 def _cmd_sweep(args) -> int:
-    base = parse_config(args.config)
-    if not args.vary.startswith("g1="):
-        raise ValueError("sweep currently varies g1 only; expected --vary g1=<name,name,...>")
-    names = [n.strip() for n in args.vary.split("=", 1)[1].split(",") if n.strip()]
+    raw = read_config(args.config)
+    key, sep, listed = args.vary.partition("=")
+    key, values = key.strip(), [v.strip() for v in listed.split(",")]
+    if not sep or not all(values):
+        raise ConfigError(f"expected --vary KEY=v1,v2,..., got {args.vary!r}")
+    # every swept config is built, and so validated, before the first run starts
+    configs = []
+    for value in values:
+        mapping = dict(raw)
+        if "out.series" in raw:
+            stem = Path(raw["out.series"])
+            mapping["out.series"] = str(stem.with_name(f"{stem.stem}_{value}{stem.suffix}"))
+        mapping["params.g1.kind" if key == "g1" else key] = value
+        configs.append(config_from_mapping(mapping))
     worst = STATUS_OK
-    for name in names:
-        config = dataclasses.replace(base, g1=make_g(name))
-        if base.out_series:
-            stem = Path(base.out_series)
-            config.out_series = str(stem.with_name(f"{stem.stem}_{name}{stem.suffix}"))
+    for value, config in zip(values, configs):
         result = run_experiment(config)
-        print(f"g1={name}: status={result.status} "
+        print(f"{key}={value}: status={result.status} "
               f"max_X={result.summary.get('max_x_norm', float('nan')):.6g} "
               f"gronwall_C={result.summary.get('gronwall_constant', float('nan')):.6g}")
         if result.status != STATUS_OK:
-            print(f"g1={name}: {result.message}", file=sys.stderr)
-        # a config error does not depend on g1, so every later run would repeat it
+            print(f"{key}={value}: {result.message}", file=sys.stderr)
+        # a config error is an input error: it ends the sweep with exit 2, as it ends lmhd run
         if result.status == STATUS_CONFIG_ERROR:
             return result.exit_code
         if result.exit_code > EXIT_CODES[worst]:
@@ -63,16 +75,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     records = read_series(args.series)
-    if args.config:
-        config = parse_config(args.config)
-        nu, eta, g1, params = config.nu, config.eta, config.g1, config.system_params()
-        energy_tol = config.energy_tol
-    else:
-        nu, eta, g1, params = finite_float(args.nu), finite_float(args.eta), make_g(args.g1), None
-        energy_tol = None
-    if args.energy_tol is not None:
-        energy_tol = finite_float(args.energy_tol)
-    report, failures = evaluate_checks(records, nu, eta, g1, params, energy_tol)
+    raw = read_config(args.config) if args.config else {}
+    flags = {key: getattr(args, flag) for flag, key in _CHECK_KEYS.items()}
+    config = config_from_mapping(raw | {key: v for key, v in flags.items() if v is not None})
+    # without --config the run's alpha is unknown, so the theorem regime is not judged
+    params = config.system_params() if args.config else None
+    report, failures = evaluate_checks(records, config, params)
     print(json.dumps(report, indent=2))
     if failures:
         print("; ".join(failures), file=sys.stderr)
@@ -106,24 +114,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a family of experiments varying g1")
+    p_sweep = sub.add_parser("sweep", help="run one experiment per value of one config key")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--vary", required=True, metavar="g1=name1,name2,...")
+    p_sweep.add_argument("--vary", required=True, metavar="KEY=v1,v2,...",
+                         help="a config key (g1 stands for params.g1.kind) and its values")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_check = sub.add_parser("check", help="re-run inequality checks on a saved series")
     p_check.add_argument("series")
     p_check.add_argument("--config", default=None)
-    p_check.add_argument("--nu", type=float, default=1.0)
-    p_check.add_argument("--eta", type=float, default=0.0)
-    p_check.add_argument("--g1", default="constant_one")
-    p_check.add_argument("--energy-tol", type=float, default=None)
+    for flag, key in _CHECK_KEYS.items():
+        p_check.add_argument(f"--{flag.replace('_', '-')}", help=f"sets {key}")
     p_check.set_defaults(func=_cmd_check)
 
     p_osgood = sub.add_parser("osgood", help="classify the divergence condition for a g")
     p_osgood.add_argument("g")
     p_osgood.add_argument("params", nargs="*", metavar="key=value")
-    p_osgood.add_argument("--limit", type=float, default=1e100)
+    p_osgood.add_argument("--limit", default=1e100)
     p_osgood.set_defaults(func=_cmd_osgood)
     return parser
 

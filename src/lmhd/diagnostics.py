@@ -224,14 +224,15 @@ def gamma_log_derivative_check(records: list[DiagnosticRecord]) -> GammaLogRepor
     return GammaLogReport(constant=constant, max_derivative=float(np.max(dw)) if dw.size else 0.0)
 
 
-def evaluate_checks(records: list[DiagnosticRecord], nu: float, eta: float, g1: GFunction,
-                    params: SystemParams | None,
-                    energy_tol: float | None) -> tuple[dict, list[str]]:
-    """Every estimate check the series is long enough for.
+def evaluate_checks(records: list[DiagnosticRecord], config: RunConfig,
+                    params: SystemParams | None) -> tuple[dict, list[str]]:
+    """Every estimate check the series is long enough for, with the config's
+    nu, eta, g1 and optional energy tolerance; params, when given, is checked
+    against the theorem regime.
 
     Returns the measured values by name and the failure messages. A non-finite
-    record field fails the series outright; the energy tolerance is optional;
-    the constants fail when not finite and the divergence residual above 1e-8.
+    record field fails the series outright; the constants fail when not finite
+    and the divergence residual above 1e-8.
     """
     report: dict = {}
     failures: list[str] = []
@@ -239,12 +240,12 @@ def evaluate_checks(records: list[DiagnosticRecord], nu: float, eta: float, g1: 
     if bad:
         return report, [f"non-finite record field {bad[0][0]} at t={bad[0][1]}"]
     if len(records) >= _MIN_ENERGY_RECORDS:
-        residual = energy_balance_residual(records, nu, eta)
+        residual = energy_balance_residual(records, config.nu, config.eta)
         report["energy_residual"] = residual
-        if energy_tol is not None and residual > energy_tol:
-            failures.append(f"energy residual {residual:.3e} > {energy_tol:.3e}")
+        if config.energy_tol is not None and residual > config.energy_tol:
+            failures.append(f"energy residual {residual:.3e} > {config.energy_tol:.3e}")
     if records:
-        gron = gronwall_bound_check(records, g1, params)
+        gron = gronwall_bound_check(records, config.g1, params)
         report["gronwall_constant"] = gron.constant
         if gron.warning:
             report["gronwall_warning"] = gron.warning
@@ -319,10 +320,7 @@ def _initial_state(name: str, params: dict, grid: sp.Grid) -> SolutionPair:
         norm = math.sqrt(sum(float(np.sum(sp.mode_power(c))) for c in data))
         return SolutionPair.from_array(grid, data * (amplitude / max(norm, 1e-300)), 0.0)
     if name == "single_mode":
-        k = params.get("k", (1, 0))
-        if isinstance(k, str):
-            k = tuple(int(v) for v in k.split(","))
-        k = tuple(int(v) for v in k)
+        k = tuple(int(v) for v in params.get("k", (1, 0)))
         if len(k) != grid.dim or all(v == 0 for v in k):
             raise ConfigError(f"single_mode requires a nonzero {grid.dim}-vector k")
         amplitude = float(params.get("amplitude", 1.0))
@@ -444,8 +442,8 @@ _CONFIG_KEYS = {
 }
 
 
-def parse_config(path: str) -> RunConfig:
-    """Parse the flat key = value run-configuration format."""
+def read_config(path: str) -> dict[str, str]:
+    """Read the flat key = value run-configuration format into its raw mapping."""
     raw: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -461,10 +459,16 @@ def parse_config(path: str) -> RunConfig:
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
-    return config_from_mapping(raw)
+    return raw
+
+
+def parse_config(path: str) -> RunConfig:
+    """The run configuration of a config file."""
+    return config_from_mapping(read_config(path))
 
 
 def config_from_mapping(raw: dict[str, str]) -> RunConfig:
+    """Cast and validate a raw key -> value mapping; every command builds its RunConfig here."""
     sections: dict[str, dict] = {"run": {}, "ic": {},
                                  "g1": {"kind": "constant_one"}, "g2": {"kind": "constant_one"}}
     try:
@@ -600,8 +604,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         "cum_diss_grad": records[-1].cum_diss_grad if records else 0.0,
         "osgood_g1": osgood_classify(config.g1).classification,
     }
-    report, failures = evaluate_checks(records, config.nu, config.eta, config.g1, params,
-                                       config.energy_tol)
+    report, failures = evaluate_checks(records, config, params)
     summary.update(report)
 
     if config.out_series:

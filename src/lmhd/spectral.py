@@ -20,6 +20,7 @@ the band, equal bit for bit to the half-spectrum ones.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -28,23 +29,24 @@ import numpy as np
 
 BOX_LENGTH = 2.0 * np.pi
 
-_GRID_CACHE: dict[tuple[int, int], "Grid"] = {}
-
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+@dataclass(unsafe_hash=True)
 class Grid:
     """Uniform periodic grid on [0, 2*pi)^dim with power-of-two resolution."""
 
-    def __init__(self, dim: int, points: int):
+    dim: int
+    points: int
+
+    def __post_init__(self):
+        dim, points = self.dim, self.points
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
         if not _is_power_of_two(points) or points < 8:
             raise ValueError(f"points must be a power of two >= 8, got {points}")
-        self.dim = dim
-        self.points = points
         self.shape = (points,) * dim
         self.total_points = points**dim
         self.cell_volume = (BOX_LENGTH / points) ** dim
@@ -90,26 +92,11 @@ class Grid:
         x1d = np.arange(self.points) * (BOX_LENGTH / self.points)
         return list(np.meshgrid(*(x1d,) * self.dim, indexing="ij"))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and self.dim == other.dim
-            and self.points == other.points
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.dim, self.points))
-
-    def __repr__(self) -> str:
-        return f"Grid(dim={self.dim}, points={self.points})"
-
-
+@functools.lru_cache(maxsize=None)
 def make_grid(dim: int, points: int) -> Grid:
     """Return a (cached) grid; grids are immutable so sharing is safe."""
-    key = (dim, points)
-    if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = Grid(dim, points)
-    return _GRID_CACHE[key]
+    return Grid(dim, points)
 
 
 class _FieldArithmetic:

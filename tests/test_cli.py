@@ -115,16 +115,20 @@ EXIT_CONTRACT = {
     ("sweep", "config_error"): ("grid.bogus = 1\n", ["{cfg}", *SWEEP], 2),
     ("sweep", "unknown_g1"): (BASE_CFG, ["{cfg}", "--vary", "g1=mystery"], 2),
     ("sweep", "not_g1"): (BASE_CFG, ["{cfg}", "--vary", "nu=1,2"], 2),
+    ("sweep", "empty_values"): (BASE_CFG, ["{cfg}", "--vary", "g1="], 2),
+    ("sweep", "vary_without_key"): (BASE_CFG, ["{cfg}", "--vary", "constant_one"], 2),
     ("sweep", "blowup"): (BLOWUP_CFG, ["{cfg}", *SWEEP], 3),
     ("sweep", "check_failed"): (STRICT_CFG, ["{cfg}", *SWEEP], 4),
     ("check", "ok"): (BASE_CFG, ["{series}", "--config", "{cfg}"], 0),
     ("check", "missing_series"): (None, ["{missing}"], 2),
     ("check", "bad_number"): (None, ["{series}", "--nu", "nan"], 2),
+    ("check", "non_numeric_nu"): (None, ["{series}", "--nu", "abc"], 2),
     ("check", "check_failed"): (STRICT_CFG, ["{series}", "--config", "{cfg}"], 4),
     ("osgood", "ok"): (None, ["iterated_log"], 0),
     ("osgood", "unknown_g"): (None, ["mystery"], 2),
     ("osgood", "unknown_g_and_param"): (None, ["mystery", "foo=1"], 2),
     ("osgood", "bad_limit"): (None, ["power", "--limit", "1"], 2),
+    ("osgood", "non_numeric_limit"): (None, ["power", "--limit", "abc"], 2),
     ("osgood", "unread_param"): (None, ["constant_one", "epsilon=5"], 2),
     ("osgood", "param_named_kind"): (None, ["power", "kind=1"], 2),
     ("osgood", "tabulated_points_number"): (None, ["tabulated", "points=1"], 2),
@@ -144,8 +148,10 @@ def test_exit_code_contract(command, mode, tmp_path, capsys, monkeypatch):
         cfg.write_text(text)
     argv = [command] + [a.format(cfg=cfg, series=series, missing=tmp_path / "missing") for a in args]
     assert main(argv) == expected
+    err = capsys.readouterr().err
+    if expected == 2:
+        assert err.startswith("config error: ")
     if command == "sweep" and mode in ("blowup", "check_failed"):
-        err = capsys.readouterr().err
         assert all(f"g1={name}: " in err for name in ("constant_one", "iterated_log"))
 
 
@@ -276,6 +282,57 @@ def test_sweep_reports_config_error_once(tmp_path, capsys):
 
 def test_sweep_requires_g1(cfg_path):
     assert main(["sweep", str(cfg_path), "--vary", "nu=1,2"]) == 2
+
+
+def test_sweep_keeps_the_base_g1_parameters(tmp_path, capsys):
+    """Sweeping g1 sets params.g1.kind only, so params.g1.c = 3 stays and the
+    swept run reports what lmhd run of the base reports."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG.replace("params.nu = 1.0", "params.nu = 0.01")
+                   .replace("kind = constant_one", "kind = power_log\nparams.g1.c = 3.0"))
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["gronwall_constant"] > 0.0
+    assert main(["sweep", str(cfg), "--vary", "g1=power_log"]) == 0
+    assert capsys.readouterr().out == (f"g1=power_log: status=ok max_X={summary['max_x_norm']:.6g} "
+                                       f"gronwall_C={summary['gronwall_constant']:.6g}\n")
+
+
+def test_sweep_validates_every_value_before_the_first_run(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG + f"out.series = {tmp_path / 'series.csv'}\n")
+    assert main(["sweep", str(cfg), "--vary", "g1=constant_one,mystery"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert not list(tmp_path.glob("series*"))
+
+
+def test_sweep_varies_any_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG + f"out.series = {tmp_path / 'series.csv'}\n")
+    assert main(["sweep", str(cfg), "--vary", "params.alpha=1.5,2.0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["params.alpha=1.5", "params.alpha=2.0"]
+    low, high = (tmp_path / f"series_{alpha}.csv" for alpha in ("1.5", "2.0"))
+    assert low.is_file() and high.is_file()
+    assert low.read_text() != high.read_text()
+
+
+def test_check_flags_override_config_keys(tmp_path, capsys):
+    """--nu 50 on --config gives what a config with params.nu = 50 gives."""
+    series, cfg, copy = tmp_path / "series.csv", tmp_path / "run.cfg", tmp_path / "nu50.cfg"
+    cfg.write_text(BASE_CFG + f"out.series = {series}\n")
+    copy.write_text(cfg.read_text().replace("params.nu = 1.0", "params.nu = 50"))
+    assert main(["run", str(cfg)]) == 0
+    reports = []
+    for argv in (["--config", str(cfg)], ["--config", str(cfg), "--nu", "50"], ["--config", str(copy)]):
+        capsys.readouterr()
+        assert main(["check", str(series), *argv]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    plain, flagged, copied = reports
+    assert flagged == copied
+    assert flagged["energy_residual"] != plain["energy_residual"]
 
 
 def test_osgood_command(capsys):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lmhd import multiplier as mp, spectral as sp
 from lmhd.multiplier import (
@@ -72,6 +72,16 @@ class TestGFunction:
     def test_power_log_value(self):
         g = make_g("power_log", c=1.0)
         assert abs(g(10.0) - np.sqrt(np.log(E + 10.0))) < 1e-14
+
+    @pytest.mark.parametrize("g", CATALOG, ids=lambda g: g.kind)
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(-3.0, 6.5), min_size=1, max_size=50))
+    @example([np.nextafter(2.4, 0.0), 2.4, np.nextafter(2.4, 3.0)])  # spiky's first jump
+    def test_loglog_form_matches_g(self, g, sigmas):
+        """h(sigma) = 1 / g(tau)^2 at tau = exp(exp(sigma)); tau is finite up to sigma = 6.5."""
+        sigma = np.array(sigmas)
+        expected = 1.0 / np.asarray(g(np.exp(np.exp(sigma)))) ** 2
+        np.testing.assert_allclose(g.inverse_square_loglog(sigma), expected, rtol=1e-13, atol=0.0)
 
 
 class TestSymbol:

@@ -22,6 +22,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(2, 4)
 
+    def test_identity_is_dim_and_points(self):
+        grid = sp.make_grid(2, 64)
+        assert grid == Grid(2, 64) and hash(grid) == hash(Grid(2, 64))
+        assert grid != Grid(2, 32) and grid != Grid(3, 64)
+        assert repr(grid) == "Grid(dim=2, points=64)"
+        assert sp.make_grid(2, 16) is sp.make_grid(2, 16)
+
     def test_wavenumbers(self):
         grid = sp.make_grid(2, 16)
         assert set(grid.k_axes[0].astype(int)) == set(range(-8, 8))
