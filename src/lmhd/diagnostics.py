@@ -9,12 +9,12 @@ integrals at the diagnostic cadence.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,11 @@ class ConfigError(ValueError):
     """Raised for unparsable or inconsistent run configuration."""
 
 
-@dataclass(frozen=True)
-class DiagnosticRecord:
+class DiagnosticRecord(NamedTuple):
+    """One diagnostic snapshot; it iterates in RECORD_FIELDS order, so
+    `np.asarray(records, dtype=np.float64)` is the (records, 16) table of a
+    series and `DiagnosticRecord._make(table.T)` names its columns."""
+
     t: float
     energy: float
     diss_u: float
@@ -57,7 +60,7 @@ class DiagnosticRecord:
     div_b: float
 
 
-RECORD_FIELDS = [f.name for f in dataclasses.fields(DiagnosticRecord)]
+RECORD_FIELDS = list(DiagnosticRecord._fields)
 
 
 def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: float,
@@ -148,19 +151,39 @@ _MIN_ENERGY_RECORDS = 3
 _MIN_GAMMA_RECORDS = 50
 _SOLENOIDAL_TOL = 1e-8
 
+# the fields whose square roots the gamma check takes
+_ROOTED = np.isin(RECORD_FIELDS, ("diss_u", "diss_grad_u"))
 
-def energy_balance_residual(records: list[DiagnosticRecord], nu: float, eta: float) -> float:
+
+def _table(records: list[DiagnosticRecord] | np.ndarray) -> np.ndarray:
+    """The (records, 16) float64 table of a list of records, or the table itself."""
+    return np.asarray(records, dtype=np.float64).reshape(len(records), len(RECORD_FIELDS))
+
+
+def _first_cell(mask: np.ndarray, table: np.ndarray) -> str | None:
+    """'<field> at t=<time>' of the first set cell of a (records, 16) mask, in row-major order."""
+    rows, cols = np.nonzero(mask)
+    return f"{RECORD_FIELDS[cols[0]]} at t={float(table[rows[0], 0])}" if rows.size else None
+
+
+def _max_positive(values: np.ndarray) -> float:
+    """The largest positive value, or 0.0; NaN is skipped, as max(0.0, nan) keeps 0.0."""
+    return float(np.max(values[values > 0.0], initial=0.0))
+
+
+def energy_balance_residual(records: list[DiagnosticRecord] | np.ndarray, nu: float,
+                            eta: float) -> float:
     """Max relative defect of the energy identity along the series.
 
     The running integrals are trapezoid sums in record time, so the records
     may be spaced unevenly.
     """
-    if len(records) < _MIN_ENERGY_RECORDS:
+    table = _table(records)
+    if len(table) < _MIN_ENERGY_RECORDS:
         raise ValueError(f"need at least {_MIN_ENERGY_RECORDS} records")
-    e0 = records[0].energy
-    worst = 0.0
-    for r in records:
-        worst = max(worst, abs(r.energy - e0 + nu * r.cum_diss + eta * r.cum_diss_b))
+    r = DiagnosticRecord._make(table.T)
+    e0 = float(r.energy[0])
+    worst = _max_positive(np.abs(r.energy - e0 + nu * r.cum_diss + eta * r.cum_diss_b))
     return worst / max(e0, 1e-300)
 
 
@@ -170,7 +193,7 @@ class GronwallReport:
     warning: str | None = None
 
 
-def gronwall_bound_check(records: list[DiagnosticRecord], g1: GFunction,
+def gronwall_bound_check(records: list[DiagnosticRecord] | np.ndarray, g1: GFunction,
                          params: SystemParams | None = None) -> GronwallReport:
     """Smallest C with F(e + X(t)) - F(e + X(0)) <= C * int_0^t (1 + diss_u).
 
@@ -178,23 +201,22 @@ def gronwall_bound_check(records: list[DiagnosticRecord], g1: GFunction,
     `partial_integral` pass, so F is non-decreasing in X and a non-increasing
     X gives C = 0. ValueError for an empty series or a non-finite x_norm.
     """
-    if not records:
+    table = _table(records)
+    if not len(table):
         raise ValueError("empty series")
-    x_norm = np.array([r.x_norm for r in records])
-    bad = np.flatnonzero(~np.isfinite(x_norm))
+    r = DiagnosticRecord._make(table.T)
+    bad = np.flatnonzero(~np.isfinite(r.x_norm))
     if bad.size:
-        raise ValueError(f"x_norm is not finite at record {bad[0]} (t={records[bad[0]].t})")
+        raise ValueError(f"x_norm is not finite at record {bad[0]} (t={float(r.t[bad[0]])})")
     warning = None
     if params is not None and not params.theorem_regime():
         warning = "parameters are outside the theorem regime (need nu>0, eta=0, alpha>=1+N/2)"
-    f0, *f = partial_integral(g1, E + x_norm).tolist()
-    constant = 0.0
-    for r, fr in zip(records[1:], f):
-        lhs = fr - f0
-        rhs = (r.t - records[0].t) + r.cum_diss
-        if rhs > 0.0:
-            constant = max(constant, lhs / rhs)
-    return GronwallReport(constant=constant, warning=warning)
+    f = partial_integral(g1, E + r.x_norm)
+    lhs = f[1:] - f[0]
+    rhs = (r.t[1:] - r.t[0]) + r.cum_diss[1:]
+    # records with rhs <= 0 (or NaN) bound nothing
+    bounded = rhs > 0.0
+    return GronwallReport(constant=_max_positive(lhs[bounded] / rhs[bounded]), warning=warning)
 
 
 @dataclass(frozen=True)
@@ -203,60 +225,69 @@ class GammaLogReport:
     max_derivative: float
 
 
-def gamma_log_derivative_check(records: list[DiagnosticRecord]) -> GammaLogReport:
-    """Smallest C bounding d/dt ln(e + gamma_norm) by C*(||L u|| + ||L grad u||)."""
-    if len(records) < _MIN_GAMMA_RECORDS:
+def gamma_log_derivative_check(records: list[DiagnosticRecord] | np.ndarray) -> GammaLogReport:
+    """Smallest C bounding d/dt ln(e + gamma_norm) by C*(||L u|| + ||L grad u||).
+
+    Infinite when the log rises where the bound is <= 1e-300; ValueError for a
+    negative diss_u or diss_grad_u.
+    """
+    table = _table(records)
+    if len(table) < _MIN_GAMMA_RECORDS:
         raise ValueError(f"cadence too coarse: need at least {_MIN_GAMMA_RECORDS} records")
-    t = np.array([r.t for r in records])
-    if np.any(np.diff(t) <= 0.0):
+    r = DiagnosticRecord._make(table.T)
+    if np.any(np.diff(r.t) <= 0.0):
         raise ValueError("record times must be strictly increasing")
-    w = np.log(E + np.array([r.gamma_norm for r in records]))
-    rhs = np.array([math.sqrt(r.diss_u) + math.sqrt(r.diss_grad_u) for r in records])
-    dw = (w[2:] - w[:-2]) / (t[2:] - t[:-2])
-    constant = 0.0
-    for deriv, denom in zip(dw, rhs[1:-1]):
-        if deriv <= 0.0:
-            continue
-        if denom <= 1e-300:
-            constant = float("inf")
-        else:
-            constant = max(constant, deriv / denom)
+    if cell := _first_cell((table < 0.0) & _ROOTED, table):
+        raise ValueError(f"negative record field {cell}")
+    w = np.log(E + r.gamma_norm)
+    dw = (w[2:] - w[:-2]) / (r.t[2:] - r.t[:-2])
+    denom = (np.sqrt(r.diss_u) + np.sqrt(r.diss_grad_u))[1:-1]
+    # a NaN derivative is not a falling one
+    rising = ~(dw <= 0.0)
+    if np.any(rising & (denom <= 1e-300)):
+        constant = math.inf
+    else:
+        constant = _max_positive(dw[rising] / denom[rising])
     return GammaLogReport(constant=constant, max_derivative=float(np.max(dw)) if dw.size else 0.0)
 
 
-def evaluate_checks(records: list[DiagnosticRecord], config: RunConfig,
+def evaluate_checks(records: list[DiagnosticRecord] | np.ndarray, config: RunConfig,
                     params: SystemParams | None) -> tuple[dict, list[str]]:
     """Every estimate check the series is long enough for, with the config's
     nu, eta, g1 and optional energy tolerance; params, when given, is checked
     against the theorem regime.
 
     Returns the measured values by name and the failure messages. A non-finite
-    record field fails the series outright; the constants fail when not finite
-    and the divergence residual above 1e-8.
+    record field fails the series outright, and a negative one, which no run
+    writes, raises ValueError; the constants fail when not finite and the
+    divergence residual above 1e-8.
     """
     report: dict = {}
     failures: list[str] = []
-    bad = [(name, r.t) for r in records for name in RECORD_FIELDS if not math.isfinite(getattr(r, name))]
-    if bad:
-        return report, [f"non-finite record field {bad[0][0]} at t={bad[0][1]}"]
-    if len(records) >= _MIN_ENERGY_RECORDS:
-        residual = energy_balance_residual(records, config.nu, config.eta)
+    table = _table(records)
+    if cell := _first_cell(~np.isfinite(table), table):
+        return report, [f"non-finite record field {cell}"]
+    if cell := _first_cell(table < 0.0, table):
+        raise ValueError(f"negative record field {cell}")
+    if len(table) >= _MIN_ENERGY_RECORDS:
+        residual = energy_balance_residual(table, config.nu, config.eta)
         report["energy_residual"] = residual
         if config.energy_tol is not None and residual > config.energy_tol:
             failures.append(f"energy residual {residual:.3e} > {config.energy_tol:.3e}")
-    if records:
-        gron = gronwall_bound_check(records, config.g1, params)
+    if len(table):
+        gron = gronwall_bound_check(table, config.g1, params)
         report["gronwall_constant"] = gron.constant
         if gron.warning:
             report["gronwall_warning"] = gron.warning
         if not math.isfinite(gron.constant):
             failures.append("gronwall constant is not finite")
-    if len(records) >= _MIN_GAMMA_RECORDS:
-        gamma = gamma_log_derivative_check(records).constant
+    if len(table) >= _MIN_GAMMA_RECORDS:
+        gamma = gamma_log_derivative_check(table).constant
         report["gamma_log_constant"] = gamma
         if not math.isfinite(gamma):
             failures.append("gamma log-derivative constant is not finite")
-    max_div = max((max(r.div_u, r.div_b) for r in records), default=0.0)
+    r = DiagnosticRecord._make(table.T)
+    max_div = float(np.max(np.maximum(r.div_u, r.div_b), initial=0.0))
     report["max_div"] = max_div
     if max_div > _SOLENOIDAL_TOL:
         failures.append(f"solenoidality residual {max_div:.3e} > {_SOLENOIDAL_TOL:.0e}")
@@ -493,23 +524,23 @@ def config_from_mapping(raw: dict[str, str]) -> RunConfig:
 def write_series(path: str, records: list[DiagnosticRecord]) -> None:
     lines = [",".join(RECORD_FIELDS)]
     for r in records:
-        lines.append(",".join(f"{getattr(r, name):.17e}" for name in RECORD_FIELDS))
+        lines.append(",".join(f"{value:.17e}" for value in r))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_series(path: str) -> list[DiagnosticRecord]:
+    """The records of a series file; ValueError for a missing header, no records,
+    a row without 16 fields or a cell that is not a number."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0].split(",") != RECORD_FIELDS:
         raise ValueError(f"missing or unexpected series header in {path}")
     if len(lines) < 2:
         raise ValueError(f"series {path} has no records")
-    records = []
-    for line in lines[1:]:
-        values = [float(v) for v in line.split(",")]
-        if len(values) != len(RECORD_FIELDS):
-            raise ValueError(f"series row in {path} has {len(values)} fields")
-        records.append(DiagnosticRecord(**dict(zip(RECORD_FIELDS, values))))
-    return records
+    rows = [line.split(",") for line in lines[1:]]
+    ragged = next((row for row in rows if len(row) != len(RECORD_FIELDS)), None)
+    if ragged is not None:
+        raise ValueError(f"series row in {path} has {len(ragged)} fields")
+    return list(map(DiagnosticRecord._make, np.array(rows, dtype=np.float64).tolist()))
 
 
 # ---------------------------------------------------------------------------

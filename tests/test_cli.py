@@ -124,6 +124,8 @@ EXIT_CONTRACT = {
     ("check", "bad_number"): (None, ["{series}", "--nu", "nan"], 2),
     ("check", "non_numeric_nu"): (None, ["{series}", "--nu", "abc"], 2),
     ("check", "check_failed"): (STRICT_CFG, ["{series}", "--config", "{cfg}"], 4),
+    ("check", "negative_record_value"): (None, ["{series}"], 2),
+    ("check", "unparsable_series_value"): (None, ["{series}"], 2),
     ("osgood", "ok"): (None, ["iterated_log"], 0),
     ("osgood", "unknown_g"): (None, ["mystery"], 2),
     ("osgood", "unknown_g_and_param"): (None, ["mystery", "foo=1"], 2),
@@ -133,6 +135,17 @@ EXIT_CONTRACT = {
     ("osgood", "param_named_kind"): (None, ["power", "kind=1"], 2),
     ("osgood", "tabulated_points_number"): (None, ["tabulated", "points=1"], 2),
 }
+# (command, failure mode) -> (field, value) written into a record of "{series}"
+SERIES_EDITS = {("check", "negative_record_value"): ("diss_u", "-1.0"),
+                ("check", "unparsable_series_value"): ("energy", "abc")}
+
+
+def set_series_cell(series, field, value, row=6):
+    lines = series.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[RECORD_FIELDS.index(field)] = value
+    lines[row] = ",".join(cells)
+    series.write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("command, mode", list(EXIT_CONTRACT), ids="-".join)
@@ -144,6 +157,8 @@ def test_exit_code_contract(command, mode, tmp_path, capsys, monkeypatch):
     if "{series}" in args:
         cfg.write_text(BASE_CFG + f"out.series = {series}\n")
         assert main(["run", str(cfg)]) == 0
+        if (command, mode) in SERIES_EDITS:
+            set_series_cell(series, *SERIES_EDITS[(command, mode)])
     if text is not None:
         cfg.write_text(text)
     argv = [command] + [a.format(cfg=cfg, series=series, missing=tmp_path / "missing") for a in args]
@@ -254,14 +269,25 @@ def test_check_non_finite_record_fails(field, value, extra, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE_CFG + f"out.series = {series}\n")
     assert main(["run", str(cfg)]) == 0
-    lines = series.read_text().splitlines()
-    row = lines[6].split(",")
-    row[RECORD_FIELDS.index(field)] = value
-    lines[6] = ",".join(row)
-    series.write_text("\n".join(lines) + "\n")
+    set_series_cell(series, field, value)
     capsys.readouterr()
     assert main(["check", str(series), *extra]) == 4
     assert f"non-finite record field {field} at t=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["t", "diss_u", "cum_diss", "div_b"])
+def test_check_negative_record_value_is_an_input_error(field, tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG + f"out.series = {series}\n")
+    assert main(["run", str(cfg)]) == 0
+    set_series_cell(series, field, "-0.5", row=4)
+    set_series_cell(series, field, "-1.0", row=9)
+    capsys.readouterr()
+    assert main(["check", str(series)]) == 2
+    err = capsys.readouterr().err
+    time = "-0.5" if field == "t" else "0.003"
+    assert err == f"config error: negative record field {field} at t={time}\n"
 
 
 def test_sweep(cfg_path, capsys):

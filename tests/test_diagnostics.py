@@ -1,7 +1,7 @@
 """Records, estimate checks, initial conditions, config parsing, runner."""
 
-import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +12,8 @@ from lmhd.diagnostics import (
     ConfigError,
     DiagnosticRecord,
     DiagnosticTracker,
+    GammaLogReport,
+    GronwallReport,
     RECORD_FIELDS,
     RunConfig,
     STATUS_BLOWUP,
@@ -20,6 +22,7 @@ from lmhd.diagnostics import (
     STATUS_OK,
     config_from_mapping,
     energy_balance_residual,
+    evaluate_checks,
     gamma_log_derivative_check,
     gronwall_bound_check,
     initial_condition,
@@ -31,7 +34,7 @@ from lmhd.diagnostics import (
 )
 from lmhd.dynamics import SolutionPair, SystemParams
 from lmhd.integrator import StepperConfig, run
-from lmhd.multiplier import DissipationSpec, GFunction, make_g
+from lmhd.multiplier import DissipationSpec, GFunction, make_g, partial_integral
 
 E = float(np.e)
 
@@ -183,7 +186,7 @@ class TestGammaLogDerivative:
         for i in range(60):
             r = make_record(zero, params, gamma=2.5, s=5.0,
                             prev=records[-1] if records else None)
-            records.append(dataclasses.replace(r, t=0.01 * i))
+            records.append(r._replace(t=0.01 * i))
         report = gamma_log_derivative_check(records)
         assert report.constant == 0.0
         assert report.max_derivative == 0.0
@@ -196,13 +199,192 @@ class TestGammaLogDerivative:
 
     def test_repeated_record_time_rejected(self):
         records, _ = linear_mode_tracker(t_end=0.1, dt=1e-3)
-        records[10] = dataclasses.replace(records[10], t=records[9].t)
+        records[10] = records[10]._replace(t=records[9].t)
         with pytest.raises(ValueError):
             gamma_log_derivative_check(records)
 
     def test_too_few_samples_rejected(self):
         records, _ = linear_mode_tracker(t_end=0.02, dt=1e-3)
         with pytest.raises(ValueError):
+            gamma_log_derivative_check(records)
+
+
+# The loop forms of the checks, one record at a time in Python floats, as the
+# checks were written before they became array expressions on the record table.
+
+def loop_energy_balance_residual(records, nu, eta):
+    if len(records) < 3:
+        raise ValueError("need at least 3 records")
+    e0 = records[0].energy
+    worst = 0.0
+    for r in records:
+        worst = max(worst, abs(r.energy - e0 + nu * r.cum_diss + eta * r.cum_diss_b))
+    return worst / max(e0, 1e-300)
+
+
+def loop_gronwall_bound_check(records, g1, params=None):
+    if not records:
+        raise ValueError("empty series")
+    x_norm = np.array([r.x_norm for r in records])
+    bad = np.flatnonzero(~np.isfinite(x_norm))
+    if bad.size:
+        raise ValueError(f"x_norm is not finite at record {bad[0]} (t={records[bad[0]].t})")
+    warning = None
+    if params is not None and not params.theorem_regime():
+        warning = "parameters are outside the theorem regime (need nu>0, eta=0, alpha>=1+N/2)"
+    f0, *f = partial_integral(g1, E + x_norm).tolist()
+    constant = 0.0
+    for r, fr in zip(records[1:], f):
+        lhs = fr - f0
+        rhs = (r.t - records[0].t) + r.cum_diss
+        if rhs > 0.0:
+            constant = max(constant, lhs / rhs)
+    return GronwallReport(constant=constant, warning=warning)
+
+
+def loop_gamma_log_derivative_check(records):
+    if len(records) < 50:
+        raise ValueError("cadence too coarse: need at least 50 records")
+    t = np.array([r.t for r in records])
+    if np.any(np.diff(t) <= 0.0):
+        raise ValueError("record times must be strictly increasing")
+    w = np.log(E + np.array([r.gamma_norm for r in records]))
+    rhs = np.array([math.sqrt(r.diss_u) + math.sqrt(r.diss_grad_u) for r in records])
+    dw = (w[2:] - w[:-2]) / (t[2:] - t[:-2])
+    constant = 0.0
+    for deriv, denom in zip(dw, rhs[1:-1]):
+        if deriv <= 0.0:
+            continue
+        if denom <= 1e-300:
+            constant = float("inf")
+        else:
+            constant = max(constant, deriv / denom)
+    return GammaLogReport(constant=constant, max_derivative=float(np.max(dw)) if dw.size else 0.0)
+
+
+def loop_evaluate_checks(records, config, params):
+    report, failures = {}, []
+    bad = [(name, r.t) for r in records for name in RECORD_FIELDS if not math.isfinite(getattr(r, name))]
+    if bad:
+        return report, [f"non-finite record field {bad[0][0]} at t={bad[0][1]}"]
+    if len(records) >= 3:
+        residual = loop_energy_balance_residual(records, config.nu, config.eta)
+        report["energy_residual"] = residual
+        if config.energy_tol is not None and residual > config.energy_tol:
+            failures.append(f"energy residual {residual:.3e} > {config.energy_tol:.3e}")
+    if records:
+        gron = loop_gronwall_bound_check(records, config.g1, params)
+        report["gronwall_constant"] = gron.constant
+        if gron.warning:
+            report["gronwall_warning"] = gron.warning
+        if not math.isfinite(gron.constant):
+            failures.append("gronwall constant is not finite")
+    if len(records) >= 50:
+        gamma = loop_gamma_log_derivative_check(records).constant
+        report["gamma_log_constant"] = gamma
+        if not math.isfinite(gamma):
+            failures.append("gamma log-derivative constant is not finite")
+    max_div = max((max(r.div_u, r.div_b) for r in records), default=0.0)
+    report["max_div"] = max_div
+    if max_div > 1e-8:
+        failures.append(f"solenoidality residual {max_div:.3e} > 1e-08")
+    return report, failures
+
+
+def outcome(check, *args):
+    """What a check returns, or the ValueError it raises, as comparable values."""
+    try:
+        result = check(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return result
+
+
+def same_bits(a, b):
+    """Equal values bit for bit, walking tuples, lists, dicts and report dataclasses;
+    any NaN equals any NaN."""
+    if isinstance(a, (GronwallReport, GammaLogReport)):
+        return type(a) is type(b) and same_bits(vars(a), vars(b))
+    if isinstance(a, dict):
+        return type(b) is dict and a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+    if isinstance(a, float):
+        return isinstance(b, float) and (np.float64(a).tobytes() == np.float64(b).tobytes()
+                                         or (math.isnan(a) and math.isnan(b)))
+    return a == b
+
+
+@st.composite
+def record_tables(draw):
+    """(records, 16) tables of non-negative fields: uneven increasing times (or
+    free times, which give the Gronwall check rows with rhs <= 0), non-monotone
+    norms over several decades, rows of zero dissipation, which send the gamma
+    check to its infinite branch, and NaN/inf cells at random positions."""
+    # half the series are long enough for the gamma check
+    n = draw(st.one_of(st.integers(1, 49), st.integers(50, 80)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = 10.0 ** rng.uniform(-3.0, 4.0, (n, len(RECORD_FIELDS)))
+    col = {name: i for i, name in enumerate(RECORD_FIELDS)}
+    if draw(st.booleans()):
+        table[:, col["t"]] = rng.uniform(0.0, 1.0) + np.cumsum(rng.uniform(1e-3, 1.0, n))
+    else:
+        # free times, some repeating the first, which give rhs = 0 in zero-dissipation rows
+        table[:, col["t"]] = rng.uniform(0.0, 2.0, n)
+        table[rng.random(n) < 0.2, col["t"]] = table[0, col["t"]]
+    zero = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    table[np.ix_(zero, [col["diss_u"], col["diss_grad_u"], col["cum_diss"]])] = 0.0
+    table[:, [col["div_u"], col["div_b"]]] *= 10.0 ** draw(st.sampled_from([-16, -8, 0]))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        table[rng.integers(n), rng.integers(len(RECORD_FIELDS))] = rng.choice([np.nan, np.inf])
+    return table
+
+
+class TestChecksOnTables:
+    @settings(max_examples=150, deadline=None)
+    @given(record_tables(), st.sampled_from(GRONWALL_KINDS), st.sampled_from([0.0, 0.05, 1.0]),
+           st.sampled_from([0.0, 0.5]), st.sampled_from([None, 1e-3]), st.booleans())
+    def test_table_checks_equal_their_loop_forms(self, table, g, nu, eta, energy_tol, with_params):
+        records = [DiagnosticRecord(*row) for row in table.tolist()]
+        config = RunConfig(nu=nu, eta=eta, g1=g, energy_tol=energy_tol)
+        params = config.system_params() if with_params else None
+        pairs = [(energy_balance_residual, loop_energy_balance_residual, (nu, eta)),
+                 (gronwall_bound_check, loop_gronwall_bound_check, (g, params)),
+                 (gamma_log_derivative_check, loop_gamma_log_derivative_check, ()),
+                 (evaluate_checks, loop_evaluate_checks, (config, params))]
+        # non-finite cells give numpy's invalid-value warnings in both forms;
+        # finite tables must give none, and warnings fail the test
+        with np.errstate(all=None if np.all(np.isfinite(table)) else "ignore"):
+            for check, loop, args in pairs:
+                expected = outcome(loop, records, *args)
+                for form in (records, table):
+                    assert same_bits(outcome(check, form, *args), expected), check.__name__
+
+    def test_zero_dissipation_where_the_log_rises_gives_inf(self):
+        t = np.linspace(0.0, 1.0, 60)
+        records = [DiagnosticRecord(*[0.0] * len(RECORD_FIELDS))._replace(t=ti, gamma_norm=ti) for ti in t]
+        assert gamma_log_derivative_check(records).constant == math.inf
+
+    def test_nan_derivative_where_the_bound_vanishes_gives_inf(self):
+        # a NaN derivative is not a falling one, so in the loop form it meets
+        # the zero bound of these records as a rising one does
+        records = synthetic_records(np.linspace(0.0, 1.0, 60), np.ones(60))
+        records[5] = records[5]._replace(gamma_norm=math.nan)
+        assert gamma_log_derivative_check(records).constant == math.inf
+        assert loop_gamma_log_derivative_check(records).constant == math.inf
+
+    @pytest.mark.parametrize("n", [1, 3, 49, 50])
+    def test_negative_field_rejected_at_any_length(self, n):
+        for field in RECORD_FIELDS:
+            records = synthetic_records(np.linspace(0.0, 1.0, n), np.ones(n))
+            records[-1] = records[-1]._replace(**{field: -1.0})
+            with pytest.raises(ValueError, match=f"negative record field {field} at t="):
+                evaluate_checks(records, RunConfig(), None)
+
+    def test_negative_dissipation_rejected_by_the_gamma_check(self):
+        records = synthetic_records(np.linspace(0.0, 1.0, 60), np.ones(60))
+        records[7] = records[7]._replace(diss_grad_u=-1e-12)
+        with pytest.raises(ValueError, match="negative record field diss_grad_u at t="):
             gamma_log_derivative_check(records)
 
 
@@ -363,6 +545,43 @@ class TestSeriesIO:
             path.write_text(text)
             with pytest.raises(ValueError):
                 read_series(str(path))
+
+    @staticmethod
+    def written_rows(tmp_path):
+        records, _ = linear_mode_tracker(t_end=0.005, dt=1e-3)
+        path = tmp_path / "series.csv"
+        write_series(str(path), records)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:3] + [rows[3].replace(rows[3].split(",")[1], "abc")] + rows[4:],
+         "could not convert string to float: 'abc'"),
+        (lambda rows: rows[:3] + [""] + rows[3:], "has 1 fields"),
+        (lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]] + rows[4:], "has 15 fields"),
+        (lambda rows: rows[:3] + [rows[3] + ",0.0"] + rows[4:], "has 17 fields"),
+    ], ids=["unparsable_cell", "interior_blank_line", "15_fields", "17_fields"])
+    def test_malformed_body_rejected(self, tmp_path, edit, message):
+        path, rows = self.written_rows(tmp_path)
+        path.write_text("\n".join(edit(rows)) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_series(str(path))
+
+    def test_non_finite_cells_parse(self, tmp_path):
+        path, rows = self.written_rows(tmp_path)
+        cells = rows[2].split(",")
+        cells[1:4] = ["nan", "inf", "-inf"]
+        path.write_text("\n".join(rows[:2] + [",".join(cells)] + rows[3:]) + "\n")
+        record = read_series(str(path))[1]
+        assert np.isnan(record.energy) and record.diss_u == np.inf and record.diss_b == -np.inf
+
+    def test_record_is_a_row_of_its_table(self, tmp_path):
+        path, _ = self.written_rows(tmp_path)
+        records = read_series(str(path))
+        table = np.asarray(records, dtype=np.float64)
+        assert table.shape == (len(records), len(RECORD_FIELDS))
+        columns = DiagnosticRecord._make(table.T)
+        for name in RECORD_FIELDS:
+            assert getattr(columns, name).tolist() == [getattr(r, name) for r in records]
 
 
 class TestRunExperiment:

@@ -5,7 +5,6 @@ cached band operator, the out-of-band guard of the stepper, the state
 storage, the snapshot format and the config parser on random 2D/3D grids,
 fields and inputs."""
 
-import dataclasses
 import math
 import struct
 
@@ -160,8 +159,7 @@ def test_record_of_a_band_pair_equals_record_of_its_full_spectrum(grid, seed, di
     pair = SolutionPair.from_band(grid, state_band(random_pair(grid, seed)), time)
     band_record = make_record(pair, params, gamma=2.5, s=5.0)
     full_record = make_record(SolutionPair.from_array(grid, pair.data.copy(), time), params, gamma=2.5, s=5.0)
-    assert (np.array(dataclasses.astuple(band_record)).tobytes()
-            == np.array(dataclasses.astuple(full_record)).tobytes())
+    assert np.array(band_record).tobytes() == np.array(full_record).tobytes()
 
 
 @property_settings
