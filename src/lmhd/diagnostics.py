@@ -615,17 +615,20 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
             snapshots(step_index, state)
 
     wall_start = time.perf_counter()
+    records = tracker.records
     try:
         final_state = run(state0, params, stepper, observer=observer)
     except BlowupError as exc:
-        summary = {"blowup_time": exc.time, "blowup_step": exc.step}
-        result = ExperimentResult(STATUS_BLOWUP, tracker.records, summary, message=str(exc))
-        if config.out_series and tracker.records:
-            write_series(config.out_series, tracker.records)
-        return result
+        # the records written so far, and why the run stopped, for the summary file too
+        summary = {"blowup_time": exc.time, "blowup_step": exc.step, "steps": steps_taken,
+                   "records": len(records), "wall_time_s": time.perf_counter() - wall_start}
+        report, failures = evaluate_checks(records, config, params)
+        summary.update(report)
+        _write_outputs(config, records, summary, snapshots)
+        return ExperimentResult(STATUS_BLOWUP, records, summary,
+                                message="; ".join([str(exc), *failures]))
 
-    records = tracker.records
-    summary: dict = {
+    summary = {
         "steps": steps_taken,
         "records": len(records),
         "wall_time_s": time.perf_counter() - wall_start,
@@ -637,12 +640,18 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     }
     report, failures = evaluate_checks(records, config, params)
     summary.update(report)
-
-    if config.out_series:
-        write_series(config.out_series, records)
-        Path(config.out_series + ".summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    if snapshots is not None:
-        summary["snapshots"] = snapshots.written
+    _write_outputs(config, records, summary, snapshots)
 
     status = STATUS_CHECK_FAILED if failures else STATUS_OK
     return ExperimentResult(status, records, summary, final_state, message="; ".join(failures))
+
+
+def _write_outputs(config: RunConfig, records: list[DiagnosticRecord], summary: dict,
+                   snapshots: _SnapshotObserver | None) -> None:
+    """Add the written snapshot paths to the summary, then write the series and
+    `<series>.summary.json`, which equals `lmhd run` stdout less `status`."""
+    if snapshots is not None:
+        summary["snapshots"] = snapshots.written
+    if config.out_series:
+        write_series(config.out_series, records)
+        Path(config.out_series + ".summary.json").write_text(json.dumps(summary, indent=2) + "\n")

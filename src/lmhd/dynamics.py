@@ -19,6 +19,12 @@ projection are a fixed linear map of the products' band spectra, so
 `band_operator` builds it once per grid, at the grid's first tendency, and
 `tendency` applies it as two contractions.  `SolutionPair.from_band` keeps
 a band and expands it, the one place that does, when `data` is first read.
+
+Only dim^2 - 1 products are transformed: the antisymmetric ones and the
+symmetric stress S = b (x) b - u (x) u less its last diagonal entry times the
+identity, S - S_dd I with d = dim - 1, whose last diagonal entry is zero.
+This is exact for any state, solenoidal or not: div(S_dd I) = grad S_dd is a
+gradient, which the Leray projection removes, as the pressure absorbs it.
 """
 
 from __future__ import annotations
@@ -102,8 +108,9 @@ class SystemParams:
         )
 
 
-# (i, j) index pairs of the symmetric (i <= j) and antisymmetric (i < j) products, per dim
-_PRODUCT_PAIRS = {dim: (tuple(combinations_with_replacement(range(dim), 2)),
+# (i, j) index pairs of the transformed symmetric (i <= j, all but the last
+# diagonal (d, d)) and antisymmetric (i < j) products, per dim
+_PRODUCT_PAIRS = {dim: (tuple(combinations_with_replacement(range(dim), 2))[:-1],
                         tuple(combinations(range(dim), 2))) for dim in (2, 3)}
 
 
@@ -111,11 +118,12 @@ _PRODUCT_PAIRS = {dim: (tuple(combinations_with_replacement(range(dim), 2)),
 def band_operator(grid: sp.Grid) -> tuple[np.ndarray, np.ndarray]:
     """The linear map from the band spectra of the products to the band tendency.
 
-    d_u, shape (dim, n_sym, *grid.band_shape), is the Leray projection of the
-    stencil i k_j at component i and i k_i at component j of each symmetric
-    product (i, j); d_b, shape (dim, n_anti, *grid.band_shape), is i k_j at
-    component i and -i k_i at component j of each antisymmetric product.  Both
-    are built at the first call for a grid, cached and shared, so read-only.
+    d_u, shape (dim, dim(dim+1)/2 - 1, *grid.band_shape), is the Leray
+    projection of the stencil i k_j at component i and i k_i at component j of
+    each symmetric product (i, j) but (d, d); d_b, shape (dim, dim(dim-1)/2,
+    *grid.band_shape), is i k_j at component i and -i k_i at component j of
+    each antisymmetric product.  Both are built at the first call for a grid,
+    cached and shared, so read-only.
     """
     sym, anti = _PRODUCT_PAIRS[grid.dim]
     ik = 1j * grid.band_kmesh
@@ -136,26 +144,33 @@ def tendency(band: np.ndarray, grid: sp.Grid) -> np.ndarray:
 
     `band` is `sp.to_band` of a state array, shape (2, dim, *grid.band_shape),
     and so is the result.  du_i = P d_j(b_j b_i - u_j u_i) and
-    db_i = d_j(b_j u_i - u_j b_i): one pruned inverse forms u and b, only the
-    dim(dim+1)/2 symmetric and dim(dim-1)/2 antisymmetric products go through
-    one pruned forward transform, whose band gather is the 2/3 dealiasing, and
-    the divergence and the Leray projection are one contraction of their
-    spectra with each block of the cached `band_operator`.  db is solenoidal
-    by antisymmetry.  This is the stepper's hot path; `nonlinear_tendency`
-    wraps it for a SolutionPair.
+    db_i = d_j(b_j u_i - u_j b_i): one pruned inverse forms u and b, one
+    pruned forward transform, whose band gather is the 2/3 dealiasing, takes
+    the dim^2 - 1 products (S - S_dd I but its zero (d, d) entry, and the
+    antisymmetric ones; see the module docstring), and the divergence and the
+    Leray projection are one contraction of their spectra with each block of
+    the cached `band_operator`.  db is solenoidal by antisymmetry.  This is
+    the stepper's hot path; `nonlinear_tendency` wraps it for a SolutionPair.
     """
     sym, anti = _PRODUCT_PAIRS[grid.dim]
     d_u, d_b = band_operator(grid)
+    d = grid.dim - 1
     # overflow here is a blow-up in progress; the stepper detects it after
     # the step rather than warning mid-evaluation
     with np.errstate(over="ignore", invalid="ignore"):
         u, b = sp.band_to_physical(band, grid)
-        # filled in place: np.stack of the products costs about as much as the FFTs at 128^2
+        s_dd = b[d] * b[d]
+        s_dd -= u[d] * u[d]
+        # filled in place, one temporary per product and no stacking copy
         products = np.empty((len(sym) + len(anti),) + grid.shape)
         for p, (i, j) in enumerate(sym):
-            np.subtract(b[i] * b[j], u[i] * u[j], out=products[p])
+            np.multiply(b[i], b[j], out=products[p])
+            products[p] -= u[i] * u[j]
+            if i == j:
+                products[p] -= s_dd
         for p, (i, j) in enumerate(anti, len(sym)):
-            np.subtract(b[j] * u[i], u[j] * b[i], out=products[p])
+            np.multiply(b[j], u[i], out=products[p])
+            products[p] -= u[j] * b[i]
         spec = sp.physical_to_band(products, grid)
 
         out = np.empty_like(band)

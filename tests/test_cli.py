@@ -206,6 +206,20 @@ def test_run_writes_series_then_check(cfg_path, tmp_path, capsys):
     assert "gronwall_constant" in report
 
 
+@pytest.mark.parametrize("text", [BASE_CFG, BLOWUP_CFG], ids=["ok", "blowup"])
+def test_run_summary_file_is_stdout_without_status(tmp_path, capsys, text):
+    """<series>.summary.json holds what lmhd run prints, snapshot paths included, but `status`."""
+    series, cfg = tmp_path / "series.csv", tmp_path / "run.cfg"
+    cfg.write_text(text + f"out.series = {series}\nout.snapshots = {tmp_path / 'snap'}\n"
+                   "out.snapshot_times = 0.0,0.01\n")
+    code = main(["run", str(cfg)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == (0 if text is BASE_CFG else 3)
+    assert out.pop("status") == ("ok" if code == 0 else "blowup")
+    assert json.loads(Path(f"{series}.summary.json").read_text()) == out
+    assert out["snapshots"] and all(Path(path).exists() for path in out["snapshots"])
+
+
 def test_run_and_check_report_identical_constants(tmp_path, capsys):
     series = tmp_path / "series.csv"
     cfg = tmp_path / "long.cfg"

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -638,17 +639,32 @@ class TestRunExperiment:
             result = run_experiment(config_from_mapping({"grid.points": "16", key: value}))
             assert result.status == STATUS_CONFIG_ERROR and result.exit_code == 2
 
-    def test_blowup_status(self):
-        cfg = config_from_mapping({
-            "grid.points": "16",
-            "params.nu": "0.0",
-            "stepper.dt": "5.0",
-            "stepper.t_end": "1000.0",
-            "ic.name": "orszag_tang_2d",
-        })
-        result = run_experiment(cfg)
-        assert result.status == STATUS_BLOWUP and result.exit_code == 3
-        assert "blowup_time" in result.summary
+    def test_blowup_status(self, tmp_path):
+        # the summary file says why the run stopped; cadence 1 records the
+        # overflowing state before the blow-up step, cadence 3 only the first
+        for cadence, records in ((1, 3), (3, 1)):
+            series = tmp_path / f"cadence{cadence}.csv"
+            cfg = config_from_mapping({
+                "grid.points": "16",
+                "params.nu": "0.0",
+                "stepper.dt": "5.0",
+                "stepper.t_end": "1000.0",
+                "ic.name": "orszag_tang_2d",
+                "diag.cadence": str(cadence),
+                "out.series": str(series),
+            })
+            result = run_experiment(cfg)
+            assert result.status == STATUS_BLOWUP and result.exit_code == 3
+            summary = json.loads(Path(f"{series}.summary.json").read_text())
+            assert summary == result.summary
+            assert summary["blowup_time"] == 15.0 and summary["blowup_step"] == 3
+            assert summary["steps"] == 2 and summary["wall_time_s"] > 0.0
+            assert summary["records"] == len(read_series(str(series))) == records
+            report, failures = evaluate_checks(result.records, cfg, cfg.system_params())
+            assert {key: summary[key] for key in report} == report
+            assert bool(report) == (records == 1)
+            assert result.message == "; ".join(["non-finite coefficients at t=15.0 (step 3)",
+                                                *failures])
 
     def test_energy_tolerance_failure(self):
         cfg = config_from_mapping({

@@ -8,8 +8,10 @@ from lmhd import spectral as sp
 from lmhd.dynamics import (
     SolutionPair,
     SystemParams,
+    band_operator,
     energy_flux_identity,
     nonlinear_tendency,
+    tendency,
 )
 from lmhd.multiplier import DissipationSpec, apply_dissipation, make_g
 from lmhd.spectral import SpectralField, VectorField
@@ -142,6 +144,26 @@ class TestNonlinearTendency:
         du, db = nonlinear_tendency(state)
         assert sp.solenoidal_residual(du) <= 1e-12
         assert sp.solenoidal_residual(db) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, points, fields", [(2, 16, 3), (3, 8, 8)])
+def test_tendency_forward_transforms_dim_squared_less_one_fields(monkeypatch, dim, points, fields):
+    """One tendency forward-transforms the dim^2 - 1 products the projected
+    divergence needs: the isotropic part of the stress is a gradient that P
+    removes, so a return to transforming the whole stress fails here."""
+    grid = sp.make_grid(dim, points)
+    state = SolutionPair(random_solenoidal(grid, 5), random_solenoidal(grid, 6))
+    calls = []
+    original = sp.physical_to_band
+
+    def counted(samples, grid):
+        calls.append(len(samples))
+        return original(samples, grid)
+
+    monkeypatch.setattr(sp, "physical_to_band", counted)
+    tendency(sp.to_band(state.data, grid), grid)
+    assert calls == [fields] == [dim * dim - 1]
+    assert band_operator(grid)[0].shape[:2] == (dim, dim * (dim + 1) // 2 - 1)
 
 
 class TestFullTendency:
