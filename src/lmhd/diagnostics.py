@@ -26,10 +26,10 @@ from .multiplier import (
     E,
     DissipationSpec,
     GFunction,
+    band_symbol,
     make_g,
     osgood_classify,
     partial_integral,
-    symbol_on_grid,
 )
 
 
@@ -63,31 +63,53 @@ class DiagnosticRecord(NamedTuple):
 RECORD_FIELDS = list(DiagnosticRecord._fields)
 
 
+class RecordWeights(NamedTuple):
+    """The factors of a record that do not read the state, on the band of one
+    grid: m(|k|)^2 of u and b, and (|k|^2)^order for the orders 1, s and gamma
+    of x_norm, y_norm and gamma_norm."""
+
+    m_u2: np.ndarray
+    m_b2: np.ndarray
+    k_powers: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def record_weights(grid: sp.Grid, params: SystemParams, gamma: float, s: float) -> RecordWeights:
+    """The weights of every record of a run; a weight that overflows is kept as inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_u, m_b = (band_symbol(d, grid) for d in (params.diss_u, params.diss_b))
+        # |k|^(2 order) = (|k|^2)^order
+        k_powers = tuple(sp.radial_power(grid.band_k_squared, order) for order in (1.0, s, gamma))
+        return RecordWeights(m_u**2, m_b**2, k_powers)
+
+
 def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: float,
-                prev: DiagnosticRecord | None = None) -> DiagnosticRecord:
+                prev: DiagnosticRecord | None = None, *,
+                weights: RecordWeights | None = None) -> DiagnosticRecord:
     """Compute one snapshot from the state's band; cumulative integrals continue
-    from prev.  ValueError for a state with a nonzero coefficient outside the band.
+    from prev.  `weights` is `record_weights` of the state's grid and these
+    params, gamma and s, built here when not given.  ValueError for a state
+    with a nonzero coefficient outside the band.
 
     Norms of a state that is about to blow up may overflow to inf; the
     record keeps them rather than warning.
     """
     grid, band = state.grid, state_band(state)
     with np.errstate(over="ignore", invalid="ignore"):
-        # Parseval on the band: grid.band_parseval counts the mirror -k of columns 1..kc
-        power_u, power_b = (grid.band_parseval * sp.mode_power(c) for c in band)
+        if weights is None:
+            weights = record_weights(grid, params, gamma, s)
+        # sp.mode_power of u and b in one pass; grid.band_parseval counts the
+        # mirror -k of columns 1..kc
+        power_u, power_b = grid.band_parseval * (
+            sp.BOX_LENGTH ** grid.dim * np.sum(band.real**2 + band.imag**2, axis=1))
         power = power_u + power_b
-        m_u, m_b = (sp.to_band(symbol_on_grid(d, grid), grid) for d in (params.diss_u, params.diss_b))
-        l_u_density = m_u**2 * power_u
+        l_u_density = weights.m_u2 * power_u
 
         energy = 0.5 * float(np.sum(power))
         diss_u = float(np.sum(l_u_density))
-        diss_b = float(np.sum(m_b**2 * power_b))
+        diss_b = float(np.sum(weights.m_b2 * power_b))
         # sum_j |m k_j u_hat|^2 = m^2 |k|^2 |u_hat|^2
         diss_grad_u = float(np.sum(grid.band_k_squared * l_u_density))
-        # |k|^(2 order) = (|k|^2)^order
-        x_norm, y_norm, gamma_norm = (
-            float(np.sum(sp.radial_power(grid.band_k_squared, order) * power)) for order in (1.0, s, gamma)
-        )
+        x_norm, y_norm, gamma_norm = (float(np.sum(w * power)) for w in weights.k_powers)
 
         grad_u_inf = float(np.max(np.abs(sp.band_to_physical(sp.gradient_array(band[0], grid), grid))))
         split_low, split_high = split_terms(params.diss_u, E + x_norm, diss_u, diss_grad_u)
@@ -126,7 +148,9 @@ def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: floa
 
 
 class DiagnosticTracker:
-    """Observer that appends a record every `cadence` steps."""
+    """Observer that appends a record every `cadence` steps to the records of
+    one run, whose states share a grid; it builds the record weights at its
+    first record."""
 
     def __init__(self, params: SystemParams, gamma: float, s: float, cadence: int = 1):
         if cadence < 1:
@@ -136,11 +160,15 @@ class DiagnosticTracker:
         self.s = s
         self.cadence = cadence
         self.records: list[DiagnosticRecord] = []
+        self._weights: RecordWeights | None = None
 
     def __call__(self, step_index: int, state: SolutionPair) -> None:
         if step_index % self.cadence == 0:
+            if self._weights is None:
+                self._weights = record_weights(state.grid, self.params, self.gamma, self.s)
             prev = self.records[-1] if self.records else None
-            self.records.append(make_record(state, self.params, self.gamma, self.s, prev))
+            self.records.append(make_record(state, self.params, self.gamma, self.s, prev,
+                                            weights=self._weights))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +650,14 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         # the records written so far, and why the run stopped, for the summary file too
         summary = {"blowup_time": exc.time, "blowup_step": exc.step, "steps": steps_taken,
                    "records": len(records), "wall_time_s": time.perf_counter() - wall_start}
-        report, failures = evaluate_checks(records, config, params)
+        # the state before a blow-up often overflows a norm: check the records before the
+        # first non-finite one, and name that field
+        table = _table(records)
+        nonfinite = ~np.isfinite(table)
+        checked = table[~np.logical_or.accumulate(nonfinite.any(axis=1))]
+        report, failures = evaluate_checks(checked, config, params) if len(checked) else ({}, [])
+        if cell := _first_cell(nonfinite, table):
+            failures.insert(0, f"non-finite record field {cell}")
         summary.update(report)
         _write_outputs(config, records, summary, snapshots)
         return ExperimentResult(STATUS_BLOWUP, records, summary,

@@ -173,9 +173,12 @@ def tendency(band: np.ndarray, grid: sp.Grid) -> np.ndarray:
             products[p] -= u[j] * b[i]
         spec = sp.physical_to_band(products, grid)
 
+        # each block's sum over products, in product order, accumulated in place
         out = np.empty_like(band)
-        np.sum(d_u * spec[None, :len(sym)], axis=1, out=out[0])
-        np.sum(d_b * spec[None, len(sym):], axis=1, out=out[1])
+        for field, op, spectra in ((out[0], d_u, spec[:len(sym)]), (out[1], d_b, spec[len(sym):])):
+            np.multiply(op[:, 0], spectra[0], out=field)
+            for p in range(1, len(spectra)):
+                field += op[:, p] * spectra[p]
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import spectral as sp
 from .dynamics import SolutionPair, SystemParams, state_band, tendency
-from .multiplier import symbol_on_grid
+from .multiplier import band_symbol
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class BlowupError(RuntimeError):
 
 def _decay_rates(params: SystemParams, grid: sp.Grid) -> np.ndarray:
     """coefficient * m(|k|)^2 for both fields on the band, stacked like the state."""
-    return np.stack([spec.coefficient * sp.to_band(symbol_on_grid(spec, grid), grid) ** 2
+    return np.stack([spec.coefficient * band_symbol(spec, grid) ** 2
                      for spec in (params.diss_u, params.diss_b)])[:, None]
 
 

@@ -187,6 +187,12 @@ def symbol_on_grid(spec: DissipationSpec, grid: Grid) -> np.ndarray:
     return out
 
 
+def band_symbol(spec: DissipationSpec, grid: Grid) -> np.ndarray:
+    """Symbol at the band radii sqrt(grid.band_k_squared), bit for bit
+    `to_band(symbol_on_grid(spec, grid))`; a new array per call, not cached."""
+    return symbol(spec, np.sqrt(grid.band_k_squared))
+
+
 def apply_L(v: VectorField, spec: DissipationSpec) -> VectorField:
     """Multiply each coefficient by the unsquared symbol m(|k|)."""
     m = symbol_on_grid(spec, v.grid)

@@ -440,7 +440,9 @@ def write_snapshot(path: str, fields: list[SpectralField]) -> None:
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<IIII", SNAPSHOT_VERSION, grid.dim, grid.points, len(fields)))
-        fh.write(np.stack([f.coeffs for f in fields]).astype("<c16").tobytes())
+        # one field at a time, with no copy of a contiguous little-endian field
+        for f in fields:
+            fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16"))
 
 
 def read_snapshot(path: str) -> list[SpectralField]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmhd import spectral as sp
+from lmhd import diagnostics, integrator, multiplier, spectral as sp
 from lmhd.diagnostics import (
     ConfigError,
     DiagnosticRecord,
@@ -660,11 +660,42 @@ class TestRunExperiment:
             assert summary["blowup_time"] == 15.0 and summary["blowup_step"] == 3
             assert summary["steps"] == 2 and summary["wall_time_s"] > 0.0
             assert summary["records"] == len(read_series(str(series))) == records
-            report, failures = evaluate_checks(result.records, cfg, cfg.system_params())
+            # the checks see the records before the first non-finite one: at cadence 1
+            # the record at t = 10 holds an overflowed y_norm, and 2 records are checked
+            finite = [r for r in result.records if np.all(np.isfinite(r))]
+            assert len(finite) == (2 if records == 3 else 1)
+            report, failures = evaluate_checks(finite, cfg, cfg.system_params())
             assert {key: summary[key] for key in report} == report
-            assert bool(report) == (records == 1)
+            assert math.isfinite(summary["gronwall_constant"]) and summary["max_div"] <= 1e-12
+            assert "energy_residual" not in summary  # 3 records needed
+            nonfinite = ["non-finite record field y_norm at t=10.0"] if records == 3 else []
             assert result.message == "; ".join(["non-finite coefficients at t=15.0 (step 3)",
-                                                *failures])
+                                                *nonfinite, *failures])
+
+    @pytest.mark.parametrize("t_end", [0.009, 0.019])
+    def test_weights_are_built_once_per_run(self, monkeypatch, t_end):
+        # 10 or 20 records: the symbols and Sobolev weights are built the same
+        # number of times, the decay rates' two symbols and the tracker's table
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (diagnostics, integrator):
+            counted(module, "band_symbol")
+        for module in (sp, multiplier):
+            counted(module, "radial_power")
+        result = run_experiment(config_from_mapping({"grid.points": "16", "stepper.dt": "0.001",
+                                                     "stepper.t_end": str(t_end)}))
+        assert result.status == STATUS_OK and len(result.records) == round(t_end * 1000) + 1
+        # radial_power: the 3 Sobolev weights and 1 per band_symbol
+        assert sorted(calls) == ["band_symbol"] * 4 + ["radial_power"] * 7
 
     def test_energy_tolerance_failure(self):
         cfg = config_from_mapping({

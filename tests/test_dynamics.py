@@ -166,6 +166,31 @@ def test_tendency_forward_transforms_dim_squared_less_one_fields(monkeypatch, di
     assert band_operator(grid)[0].shape[:2] == (dim, dim * (dim + 1) // 2 - 1)
 
 
+@pytest.mark.parametrize("dim, points", [(2, 16), (2, 32), (3, 8), (3, 16)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tendency_contraction_equals_stacked_sum(monkeypatch, dim, points, seed):
+    """The in-place accumulation over each operator block gives the values of
+    one np.sum over the stacked products of the block with the spectra."""
+    grid = sp.make_grid(dim, points)
+    rng = np.random.default_rng(seed)
+    state = SolutionPair(random_solenoidal(grid, seed), random_solenoidal(grid, seed + 7))
+    band = sp.to_band(state.data, grid)
+    band *= rng.uniform(0.5, 2.0)
+    spectra = []
+    original = sp.physical_to_band
+
+    def kept(samples, grid):
+        spectra.append(original(samples, grid))
+        return spectra[-1]
+
+    monkeypatch.setattr(sp, "physical_to_band", kept)
+    got = tendency(band, grid)
+    d_u, d_b = band_operator(grid)
+    spec, n = spectra[0], d_u.shape[1]
+    expected = np.stack([np.sum(d_u * spec[None, :n], axis=1), np.sum(d_b * spec[None, n:], axis=1)])
+    assert np.array_equal(got, expected)
+
+
 class TestFullTendency:
     def test_single_shear_mode_closed_form(self, grid32):
         # u = (sin x2, 0) built exactly in spectral space: the

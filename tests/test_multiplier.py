@@ -12,10 +12,12 @@ from lmhd.multiplier import (
     GFunction,
     apply_L,
     apply_dissipation,
+    band_symbol,
     make_g,
     osgood_classify,
     partial_integral,
     symbol,
+    symbol_on_grid,
 )
 from lmhd.spectral import SpectralField, VectorField
 
@@ -329,3 +331,15 @@ class TestPartialIntegral:
         f = partial_integral(g, x)
         exact = (np.log(np.log(x)) - np.log(np.log(x[0]))) / 4.0
         np.testing.assert_allclose(f - f[0], exact, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("g", CATALOG + [make_g("spiky", period=0.2, height=1.5)], ids=repr)
+@pytest.mark.parametrize("dim, points", [(2, 16), (2, 64), (3, 16)])
+def test_band_symbol_is_the_band_of_the_grid_symbol(g, dim, points):
+    # the spiky g with period 0.2 and height 1.5 jumps at |k| ~ 4.8, inside every band here
+    grid = sp.make_grid(dim, points)
+    spec = DissipationSpec(0.7, 2.5, g)
+    expected = sp.to_band(symbol_on_grid(spec, grid), grid)
+    got = band_symbol(spec, grid)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert band_symbol(spec, grid) is not got

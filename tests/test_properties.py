@@ -13,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lmhd import spectral as sp
-from lmhd.diagnostics import _CONFIG_KEYS, ConfigError, RunConfig, config_from_mapping, make_record
+from lmhd.diagnostics import (_CONFIG_KEYS, ConfigError, DiagnosticRecord, DiagnosticTracker, RunConfig,
+                              config_from_mapping, make_record)
 from lmhd.dynamics import (SolutionPair, SystemParams, band_operator, nonlinear_tendency, state_band,
                            tendency)
 from lmhd.integrator import StepperConfig, run, step
-from lmhd.lpaley import grad_uinf_split
+from lmhd.lpaley import grad_uinf_split, split_terms
 from lmhd.multiplier import E, DissipationSpec, make_g, symbol, symbol_on_grid
 from lmhd.spectral import SpectralField, VectorField
 
@@ -150,6 +151,70 @@ def test_record_equals_public_split_and_residual(grid, seed, diss_u, diss_b):
     got = (record.split_low, record.split_high, record.grad_u_inf, record.div_u, record.div_b)
     for value, reference in zip(got, expected):
         assert abs(value - reference) <= 1e-14 * abs(reference)
+
+
+def rebuilt_record(state, params, gamma, s, prev=None):
+    """Reference: make_record as it was before the record weights were built
+    once per run, rebuilding the symbols and the Sobolev weights per record."""
+    grid, band = state.grid, state_band(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power_u, power_b = (grid.band_parseval * sp.mode_power(c) for c in band)
+        power = power_u + power_b
+        m_u, m_b = (sp.to_band(symbol_on_grid(d, grid), grid) for d in (params.diss_u, params.diss_b))
+        l_u_density = m_u**2 * power_u
+        energy = 0.5 * float(np.sum(power))
+        diss_u = float(np.sum(l_u_density))
+        diss_b = float(np.sum(m_b**2 * power_b))
+        diss_grad_u = float(np.sum(grid.band_k_squared * l_u_density))
+        x_norm, y_norm, gamma_norm = (
+            float(np.sum(sp.radial_power(grid.band_k_squared, order) * power)) for order in (1.0, s, gamma)
+        )
+        grad_u_inf = float(np.max(np.abs(sp.band_to_physical(sp.gradient_array(band[0], grid), grid))))
+        split_low, split_high = split_terms(params.diss_u, E + x_norm, diss_u, diss_grad_u)
+        div_u, div_b = (float(np.max(np.abs(kv))) / max(1.0, float(np.sqrt(np.sum(p))))
+                        for kv, p in zip(sp._k_dot(band, grid), (power_u, power_b)))
+        t = state.time
+        if prev is None:
+            cum_diss = cum_diss_b = cum_diss_grad = 0.0
+        else:
+            half_dt = 0.5 * (t - prev.t)
+            cum_diss = prev.cum_diss + half_dt * (prev.diss_u + diss_u)
+            cum_diss_b = prev.cum_diss_b + half_dt * (prev.diss_b + diss_b)
+            cum_diss_grad = prev.cum_diss_grad + half_dt * (prev.diss_grad_u + diss_grad_u)
+        return DiagnosticRecord(t, energy, diss_u, diss_b, diss_grad_u, x_norm, y_norm, gamma_norm,
+                                grad_u_inf, split_low, split_high, cum_diss, cum_diss_b, cum_diss_grad,
+                                div_u, div_b)
+
+
+# every catalog kind, with a spiky g whose first jump (|k| ~ 4.8) lies inside every band
+catalog_specs = st.builds(DissipationSpec, st.floats(0.0, 10.0), st.floats(0.5, 4.0), st.sampled_from([
+    make_g("constant_one"), make_g("power_log", c=2.0), make_g("iterated_log"), make_g("power"),
+    make_g("spiky", period=0.2, height=1.5),
+    make_g("tabulated", points=((0.0, 1.0), (2.0, 1.5), (5.0, 3.0))),
+]))
+
+
+@property_settings
+@given(grids, seeds, catalog_specs, catalog_specs, st.sampled_from([0.0, 1.5, 2.5]),
+       st.sampled_from([0.0, 2.5, 5.0, 200.0]), st.integers(1, 3))
+@example(sp.make_grid(2, 16), 0, DissipationSpec(1.0, 2.0, make_g("constant_one")),
+         DissipationSpec(0.0, 1.0, make_g("constant_one")), 2.5, 200.0, 2)
+def test_tracker_records_equal_the_per_record_weights_reference(grid, seed, diss_u, diss_b, gamma, s,
+                                                                 cadence):
+    # s = 200 overflows (|k|^2)^s to inf on these grids: the weights are built
+    # under the record's errstate, so the record keeps inf without warning
+    params = SystemParams(diss_u, diss_b, grid.dim)
+    tracker = DiagnosticTracker(params, gamma, s, cadence)
+    states = [SolutionPair.from_band(grid, state_band(random_pair(grid, seed + n)), 0.1 * n)
+              for n in range(5)]
+    expected = []
+    for n, state in enumerate(states):
+        tracker(n, state)
+        if n % cadence == 0:
+            expected.append(rebuilt_record(state, params, gamma, s, expected[-1] if expected else None))
+    assert np.array(tracker.records).tobytes() == np.array(expected).tobytes()
+    single = make_record(states[-1], params, gamma, s)
+    assert np.array(single).tobytes() == np.array(rebuilt_record(states[-1], params, gamma, s)).tobytes()
 
 
 @property_settings

@@ -278,6 +278,20 @@ class TestSnapshots(object):
         payload[16 * 18:16 * 19] = struct.pack("<dd", 0.25, -1.5)
         assert raw[20:] == payload
 
+    @pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
+    def test_payload_is_the_stacked_coefficients(self, tmp_path, dim, points):
+        # written field by field, the payload is still the bytes of the stacked
+        # little-endian coefficients, also for coefficients not C-contiguous
+        grid = sp.make_grid(dim, points)
+        fields = [random_real_field(grid, seed=s) for s in (1, 2)]
+        fields.append(SpectralField(grid, np.asfortranarray(random_real_field(grid, seed=3).coeffs)))
+        fields.append(SpectralField(grid, random_real_field(grid, seed=4).coeffs[..., ::-1]))
+        assert not any(f.coeffs.flags.c_contiguous for f in fields[2:])
+        path = tmp_path / "state.lmhd"
+        sp.write_snapshot(str(path), fields)
+        stacked = np.stack([f.coeffs for f in fields]).astype("<c16").tobytes()
+        assert path.read_bytes() == b"LMHD" + struct.pack("<IIII", 1, dim, points, 4) + stacked
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.lmhd"
         path.write_bytes(b"NOPE" + b"\0" * 32)
