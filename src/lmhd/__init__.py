@@ -6,7 +6,6 @@ from .spectral import (
     Grid,
     SpectralField,
     VectorField,
-    dealias,
     divergence,
     forward_transform,
     fractional_derivative,
@@ -24,13 +23,11 @@ from .multiplier import (
     DissipationSpec,
     GFunction,
     OsgoodVerdict,
-    apply_L,
-    apply_dissipation,
     make_g,
     osgood_classify,
     symbol,
 )
-from .dynamics import SolutionPair, SystemParams, energy_flux_identity, nonlinear_tendency
+from .dynamics import SolutionPair, SystemParams, nonlinear_tendency
 from .integrator import BlowupError, StepperConfig, run, step
 from .lpaley import (
     BesovIndex,
@@ -39,7 +36,6 @@ from .lpaley import (
     besov_norm,
     commutator_ratio,
     dyadic_blocks,
-    grad_uinf_split,
     make_partition,
 )
 from .diagnostics import (

@@ -20,6 +20,7 @@ from .diagnostics import (
     evaluate_checks,
     finite_float,
     parse_config,
+    prepare_experiment,
     read_config,
     read_series,
     run_experiment,
@@ -48,7 +49,7 @@ def _cmd_sweep(args) -> int:
     key, values = key.strip(), [v.strip() for v in listed.split(",")]
     if not sep or not all(values):
         raise ConfigError(f"expected --vary KEY=v1,v2,..., got {args.vary!r}")
-    # every swept config is built, and so validated, before the first run starts
+    # every swept config is built and given run_experiment's set-up checks before the first run
     configs = []
     for value in values:
         mapping = dict(raw)
@@ -56,7 +57,11 @@ def _cmd_sweep(args) -> int:
             stem = Path(raw["out.series"])
             mapping["out.series"] = str(stem.with_name(f"{stem.stem}_{value}{stem.suffix}"))
         mapping["params.g1.kind" if key == "g1" else key] = value
-        configs.append(config_from_mapping(mapping))
+        try:
+            configs.append(config_from_mapping(mapping))
+            prepare_experiment(configs[-1])
+        except ConfigError as exc:
+            raise ConfigError(f"{key}={value}: {exc}") from exc
     worst = STATUS_OK
     for value, config in zip(values, configs):
         result = run_experiment(config)
@@ -65,9 +70,6 @@ def _cmd_sweep(args) -> int:
               f"gronwall_C={result.summary.get('gronwall_constant', float('nan')):.6g}")
         if result.status != STATUS_OK:
             print(f"{key}={value}: {result.message}", file=sys.stderr)
-        # a config error is an input error: it ends the sweep with exit 2, as it ends lmhd run
-        if result.status == STATUS_CONFIG_ERROR:
-            return result.exit_code
         if result.exit_code > EXIT_CODES[worst]:
             worst = result.status
     return EXIT_CODES[worst]

@@ -611,8 +611,10 @@ class _SnapshotObserver:
             self.written.append(path)
 
 
-def run_experiment(config: RunConfig) -> ExperimentResult:
-    """Run one configured experiment, write artifacts, evaluate the checks."""
+def prepare_experiment(config: RunConfig) -> tuple[SystemParams, SolutionPair, StepperConfig,
+                                                   DiagnosticTracker]:
+    """What a run of `config` needs, built before anything runs or is written;
+    ConfigError for every value that `run_experiment` rejects."""
     try:
         grid = sp.make_grid(config.dim, config.points)
         params = config.system_params()
@@ -629,6 +631,15 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         if any(not 0.0 <= t <= stepper.t_end for t in config.snapshot_times):
             raise ConfigError(f"snapshot times must lie in [0, t_end = {stepper.t_end}]")
     except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return params, state0, stepper, tracker
+
+
+def run_experiment(config: RunConfig) -> ExperimentResult:
+    """Run one configured experiment, write artifacts, evaluate the checks."""
+    try:
+        params, state0, stepper, tracker = prepare_experiment(config)
+    except ConfigError as exc:
         return ExperimentResult(STATUS_CONFIG_ERROR, [], {}, message=str(exc))
 
     snapshots = (_SnapshotObserver(config.out_snapshots, config.snapshot_times)

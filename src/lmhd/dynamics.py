@@ -36,7 +36,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from . import spectral as sp
-from .multiplier import DissipationSpec, apply_L
+from .multiplier import DissipationSpec
 from .spectral import VectorField
 
 
@@ -199,17 +199,3 @@ def nonlinear_tendency(state: SolutionPair) -> tuple[VectorField, VectorField]:
     out = SolutionPair.from_band(state.grid, tendency(state_band(state), state.grid), state.time)
     return out.u, out.b
 
-
-def energy_flux_identity(state: SolutionPair, params: SystemParams) -> tuple[float, float]:
-    """Nonlinear energy flux (zero by skew-symmetry) and dissipation rate.
-
-    Returns (<du_nl, u> + <db_nl, b>,
-             nu*||L1 u||_L2^2 + eta*||L2 b||_L2^2).
-    """
-    du, db = nonlinear_tendency(state)
-    flux = sp.l2_inner(du, state.u) + sp.l2_inner(db, state.b)
-    rate = (
-        params.diss_u.coefficient * sp.vector_l2_norm(apply_L(state.u, params.diss_u)) ** 2
-        + params.diss_b.coefficient * sp.vector_l2_norm(apply_L(state.b, params.diss_b)) ** 2
-    )
-    return flux, rate

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .multiplier import E, DissipationSpec, symbol_on_grid
-from .spectral import SpectralField, VectorField
+from .multiplier import E, DissipationSpec
+from .spectral import SpectralField
 
 
 def _smooth_ramp(x: np.ndarray) -> np.ndarray:
@@ -154,27 +154,10 @@ def bernstein_ratio(f: SpectralField, j: int, k_order: int, p: float, q: float,
 # gradient sup-norm frequency splitting
 # ---------------------------------------------------------------------------
 
-def grad_uinf_split(u: VectorField, diss: DissipationSpec, m1: float) -> tuple[float, float, float]:
-    """Low/high-frequency bound terms for the gradient sup norm.
-
-    Returns (low_term, high_term, lhs) with
-      low_term  = g(m1) * sqrt(ln m1) * ||L u||_L2,
-      high_term = m1^(-1/2) * ||L grad u||_L2,
-      lhs       = grid max over components of |grad u|.
-    Callers form lhs / (low_term + high_term) to record the measured constant.
-    ||L grad u||^2 weights the power of u by m^2 |k|^2, since sum_j k_j^2 = |k|^2.
-    """
-    l_u_density = symbol_on_grid(diss, u.grid) ** 2 * sp.mode_power(u.coeffs)
-    low_term, high_term = split_terms(diss, m1, float(np.sum(l_u_density)),
-                                      float(np.sum(u.grid.k_squared * l_u_density)))
-    lhs = float(np.max(np.abs(sp.to_physical_array(sp.gradient_array(u.coeffs, u.grid), u.grid))))
-    return low_term, high_term, lhs
-
-
 def split_terms(diss: DissipationSpec, m1: float, l_u_sq: float,
                 l_grad_sq: float) -> tuple[float, float]:
-    """(low_term, high_term) of `grad_uinf_split`, given l_u_sq = ||L u||^2 and
-    l_grad_sq = ||L grad u||^2; each caller forms the gradient sup in its own layout."""
+    """(low_term, high_term) = (g(m1) sqrt(ln m1) ||L u||, m1^(-1/2) ||L grad u||), the bound
+    terms of the gradient sup norm, from l_u_sq = ||L u||^2 and l_grad_sq = ||L grad u||^2."""
     if m1 < E:
         raise ValueError("threshold m1 must be >= e")
     low_term = float(diss.g(m1)) * float(np.sqrt(np.log(m1))) * float(np.sqrt(l_u_sq))

@@ -16,12 +16,11 @@ h(sigma) = 1/g(tau(sigma))^2 with respect to sigma.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid, VectorField, radial_power
+from .spectral import Grid, radial_power
 
 E = float(np.e)
 
@@ -176,33 +175,10 @@ def symbol(spec: DissipationSpec, radius) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-@functools.lru_cache(maxsize=8)
-def symbol_on_grid(spec: DissipationSpec, grid: Grid) -> np.ndarray:
-    """Symbol evaluated at every grid wave vector magnitude.
-
-    The array is cached per (spec, grid) and shared, so it is read-only.
-    """
-    out = symbol(spec, grid.kmag)
-    out.setflags(write=False)
-    return out
-
-
 def band_symbol(spec: DissipationSpec, grid: Grid) -> np.ndarray:
     """Symbol at the band radii sqrt(grid.band_k_squared), bit for bit
-    `to_band(symbol_on_grid(spec, grid))`; a new array per call, not cached."""
+    `to_band(symbol(spec, grid.kmag))`; a new array per call, not cached."""
     return symbol(spec, np.sqrt(grid.band_k_squared))
-
-
-def apply_L(v: VectorField, spec: DissipationSpec) -> VectorField:
-    """Multiply each coefficient by the unsquared symbol m(|k|)."""
-    m = symbol_on_grid(spec, v.grid)
-    return VectorField.from_array(v.grid, v.coeffs * m)
-
-
-def apply_dissipation(v: VectorField, spec: DissipationSpec) -> VectorField:
-    """Dissipation operator: coefficient * m(|k|)^2 per coefficient."""
-    m2 = spec.coefficient * symbol_on_grid(spec, v.grid) ** 2
-    return VectorField.from_array(v.grid, v.coeffs * m2)
 
 
 # ---------------------------------------------------------------------------

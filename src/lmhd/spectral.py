@@ -371,11 +371,6 @@ def solenoidal_residual(v: VectorField) -> float:
     return float(np.max(np.abs(_k_dot(v.coeffs, v.grid)))) / max(1.0, vector_l2_norm(v))
 
 
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero every coefficient with any |k_j| >= points/3 (2/3 rule)."""
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
-
-
 # ---------------------------------------------------------------------------
 # norms and inner products
 # ---------------------------------------------------------------------------
@@ -414,12 +409,6 @@ def l2_inner(f: SpectralField | VectorField, g: SpectralField | VectorField) -> 
 
 def vector_l2_norm(v: VectorField) -> float:
     return float(np.sqrt(np.sum(mode_power(v.coeffs))))
-
-
-
-def vector_linf_norm(v: VectorField) -> float:
-    """Componentwise grid max; underestimates the true sup between grid points."""
-    return float(np.max(np.abs(to_physical_array(v.coeffs, v.grid))))
 
 
 # ---------------------------------------------------------------------------

@@ -316,8 +316,8 @@ def test_sweep_reports_config_error_once(tmp_path, capsys):
     path.write_text(OVERFLOWING[1])
     assert main(["sweep", str(path), "--vary", "g1=constant_one,iterated_log"]) == 2
     captured = capsys.readouterr()
-    assert captured.out.splitlines() == ["g1=constant_one: status=config_error max_X=nan gronwall_C=nan"]
-    assert captured.err == "g1=constant_one: int too large to convert to float\n"
+    assert captured.out == ""
+    assert captured.err == "config error: g1=constant_one: int too large to convert to float\n"
 
 
 def test_sweep_requires_g1(cfg_path):
@@ -346,6 +346,32 @@ def test_sweep_validates_every_value_before_the_first_run(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
     assert not list(tmp_path.glob("series*"))
+
+
+# (--vary value, extra config lines): the first value runs, the second is rejected by
+# run_experiment's set-up checks, which the sweep makes on every value before the first run
+LATE_REJECTED = {
+    "grid_points": ("grid.points=16,12", ""),
+    "nu": ("params.nu=1,-1", ""),
+    "cfl": ("stepper.cfl=0.5,2", ""),
+    "max_steps": ("stepper.max_steps=5,0", ""),
+    "cadence": ("diag.cadence=1,0", ""),
+    "ic_name": ("ic.name=orszag_tang_2d,nope", ""),
+    "snapshot_after_t_end": ("stepper.t_end=0.05,0.02",
+                             "out.snapshots = {dir}/snap\nout.snapshot_times = 0.04\n"),
+}
+
+
+@pytest.mark.parametrize("vary, extra", list(LATE_REJECTED.values()), ids=list(LATE_REJECTED))
+def test_sweep_rejects_every_value_before_the_first_run(tmp_path, capsys, vary, extra):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG + f"out.series = {tmp_path / 'series.csv'}\n" + extra.format(dir=tmp_path))
+    assert main(["sweep", str(cfg), "--vary", vary]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key, values = vary.split("=")
+    assert captured.err.startswith(f"config error: {key}={values.split(',')[1]}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_sweep_varies_any_config_key(tmp_path, capsys):

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from lmhd import spectral as sp
+from lmhd.diagnostics import make_record
 from lmhd.dynamics import (
     SolutionPair,
     SystemParams,
     band_operator,
-    energy_flux_identity,
     nonlinear_tendency,
     tendency,
 )
-from lmhd.multiplier import DissipationSpec, apply_dissipation, make_g
+from lmhd.integrator import step
+from lmhd.multiplier import DissipationSpec, make_g
 from lmhd.spectral import SpectralField, VectorField
 
 from conftest import convolution_oracle, random_solenoidal
@@ -194,7 +195,7 @@ def test_tendency_contraction_equals_stacked_sum(monkeypatch, dim, points, seed)
 class TestFullTendency:
     def test_single_shear_mode_closed_form(self, grid32):
         # u = (sin x2, 0) built exactly in spectral space: the
-        # self-advection vanishes, leaving pure decay
+        # self-advection vanishes, so a step is pure decay
         coeffs = np.zeros(grid32.shape, dtype=np.complex128)
         coeffs[0, 1] = -0.5j
         coeffs[0, -1] = 0.5j
@@ -205,12 +206,14 @@ class TestFullTendency:
         state = SolutionPair(u, sp.zero_vector(grid32))
         nu = 0.8
         params = make_params(nu=nu, alpha=2.0)
-        du_n, db = nonlinear_tendency(state)
-        du = du_n - apply_dissipation(state.u, params.diss_u)
-        expected = -nu * u.components[0].coeffs  # m(1)^2 = 1 for alpha=2, g=1
-        assert np.max(np.abs(du.components[0].coeffs - expected)) < 1e-13
-        assert np.max(np.abs(du.components[1].coeffs)) < 1e-13
+        du, db = nonlinear_tendency(state)
+        assert np.max(np.abs(du.coeffs)) < 1e-13
         assert all(np.max(np.abs(c.coeffs)) == 0.0 for c in db.components)
+        dt = 0.01
+        new = step(state, params, dt)
+        expected = np.exp(-nu * dt) * u.coeffs  # m(1)^2 = 1 for alpha=2, g=1
+        assert np.max(np.abs(new.u.coeffs - expected)) < 1e-13
+        assert np.max(np.abs(new.b.coeffs)) == 0.0
 
     def test_theorem_regime_flag(self):
         assert make_params(nu=1.0, eta=0.0, alpha=2.0).theorem_regime()
@@ -221,21 +224,20 @@ class TestFullTendency:
 
 class TestEnergyFlux:
     def test_zero_state(self, grid16):
-        params = make_params()
         state = SolutionPair(sp.zero_vector(grid16), sp.zero_vector(grid16))
-        flux, rate = energy_flux_identity(state, params)
-        assert flux == 0.0 and rate == 0.0
+        du, db = nonlinear_tendency(state)
+        assert not np.any(du.coeffs) and not np.any(db.coeffs)
 
     @pytest.mark.parametrize("dim, points, seed", [(2, 32, s) for s in range(5)] + [(3, 16, 0)],
                              ids=["0", "1", "2", "3", "4", "3d-16"])
     def test_nonlinear_flux_vanishes(self, dim, points, seed):
-        params = make_params(dim=dim)
         grid = sp.make_grid(dim, points)
         state = SolutionPair(
             random_solenoidal(grid, seed=500 + 2 * seed),
             random_solenoidal(grid, seed=501 + 2 * seed),
         )
-        flux, _ = energy_flux_identity(state, params)
+        du, db = nonlinear_tendency(state)
+        flux = sp.l2_inner(du, state.u) + sp.l2_inner(db, state.b)
         scale = sp.vector_l2_norm(state.u) ** 2 + sp.vector_l2_norm(state.b) ** 2
         assert abs(flux) <= 1e-10 * scale
 
@@ -245,7 +247,8 @@ class TestEnergyFlux:
             random_solenoidal(grid32, seed=71),
             random_solenoidal(grid32, seed=72),
         )
-        _, rate = energy_flux_identity(state, params)
+        # the record's ||L u||^2, with m(|k|) = |k|
+        rate = make_record(state, params, gamma=2.5, s=5.0).diss_u
         grad_sq = sum(sp.hs_norm(c, 1.0) ** 2 for c in state.u.components)
         assert abs(rate - grad_sq) <= 1e-12 * grad_sq
 

@@ -118,7 +118,7 @@ class TestRun:
         kmax = grid16.points / 2.0
         # every step, recomputed from the observed state it starts from
         for before, after in zip(seen, seen[1:]):
-            vmax = max(sp.vector_linf_norm(before.u), sp.vector_linf_norm(before.b))
+            vmax = np.max(np.abs(sp.to_physical_array(before.data, grid16)))
             dt = min(0.4 / (vmax * kmax), 0.2 - before.time)
             assert after.time == before.time + dt
         assert abs(final.time - 0.2) < 1e-12

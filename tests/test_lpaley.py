@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lmhd import spectral as sp
+from lmhd.diagnostics import make_record
+from lmhd.dynamics import SolutionPair, SystemParams
 from lmhd.lpaley import (
     BesovIndex,
     annulus_mask,
@@ -11,8 +13,8 @@ from lmhd.lpaley import (
     besov_norm,
     commutator_ratio,
     dyadic_blocks,
-    grad_uinf_split,
     make_partition,
+    split_terms,
 )
 from lmhd.multiplier import DissipationSpec, make_g
 from lmhd.spectral import SpectralField, VectorField
@@ -169,40 +171,50 @@ class TestBernstein:
             assert 0.25 <= ratio <= 4.0
 
 
+def velocity_record(u, diss):
+    """The record of the state (u, 0) under velocity dissipation `diss`."""
+    params = SystemParams(diss, DissipationSpec(0.0, 1.0, make_g("constant_one")), u.grid.dim)
+    return make_record(SolutionPair(u, sp.zero_vector(u.grid)), params, gamma=2.5, s=5.0)
+
+
 class TestGradSupSplit:
     def test_zero_field(self, grid32):
         diss = DissipationSpec(1.0, 2.0, make_g("constant_one"))
-        low, high, lhs = grad_uinf_split(sp.zero_vector(grid32), diss, E + 1.0)
-        assert (low, high, lhs) == (0.0, 0.0, 0.0)
+        record = velocity_record(sp.zero_vector(grid32), diss)
+        assert (record.split_low, record.split_high, record.grad_u_inf) == (0.0, 0.0, 0.0)
 
-    def test_threshold_below_e_rejected(self, grid32):
+    def test_threshold_below_e_rejected(self):
         diss = DissipationSpec(1.0, 2.0, make_g("constant_one"))
         with pytest.raises(ValueError):
-            grad_uinf_split(sp.zero_vector(grid32), diss, 1.0)
+            split_terms(diss, 1.0, 0.0, 0.0)
 
     def test_single_mode_closed_form(self, grid32):
-        # u = (0, cos x1), alpha = 1 + N/2 = 2, g = 1, threshold e:
-        # grad u has the single entry du2/dx1 = -sin x1
+        # u = (0, cos x1), alpha = 1 + N/2 = 2, g = 1, so m(1) = 1 and the
+        # threshold is e + X = e + ||grad u||^2: grad u has the single entry
+        # du2/dx1 = -sin x1
         coeffs = np.zeros(grid32.shape, dtype=np.complex128)
         coeffs[1, 0] = 0.5
         coeffs[-1, 0] = 0.5
         u = VectorField((sp.zero_field(grid32), SpectralField(grid32, coeffs)))
         diss = DissipationSpec(1.0, 2.0, make_g("constant_one"))
-        low, high, lhs = grad_uinf_split(u, diss, E)
-        l2 = np.sqrt(2.0 * np.pi**2)  # ||cos||_2 = ||sin||_2 on the torus
-        assert lhs == pytest.approx(1.0, abs=1e-12)
-        assert low == pytest.approx(1.0 * np.sqrt(np.log(E)) * l2, rel=1e-12)
-        assert high == pytest.approx(E**-0.5 * l2, rel=1e-12)
-        ratio = lhs / (low + high)
-        assert np.isfinite(ratio) and ratio > 0.0
+        record = velocity_record(u, diss)
+        l2_sq = 2.0 * np.pi**2  # ||cos||_2^2 = ||sin||_2^2 on the torus
+        threshold = E + l2_sq
+        assert record.x_norm == pytest.approx(l2_sq, rel=1e-12)
+        assert record.grad_u_inf == pytest.approx(1.0, abs=1e-12)
+        assert record.split_low == pytest.approx(np.sqrt(np.log(threshold) * l2_sq), rel=1e-12)
+        assert record.split_high == pytest.approx(np.sqrt(l2_sq / threshold), rel=1e-12)
+        low, high = split_terms(diss, E, record.diss_u, record.diss_grad_u)
+        assert low == pytest.approx(np.sqrt(l2_sq), rel=1e-12)
+        assert high == pytest.approx(E**-0.5 * np.sqrt(l2_sq), rel=1e-12)
 
     def test_random_fields_have_finite_ratio(self, grid32):
         diss = DissipationSpec(1.0, 2.0, make_g("iterated_log"))
         for seed in range(10):
-            u = random_solenoidal(grid32, seed=seed)
-            low, high, lhs = grad_uinf_split(u, diss, E + float(seed))
-            assert np.isfinite(lhs) and lhs > 0.0
-            assert lhs / (low + high) < 10.0
+            record = velocity_record(random_solenoidal(grid32, seed=seed), diss)
+            low, high = split_terms(diss, E + float(seed), record.diss_u, record.diss_grad_u)
+            assert np.isfinite(record.grad_u_inf) and record.grad_u_inf > 0.0
+            assert record.grad_u_inf / (low + high) < 10.0
 
 
 class TestCommutator:

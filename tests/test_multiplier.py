@@ -10,14 +10,11 @@ from lmhd.multiplier import (
     DIVERGES,
     DissipationSpec,
     GFunction,
-    apply_L,
-    apply_dissipation,
     band_symbol,
     make_g,
     osgood_classify,
     partial_integral,
     symbol,
-    symbol_on_grid,
 )
 from lmhd.spectral import SpectralField, VectorField
 
@@ -134,50 +131,47 @@ class TestSymbol:
 
 
 class TestOperators:
+    """L multiplies each coefficient by m(|k|), the dissipation by coefficient * m(|k|)^2."""
+
     def test_zero_coefficient_gives_zero(self, grid16):
         v = random_solenoidal(grid16, seed=2)
         spec = DissipationSpec(0.0, 1.0, make_g("constant_one"))
-        out = apply_dissipation(v, spec)
-        assert all(np.max(np.abs(c.coeffs)) == 0.0 for c in out.components)
+        assert not np.any(spec.coefficient * symbol(spec, grid16.kmag) ** 2 * v.coeffs)
 
     def test_unit_mode_scaling(self, grid16):
         coeffs = np.zeros(grid16.shape, dtype=np.complex128)
         coeffs[1, 0] = 0.5
         coeffs[-1, 0] = 0.5
-        v = VectorField((SpectralField(grid16, coeffs), sp.zero_field(grid16)))
         spec = DissipationSpec(1.0, 2.0, make_g("constant_one"))
-        out = apply_dissipation(v, spec)
-        assert np.max(np.abs(out.components[0].coeffs - coeffs)) < 1e-14
+        out = spec.coefficient * symbol(spec, grid16.kmag) ** 2 * coeffs
+        assert np.max(np.abs(out - coeffs)) < 1e-14
 
     def test_factorization(self, grid32):
         # nu * m^2 = nu * |k|^(2 alpha) / g^2 applied in spectral space
         spec = DissipationSpec(0.7, 1.3, make_g("iterated_log"))
         v = random_solenoidal(grid32, seed=3)
-        out = apply_dissipation(v, spec)
+        out = spec.coefficient * symbol(spec, grid32.kmag) ** 2 * v.coeffs
         g_sq = np.asarray(spec.g(grid32.kmag)) ** 2
-        for comp, got in zip(v.components, out.components):
+        for comp, got in zip(v.components, out):
             expected = 0.7 * sp.fractional_derivative(comp, 2.6).coeffs / g_sq
-            assert np.max(np.abs(got.coeffs - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1e-30)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1e-30)
 
-    def test_apply_L_twice_is_dissipation_with_unit_coefficient(self, grid16):
+    def test_L_twice_is_dissipation_with_unit_coefficient(self, grid16):
         spec = DissipationSpec(0.3, 1.5, make_g("power_log"))
         unit = DissipationSpec(1.0, 1.5, make_g("power_log"))
         v = random_solenoidal(grid16, seed=4)
-        twice = apply_L(apply_L(v, spec), spec)
-        once = apply_dissipation(v, unit)
-        scale = max(np.max(np.abs(c.coeffs)) for c in once.components)
-        for a, b in zip(twice.components, once.components):
-            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12 * scale
+        twice = symbol(spec, grid16.kmag) * (symbol(spec, grid16.kmag) * v.coeffs)
+        once = unit.coefficient * symbol(unit, grid16.kmag) ** 2 * v.coeffs
+        assert np.max(np.abs(twice - once)) <= 1e-12 * np.max(np.abs(once))
 
-    def test_apply_L_zero_field(self, grid16):
+    def test_L_zero_field(self, grid16):
         spec = DissipationSpec(1.0, 1.0, make_g("constant_one"))
-        out = apply_L(sp.zero_vector(grid16), spec)
-        assert all(np.max(np.abs(c.coeffs)) == 0.0 for c in out.components)
+        assert not np.any(symbol(spec, grid16.kmag) * sp.zero_vector(grid16).coeffs)
 
-    def test_apply_L_alpha_one_matches_gradient_norm(self, grid32):
+    def test_L_alpha_one_matches_gradient_norm(self, grid32):
         spec = DissipationSpec(1.0, 1.0, make_g("constant_one"))
         v = random_solenoidal(grid32, seed=5)
-        lhs = sp.vector_l2_norm(apply_L(v, spec))
+        lhs = sp.vector_l2_norm(VectorField.from_array(grid32, symbol(spec, grid32.kmag) * v.coeffs))
         rhs = np.sqrt(sum(sp.hs_norm(c, 1.0) ** 2 for c in v.components))
         assert abs(lhs - rhs) <= 1e-12 * rhs
 
@@ -186,10 +180,9 @@ class TestOperators:
         spec = DissipationSpec(1.0, 1.2, make_g("iterated_log"))
         f = random_real_field(grid16, seed=60 + 2 * seed)
         h = random_real_field(grid16, seed=61 + 2 * seed)
-        lf = SpectralField(grid16, apply_L(VectorField((f, f)), spec).components[0].coeffs)
-        lh = SpectralField(grid16, apply_L(VectorField((h, h)), spec).components[0].coeffs)
-        a = sp.l2_inner(lf, h)
-        b = sp.l2_inner(f, lh)
+        m = symbol(spec, grid16.kmag)
+        a = sp.l2_inner(SpectralField(grid16, m * f.coeffs), h)
+        b = sp.l2_inner(f, SpectralField(grid16, m * h.coeffs))
         assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
 
 
@@ -339,7 +332,7 @@ def test_band_symbol_is_the_band_of_the_grid_symbol(g, dim, points):
     # the spiky g with period 0.2 and height 1.5 jumps at |k| ~ 4.8, inside every band here
     grid = sp.make_grid(dim, points)
     spec = DissipationSpec(0.7, 2.5, g)
-    expected = sp.to_band(symbol_on_grid(spec, grid), grid)
+    expected = sp.to_band(symbol(spec, grid.kmag), grid)
     got = band_symbol(spec, grid)
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
     assert band_symbol(spec, grid) is not got

@@ -1,5 +1,5 @@
 """Property tests of the spectral operators, the half-spectrum and band
-layouts and the pruned transforms, the cached dissipation symbol, the
+layouts and the pruned transforms, the exact linear decay of the stepper, the
 diagnostic record, the band tendency against a full-spectrum reference, its
 cached band operator, the out-of-band guard of the stepper, the state
 storage, the snapshot format and the config parser on random 2D/3D grids,
@@ -18,8 +18,8 @@ from lmhd.diagnostics import (_CONFIG_KEYS, ConfigError, DiagnosticRecord, Diagn
 from lmhd.dynamics import (SolutionPair, SystemParams, band_operator, nonlinear_tendency, state_band,
                            tendency)
 from lmhd.integrator import StepperConfig, run, step
-from lmhd.lpaley import grad_uinf_split, split_terms
-from lmhd.multiplier import E, DissipationSpec, make_g, symbol, symbol_on_grid
+from lmhd.lpaley import split_terms
+from lmhd.multiplier import E, DissipationSpec, make_g, symbol
 from lmhd.spectral import SpectralField, VectorField
 
 from conftest import random_solenoidal
@@ -57,16 +57,6 @@ def test_divergence_of_gradient_is_negative_laplacian(grid, seed):
     assert np.max(np.abs(lap - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
-@property_settings
-@given(specs, grids)
-def test_symbol_on_grid_is_cached_and_read_only(spec, grid):
-    first = symbol_on_grid(spec, grid)
-    assert symbol_on_grid(spec, grid) is first
-    assert np.array_equal(first, symbol(spec, grid.kmag))
-    with pytest.raises(ValueError):
-        first[(0,) * grid.dim] = 1.0
-
-
 def _laplacian(f):
     out = sp.zero_field(f.grid)
     for j, d in enumerate(sp.gradient(f).components):
@@ -93,7 +83,7 @@ def test_record_matches_physical_space_reference(grid, seed, diss_u, diss_b, gam
     params = SystemParams(diss_u, diss_b, grid.dim)
     record = make_record(SolutionPair(u, b, 0.0), params, gamma=gamma, s=s)
 
-    m1, m2 = symbol_on_grid(diss_u, grid), symbol_on_grid(diss_b, grid)
+    m1, m2 = symbol(diss_u, grid.kmag), symbol(diss_b, grid.kmag)
     grads = [d for c in u.components for d in sp.gradient(c).components]
     both = u.components + b.components
     expected = {
@@ -105,6 +95,9 @@ def test_record_matches_physical_space_reference(grid, seed, diss_u, diss_b, gam
         "y_norm": _grid_l2_sq([d for c in both for d in _derivative_fields(c, s)]),
         "gamma_norm": _grid_l2_sq([d for c in both for d in _derivative_fields(c, gamma)]),
         "grad_u_inf": max(float(np.max(np.abs(sp.to_physical(d)))) for d in grads),
+        # the record sums over the band, solenoidal_residual over the full spectrum
+        "div_u": sp.solenoidal_residual(u),
+        "div_b": sp.solenoidal_residual(b),
     }
     threshold = E + expected["x_norm"]
     expected["split_low"] = diss_u.g(threshold) * math.sqrt(math.log(threshold) * expected["diss_u"])
@@ -140,19 +133,6 @@ def test_nonlinear_tendency_is_energy_neutral(grid, seed):
     assert abs(flux) <= 1e-12 * scale
 
 
-@property_settings
-@given(grids, seeds, specs, specs)
-def test_record_equals_public_split_and_residual(grid, seed, diss_u, diss_b):
-    state = random_pair(grid, seed)
-    record = make_record(state, SystemParams(diss_u, diss_b, grid.dim), gamma=2.5, s=5.0)
-    split = grad_uinf_split(state.u, diss_u, E + record.x_norm)
-    # the record sums over the band, the public functions over the full spectrum
-    expected = split + (sp.solenoidal_residual(state.u), sp.solenoidal_residual(state.b))
-    got = (record.split_low, record.split_high, record.grad_u_inf, record.div_u, record.div_b)
-    for value, reference in zip(got, expected):
-        assert abs(value - reference) <= 1e-14 * abs(reference)
-
-
 def rebuilt_record(state, params, gamma, s, prev=None):
     """Reference: make_record as it was before the record weights were built
     once per run, rebuilding the symbols and the Sobolev weights per record."""
@@ -160,7 +140,7 @@ def rebuilt_record(state, params, gamma, s, prev=None):
     with np.errstate(over="ignore", invalid="ignore"):
         power_u, power_b = (grid.band_parseval * sp.mode_power(c) for c in band)
         power = power_u + power_b
-        m_u, m_b = (sp.to_band(symbol_on_grid(d, grid), grid) for d in (params.diss_u, params.diss_b))
+        m_u, m_b = (sp.to_band(symbol(d, grid.kmag), grid) for d in (params.diss_u, params.diss_b))
         l_u_density = m_u**2 * power_u
         energy = 0.5 * float(np.sum(power))
         diss_u = float(np.sum(l_u_density))
@@ -186,12 +166,13 @@ def rebuilt_record(state, params, gamma, s, prev=None):
                                 div_u, div_b)
 
 
-# every catalog kind, with a spiky g whose first jump (|k| ~ 4.8) lies inside every band
-catalog_specs = st.builds(DissipationSpec, st.floats(0.0, 10.0), st.floats(0.5, 4.0), st.sampled_from([
+# every catalog kind, with a spiky g whose first jump (|k| ~ 4.8) lies inside the 16-point bands
+catalog_g = st.sampled_from([
     make_g("constant_one"), make_g("power_log", c=2.0), make_g("iterated_log"), make_g("power"),
     make_g("spiky", period=0.2, height=1.5),
     make_g("tabulated", points=((0.0, 1.0), (2.0, 1.5), (5.0, 3.0))),
-]))
+])
+catalog_specs = st.builds(DissipationSpec, st.floats(0.0, 10.0), st.floats(0.5, 4.0), catalog_g)
 
 
 @property_settings
@@ -215,6 +196,37 @@ def test_tracker_records_equal_the_per_record_weights_reference(grid, seed, diss
     assert np.array(tracker.records).tobytes() == np.array(expected).tobytes()
     single = make_record(states[-1], params, gamma, s)
     assert np.array(single).tobytes() == np.array(rebuilt_record(states[-1], params, gamma, s)).tobytes()
+
+
+# the catalog, and a spiky g that jumps at |k| ~ 2.78, 2.86 and 3.07, inside the 8-point bands too
+decay_g = st.one_of(catalog_g, st.just(make_g("spiky", period=0.01, height=1.5)))
+coefficients = st.floats(0.0, 2.0)
+
+
+@property_settings
+@given(grids, seeds, st.data(), decay_g, decay_g, st.floats(0.5, 2.5), st.floats(0.5, 2.5),
+       coefficients, coefficients, st.floats(1e-4, 0.5), st.integers(1, 4))
+def test_linear_step_and_run_are_exact_decay(grid, seed, data, g1, g2, alpha, beta, nu, eta, dt, steps):
+    # one random mode of the band, in every component of u and b
+    mode = (Ellipsis,) + tuple(data.draw(st.integers(0, n - 1)) for n in grid.band_shape)
+    band = np.zeros((2, grid.dim) + grid.band_shape, dtype=np.complex128)
+    band[mode] = random_complex((2, grid.dim), seed)
+    params = SystemParams(DissipationSpec(nu, alpha, g1), DissipationSpec(eta, beta, g2), grid.dim)
+    state = SolutionPair.from_band(grid, band, 0.0)
+    k = math.sqrt(grid.band_k_squared[mode[1:]])
+    # nu |k|^(2 alpha) / g(|k|)^2 written out, per field
+    rates = np.array([[c * k ** (2.0 * a) / float(g(k)) ** 2]
+                      for c, a, g in ((nu, alpha, g1), (eta, beta, g2))])
+    for final in (step(state, params, dt, nonlinear=None),
+                  run(state, params, StepperConfig(t_end=steps * dt, dt=dt), nonlinear=None)):
+        decay = rates * final.time
+        expected = band[mode] * np.exp(-decay)
+        # exp of a rounded exponent: the relative error grows with the exponent and the step count
+        rtol = 8.0 * np.finfo(float).eps * (1.0 + decay * (1.0 + steps) + 2.0 * steps)
+        got = state_band(final).copy()
+        assert np.all(np.abs(got[mode] - expected) <= rtol * np.abs(expected) + 1e-300)
+        got[mode] = 0.0
+        assert not np.any(got)
 
 
 @property_settings
