@@ -76,13 +76,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    records = read_series(args.series)
+    table = read_series(args.series)
     raw = read_config(args.config) if args.config else {}
     flags = {key: getattr(args, flag) for flag, key in _CHECK_KEYS.items()}
     config = config_from_mapping(raw | {key: v for key, v in flags.items() if v is not None})
     # without --config the run's alpha is unknown, so the theorem regime is not judged
     params = config.system_params() if args.config else None
-    report, failures = evaluate_checks(records, config, params)
+    report, failures = evaluate_checks(table, config, params)
     print(json.dumps(report, indent=2))
     if failures:
         print("; ".join(failures), file=sys.stderr)

@@ -556,9 +556,9 @@ def write_series(path: str, records: list[DiagnosticRecord]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_series(path: str) -> list[DiagnosticRecord]:
-    """The records of a series file; ValueError for a missing header, no records,
-    a row without 16 fields or a cell that is not a number."""
+def read_series(path: str) -> np.ndarray:
+    """The (records, 16) float64 table of a series file; ValueError for a missing
+    header, no records, a row without 16 fields or a cell that is not a number."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0].split(",") != RECORD_FIELDS:
         raise ValueError(f"missing or unexpected series header in {path}")
@@ -568,7 +568,7 @@ def read_series(path: str) -> list[DiagnosticRecord]:
     ragged = next((row for row in rows if len(row) != len(RECORD_FIELDS)), None)
     if ragged is not None:
         raise ValueError(f"series row in {path} has {len(ragged)} fields")
-    return list(map(DiagnosticRecord._make, np.array(rows, dtype=np.float64).tolist()))
+    return np.array(rows, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

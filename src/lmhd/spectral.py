@@ -452,7 +452,10 @@ def read_snapshot(path: str) -> list[SpectralField]:
         if dim not in (2, 3) or payload_bytes != 16 * count * points**dim:
             raise ValueError("snapshot size does not match its header")
         grid = make_grid(dim, points)
-        # astype copies, so the returned coefficients are writable
-        coeffs = np.frombuffer(fh.read(), dtype="<c16").astype(np.complex128)
+        # one read into one new, writable array, which astype keeps on a little-endian host
+        n = payload_bytes // 16
+        coeffs = np.fromfile(fh, dtype="<c16", count=n).astype(np.complex128, copy=False)
+        if coeffs.size != n:
+            raise ValueError("snapshot size does not match its header")
     coeffs = coeffs.reshape((count,) + grid.shape)
     return [SpectralField(grid, c) for c in coeffs]

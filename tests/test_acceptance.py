@@ -379,7 +379,7 @@ def test_criterion_13_golden_regression(tmp_path):
     config = dg.parse_config(str(config_path))
     config.out_series = str(tmp_path / "series.csv")
     result = dg.run_experiment(config)
-    golden = dg.read_series(str(golden_path))
+    golden = list(map(dg.DiagnosticRecord._make, dg.read_series(str(golden_path)).tolist()))
     fresh = result.records
     worst = 0.0
     assert len(golden) == len(fresh)

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import lmhd
+from lmhd import diagnostics
 from lmhd.cli import main
-from lmhd.diagnostics import RECORD_FIELDS
+from lmhd.diagnostics import RECORD_FIELDS, config_from_mapping, evaluate_checks
 
 
 BASE_CFG = """
@@ -399,6 +400,48 @@ def test_check_flags_override_config_keys(tmp_path, capsys):
     plain, flagged, copied = reports
     assert flagged == copied
     assert flagged["energy_residual"] != plain["energy_residual"]
+
+
+# every g1 kind that --g1 sets without parameters
+G1_CATALOG = ("constant_one", "power_log", "iterated_log", "power", "spiky")
+
+
+@pytest.fixture(scope="module")
+def series_64(tmp_path_factory):
+    """A written 64^2 series of 151 records, enough for every check, and the run's records."""
+    series = tmp_path_factory.mktemp("series64") / "series.csv"
+    cfg = series.with_name("run.cfg")
+    cfg.write_text(BASE_CFG.replace("grid.points = 16", "grid.points = 64")
+                   .replace("stepper.t_end = 0.02", "stepper.t_end = 0.15")
+                   + f"out.series = {series}\n")
+    result = diagnostics.run_experiment(diagnostics.parse_config(str(cfg)))
+    assert result.status == "ok" and len(result.records) == 151
+    return series, result.records
+
+
+@pytest.mark.parametrize("g1", G1_CATALOG)
+def test_check_prints_the_checks_of_the_records(g1, series_64, capsys, monkeypatch):
+    """lmhd check parses its series by one read_series call and prints, byte for byte,
+    the report evaluate_checks gives on the run's list of records."""
+    series, records = series_64
+    original, calls = diagnostics.read_series, []
+
+    def counted(path):
+        calls.append(path)
+        return original(path)
+
+    # patched under every name an lmhd module holds it by
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "lmhd" or name.startswith("lmhd.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert main(["check", str(series), "--g1", g1, "--energy-tol", "1e-4"]) == 0
+    assert calls == [str(series)]
+    config = config_from_mapping({"params.g1.kind": g1, "check.energy_tol": "1e-4"})
+    report, failures = evaluate_checks(records, config, None)
+    assert not failures and "gamma_log_constant" in report
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
 
 def test_osgood_command(capsys):

@@ -535,9 +535,10 @@ class TestSeriesIO:
         path = str(tmp_path / "series.csv")
         write_series(path, records)
         back = read_series(path)
+        assert back.dtype == np.float64 and back.shape == (len(records), len(RECORD_FIELDS))
         assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert a == b
+        for a, b in zip(records, back.tolist()):
+            assert a == DiagnosticRecord._make(b)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -572,13 +573,14 @@ class TestSeriesIO:
         cells = rows[2].split(",")
         cells[1:4] = ["nan", "inf", "-inf"]
         path.write_text("\n".join(rows[:2] + [",".join(cells)] + rows[3:]) + "\n")
-        record = read_series(str(path))[1]
+        record = DiagnosticRecord._make(read_series(str(path))[1])
         assert np.isnan(record.energy) and record.diss_u == np.inf and record.diss_b == -np.inf
 
     def test_record_is_a_row_of_its_table(self, tmp_path):
         path, _ = self.written_rows(tmp_path)
-        records = read_series(str(path))
-        table = np.asarray(records, dtype=np.float64)
+        table = read_series(str(path))
+        records = list(map(DiagnosticRecord._make, table.tolist()))
+        assert np.array_equal(np.asarray(records, dtype=np.float64), table)
         assert table.shape == (len(records), len(RECORD_FIELDS))
         columns = DiagnosticRecord._make(table.T)
         for name in RECORD_FIELDS:

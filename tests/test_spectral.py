@@ -1,6 +1,8 @@
 """Transforms, differential multipliers, projection, norms, snapshots."""
 
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -255,15 +257,17 @@ class TestNorms:
 
 class TestSnapshots(object):
     def test_round_trip(self, tmp_path, grid16):
-        fields = [random_real_field(grid16, seed=s) for s in (1, 2, 3)]
-        path = str(tmp_path / "state.lmhd")
-        sp.write_snapshot(path, fields)
-        back = sp.read_snapshot(path)
-        assert len(back) == 3
-        for a, b in zip(fields, back):
-            assert a.grid == b.grid
-            assert np.array_equal(a.coeffs, b.coeffs)
-            assert b.coeffs.flags.writeable
+        for grid in (grid16, sp.make_grid(3, 8)):
+            fields = [random_real_field(grid, seed=s) for s in (1, 2, 3)]
+            path = str(tmp_path / f"state{grid.dim}.lmhd")
+            sp.write_snapshot(path, fields)
+            back = sp.read_snapshot(path)
+            assert len(back) == 3
+            for a, b in zip(fields, back):
+                assert a.grid == b.grid
+                assert np.array_equal(a.coeffs, b.coeffs)
+                assert b.coeffs.dtype == np.complex128 and b.coeffs.dtype.isnative
+                assert b.coeffs.flags.writeable
 
     def test_header(self, tmp_path, grid16):
         path = str(tmp_path / "state.lmhd")
@@ -305,10 +309,23 @@ class TestSnapshots(object):
         lambda raw: raw + b"\0" * 4,
         lambda raw: raw[:16] + struct.pack("<I", 0),
         lambda raw: raw[:4] + struct.pack("<IIII", 1, 3, 4096, 1),
-    ], ids=["truncated_header", "trailing_bytes", "zero_count", "forged_3d_4096"])
+        lambda raw: raw[:-16],
+        lambda raw: raw[:-8],
+    ], ids=["truncated_header", "trailing_bytes", "zero_count", "forged_3d_4096",
+            "one_coefficient_short", "8_bytes_short"])
     def test_malformed_rejected(self, tmp_path, grid16, corrupt):
         path = tmp_path / "state.lmhd"
         sp.write_snapshot(str(path), [sp.zero_field(grid16)])
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(ValueError):
+            sp.read_snapshot(str(path))
+
+    def test_short_read_rejected(self, tmp_path, grid16, monkeypatch):
+        # a payload that passes the size check but comes up one coefficient short on reading
+        path = tmp_path / "state.lmhd"
+        sp.write_snapshot(str(path), [sp.zero_field(grid16)])
+        path.write_bytes(path.read_bytes()[:-16])
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 16))
+        with pytest.raises(ValueError, match="snapshot size does not match its header"):
             sp.read_snapshot(str(path))
