@@ -327,12 +327,11 @@ def evaluate_checks(records: list[DiagnosticRecord] | np.ndarray, config: RunCon
 # ---------------------------------------------------------------------------
 
 def _state_from_samples(u_samples: list[np.ndarray], b_samples: list[np.ndarray],
-                        grid: sp.Grid) -> SolutionPair:
-    """The solenoidal, zero-mean pair inside the 2/3 band that every initial state starts from."""
-    coeffs = sp.to_spectral_array(np.array([u_samples, b_samples], dtype=np.float64), grid)
-    coeffs *= grid.dealias_mask
-    coeffs[(...,) + (0,) * grid.dim] = 0.0
-    return SolutionPair.from_array(grid, sp.leray_array(coeffs, grid), 0.0)
+                        grid: sp.Grid) -> np.ndarray:
+    """The band of the solenoidal, zero-mean pair that every initial state starts from."""
+    band = sp.physical_to_band(np.array([u_samples, b_samples], dtype=np.float64), grid)
+    band[(...,) + (0,) * grid.dim] = 0.0
+    return sp.leray_array(band, grid)
 
 
 # initial condition -> the ic.* parameters it reads
@@ -341,19 +340,20 @@ _IC_PARAMETERS = {"orszag_tang_2d": (), "taylor_green_2d": (),
 
 
 def initial_condition(name: str, params: dict, grid: sp.Grid) -> SolutionPair:
-    """Named solenoidal, zero-mean, band-limited initial states; ConfigError for an
-    unknown name, a parameter the named state does not read, or the zero state."""
+    """Named solenoidal, zero-mean initial states, built on the 2/3 band and
+    returned as `SolutionPair.from_band` pairs; ConfigError for an unknown
+    name, a parameter the named state does not read, or the zero state."""
     # an unknown name reads every parameter here, and _initial_state rejects the name
     unread = sorted(set(params).difference(_IC_PARAMETERS.get(name, params)))
     if unread:
         raise ConfigError(f"initial condition {name!r} does not read ic.{', ic.'.join(unread)}")
-    state = _initial_state(name, params, grid)
-    if not np.any(state.data):
+    band = _initial_state(name, params, grid)
+    if not np.any(band):
         raise ConfigError(f"initial condition {name!r} is identically zero with these ic.* parameters")
-    return state
+    return SolutionPair.from_band(grid, band, 0.0)
 
 
-def _initial_state(name: str, params: dict, grid: sp.Grid) -> SolutionPair:
+def _initial_state(name: str, params: dict, grid: sp.Grid) -> np.ndarray:
     coords = grid.coordinates()
     if name == "orszag_tang_2d":
         if grid.dim != 2:
@@ -375,9 +375,9 @@ def _initial_state(name: str, params: dict, grid: sp.Grid) -> SolutionPair:
         band = float(params.get("band", 4.0))
         amplitude = float(params.get("amplitude", 1.0))
         samples = np.random.default_rng(seed).standard_normal((2, grid.dim) + grid.shape)
-        data = _state_from_samples(*samples, grid).data * (grid.kmag <= band)
-        norm = math.sqrt(sum(float(np.sum(sp.mode_power(c))) for c in data))
-        return SolutionPair.from_array(grid, data * (amplitude / max(norm, 1e-300)), 0.0)
+        kept = _state_from_samples(*samples, grid) * (np.sqrt(grid.band_k_squared) <= band)
+        norm = math.sqrt(sum(float(np.sum(grid.band_parseval * sp.mode_power(c))) for c in kept))
+        return kept * (amplitude / max(norm, 1e-300))
     if name == "single_mode":
         k = tuple(int(v) for v in params.get("k", (1, 0)))
         if len(k) != grid.dim or all(v == 0 for v in k):
@@ -614,7 +614,8 @@ class _SnapshotObserver:
 def prepare_experiment(config: RunConfig) -> tuple[SystemParams, SolutionPair, StepperConfig,
                                                    DiagnosticTracker]:
     """What a run of `config` needs, built before anything runs or is written;
-    ConfigError for every value that `run_experiment` rejects."""
+    ConfigError for every value that `run_experiment` rejects, a grid too
+    large to allocate among them."""
     try:
         grid = sp.make_grid(config.dim, config.points)
         params = config.system_params()
@@ -630,18 +631,15 @@ def prepare_experiment(config: RunConfig) -> tuple[SystemParams, SolutionPair, S
             raise ConfigError("out.snapshots and out.snapshot_times must be set together")
         if any(not 0.0 <= t <= stepper.t_end for t in config.snapshot_times):
             raise ConfigError(f"snapshot times must lie in [0, t_end = {stepper.t_end}]")
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc
     return params, state0, stepper, tracker
 
 
 def run_experiment(config: RunConfig) -> ExperimentResult:
-    """Run one configured experiment, write artifacts, evaluate the checks."""
-    try:
-        params, state0, stepper, tracker = prepare_experiment(config)
-    except ConfigError as exc:
-        return ExperimentResult(STATUS_CONFIG_ERROR, [], {}, message=str(exc))
-
+    """Run one configured experiment, write artifacts, evaluate the checks;
+    ConfigError, before anything runs, from `prepare_experiment`."""
+    params, state0, stepper, tracker = prepare_experiment(config)
     snapshots = (_SnapshotObserver(config.out_snapshots, config.snapshot_times)
                  if config.out_snapshots else None)
     steps_taken = 0

@@ -45,21 +45,15 @@ class SolutionPair:
 
     `data` has shape (2, dim, *grid.shape); `u` and `b` are VectorField views
     of data[0] and data[1], so writing to them writes to the pair.  The
-    constructor copies u and b into a new array; `from_array` wraps one, and
-    `from_band` wraps a band and builds `data` from it on first access.
+    constructor copies u and b into a new array; `from_band` wraps a band,
+    as every initial state and every state of a run is, and builds `data`
+    from it on first access.
     """
 
     def __init__(self, u: VectorField, b: VectorField, time: float = 0.0):
         if u.grid != b.grid:
             raise ValueError("velocity and magnetic fields must share one grid")
         self._wrap(u.grid, np.stack([u.coeffs, b.coeffs]), None, time)
-
-    @classmethod
-    def from_array(cls, grid: sp.Grid, data: np.ndarray, time: float) -> "SolutionPair":
-        """The pair stored in `data`, shape (2, dim, *grid.shape) (no copy)."""
-        if data.shape != (2, grid.dim) + grid.shape:
-            raise ValueError(f"array shape {data.shape} does not match a pair on {grid}")
-        return cls.__new__(cls)._wrap(grid, data, None, time)
 
     @classmethod
     def from_band(cls, grid: sp.Grid, band: np.ndarray, time: float) -> "SolutionPair":

@@ -12,10 +12,11 @@ the API edge, or the retained band of the 2/3 rule, |k_j| <= kc =
 gathers the band, which is the dealias mask, and `from_band` places it in a
 half spectrum.  The half spectrum, columns 0..n/2 of the last axis that
 determine a real field's conjugate-symmetric spectrum, appears only inside
-the real transforms: spectra enter by `rfftn` completed with `from_half`,
-and leave by one `irfftn` of the full array in `to_physical_array`.
-`band_to_physical` and `physical_to_band` are the pruned real transforms of
-the band, equal bit for bit to the half-spectrum ones.
+the real transforms and the expansion of a band: full spectra at the API edge
+enter by `rfftn` completed with `from_half`, and leave by one `irfftn` of the
+full array in `to_physical_array`.  `band_to_physical` and `physical_to_band`
+are the pruned real transforms of the band, equal bit for bit to the
+half-spectrum ones; initial states, the stepper and the records use only these.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 The trajectory fixtures are session-scoped and shared between criteria;
-the full module takes on the order of fifteen minutes at desk scale.
+the full module takes about two minutes at desk scale (108-128 s over two
+runs on a 2-core x86-64 host with Python 3.11.7 and numpy 2.4.6), nearly all
+of it in the fixtures' set-up.
 """
 
 import time

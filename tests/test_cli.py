@@ -182,6 +182,30 @@ def test_entry_point_exits_2_without_traceback(tmp_path):
     assert proc.stderr.startswith("config error: ")
 
 
+# a 4096^3 grid: one wavenumber mesh alone is 512 GiB, far past the address-space cap below
+HUGE_GRID_CFG = "grid.n = 3\ngrid.points = 4096\nic.name = single_mode\nic.k = 1,0,0\n"
+# the child caps its own address space before lmhd.cli runs, so the grid's first table fails to
+# allocate at once; never run this config without the cap
+CAPPED_ENTRY_POINT = ("import resource, runpy; "
+                      "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+                      "runpy.run_module('lmhd.cli', run_name='__main__')")
+
+
+@pytest.mark.parametrize("command, args, prefix", [
+    ("run", [], "config error: "),
+    ("sweep", ["--vary", "g1=constant_one"], "config error: g1=constant_one: "),
+], ids=["run", "sweep"])
+def test_grid_too_large_to_allocate_exits_2(tmp_path, command, args, prefix):
+    (tmp_path / "run.cfg").write_text(HUGE_GRID_CFG)
+    env = {**os.environ, "PYTHONPATH": str(Path(lmhd.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_ENTRY_POINT, command, "run.cfg", *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(prefix)
+
+
 def test_run_adaptive(tmp_path, capsys):
     cfg = tmp_path / "adaptive.cfg"
     cfg.write_text(BASE_CFG.replace("stepper.dt = 0.001", "stepper.dt = adaptive")

@@ -19,7 +19,6 @@ from lmhd.diagnostics import (
     RunConfig,
     STATUS_BLOWUP,
     STATUS_CHECK_FAILED,
-    STATUS_CONFIG_ERROR,
     STATUS_OK,
     config_from_mapping,
     energy_balance_residual,
@@ -33,7 +32,7 @@ from lmhd.diagnostics import (
     run_experiment,
     write_series,
 )
-from lmhd.dynamics import SolutionPair, SystemParams
+from lmhd.dynamics import SolutionPair, SystemParams, state_band
 from lmhd.integrator import StepperConfig, run
 from lmhd.multiplier import DissipationSpec, GFunction, make_g, partial_integral
 
@@ -389,6 +388,77 @@ class TestChecksOnTables:
             gamma_log_derivative_check(records)
 
 
+# every named initial condition, in 2D and, where it allows, in 3D: (name, ic.* parameters, dim, points)
+NAMED_STATES = [("orszag_tang_2d", {}, 2, 32), ("taylor_green_2d", {}, 2, 32),
+                ("single_mode", {"k": (2, 1), "amplitude": 1.5}, 2, 32),
+                ("single_mode", {"k": (1, 2, 1)}, 3, 16),
+                ("random_band", {"seed": 3, "band": 5.0, "amplitude": 1.5}, 2, 32),
+                ("random_band", {"seed": 7, "band": 3.0}, 3, 16)]
+
+
+def full_spectrum_initial_data(name, params, samples, grid):
+    """The full-spectrum pipeline that once built every initial state, kept as an
+    oracle: a full transform of the samples, the 2/3 mask, the mean zeroed and a
+    full Leray projection; random_band then cuts at |k| <= ic.band and
+    normalises with the full-spectrum Parseval sum."""
+    coeffs = sp.to_spectral_array(np.array(samples, dtype=np.float64), grid)
+    coeffs *= grid.dealias_mask
+    coeffs[(...,) + (0,) * grid.dim] = 0.0
+    data = sp.leray_array(coeffs, grid)
+    if name == "random_band":
+        data = data * (grid.kmag <= params["band"])
+        norm = math.sqrt(sum(float(np.sum(sp.mode_power(c))) for c in data))
+        data = data * (params.get("amplitude", 1.0) / max(norm, 1e-300))
+    return data
+
+
+class TestBandBornStates:
+    @pytest.mark.parametrize("name, params, dim, points", NAMED_STATES)
+    def test_built_on_the_band_with_the_full_spectrum_values(self, name, params, dim, points,
+                                                            monkeypatch):
+        grid = sp.make_grid(dim, points)
+        samples = []
+        build = diagnostics._state_from_samples
+
+        def recording(u, b, grid):
+            samples.append((u, b))
+            return build(u, b, grid)
+
+        def full_transform(*args):
+            raise AssertionError("an initial state made a full-spectrum transform")
+
+        monkeypatch.setattr(diagnostics, "_state_from_samples", recording)
+        monkeypatch.setattr(sp, "to_spectral_array", full_transform)
+        monkeypatch.setattr(sp, "physical_to_half", full_transform)
+        pair = initial_condition(name, params, grid)
+        monkeypatch.undo()
+        # a pair that holds its band hands out that array, not a new gather each time
+        assert state_band(pair) is state_band(pair)
+        assert state_band(pair).shape == (2, dim) + grid.band_shape
+        oracle = full_spectrum_initial_data(name, params, samples[0], grid)
+        if name == "random_band":
+            # the band's Parseval sum may round the norm apart from the full-spectrum one
+            assert np.array_equal(pair.data == 0, oracle == 0)
+            assert np.all(np.abs(pair.data - oracle) <= 4 * np.finfo(float).eps * np.abs(oracle))
+        else:
+            assert np.array_equal(pair.data, oracle)
+
+    @pytest.mark.parametrize("name, params, dim, points", NAMED_STATES)
+    def test_band_pair_runs_like_its_full_spectrum_copy(self, name, params, dim, points):
+        grid = sp.make_grid(dim, points)
+        system = SystemParams(DissipationSpec(0.1, 2.0, make_g("constant_one")),
+                              DissipationSpec(0.0, 1.0, make_g("constant_one")), dim)
+        stepper = StepperConfig(t_end=0.004, dt=1e-3)
+        state = initial_condition(name, params, grid)
+        runs = []
+        # the band pair runs first: building the copy reads state.data, which expands it
+        for start in (lambda: state, lambda: SolutionPair(state.u, state.b, 0.0)):
+            tracker = DiagnosticTracker(system, 2.5 if dim == 2 else 3.0, 5.0)
+            final = run(start(), system, stepper, observer=tracker)
+            runs.append((np.array(tracker.records).tobytes(), final.data.tobytes()))
+        assert runs[0] == runs[1]
+
+
 class TestInitialConditions:
     def test_orszag_tang_solenoidal_and_zero_mean(self):
         grid = sp.make_grid(2, 64)
@@ -636,10 +706,10 @@ class TestRunExperiment:
             t = min(r.t for r in result.records if r.t >= requested - 1e-12)
             assert t > requested and path == f"{tmp_path / 'snap'}_t{t:.6f}.lmhd"
 
-    def test_config_error_status(self):
+    def test_config_error_raises(self):
         for key, value in (("ic.name", "nope"), ("diag.cadence", "0")):
-            result = run_experiment(config_from_mapping({"grid.points": "16", key: value}))
-            assert result.status == STATUS_CONFIG_ERROR and result.exit_code == 2
+            with pytest.raises(ConfigError):
+                run_experiment(config_from_mapping({"grid.points": "16", key: value}))
 
     def test_blowup_status(self, tmp_path):
         # the summary file says why the run stopped; cadence 1 records the
