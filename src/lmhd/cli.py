@@ -24,6 +24,7 @@ from .diagnostics import (
     read_config,
     read_series,
     run_experiment,
+    run_prepared,
 )
 from .multiplier import make_g, osgood_classify
 
@@ -47,8 +48,8 @@ def _cmd_sweep(args) -> int:
     key, values = key.strip(), [v.strip() for v in listed.split(",")]
     if not sep or not all(values):
         raise ConfigError(f"expected --vary KEY=v1,v2,..., got {args.vary!r}")
-    # every swept config is built and given run_experiment's set-up checks before the first run
-    configs = []
+    # every swept config is set up, with run_experiment's checks, before the first run starts
+    setups = []
     for value in values:
         mapping = dict(raw)
         if "out.series" in raw:
@@ -56,13 +57,13 @@ def _cmd_sweep(args) -> int:
             mapping["out.series"] = str(stem.with_name(f"{stem.stem}_{value}{stem.suffix}"))
         mapping["params.g1.kind" if key == "g1" else key] = value
         try:
-            configs.append(config_from_mapping(mapping))
-            prepare_experiment(configs[-1])
+            config = config_from_mapping(mapping)
+            setups.append((config, prepare_experiment(config)))
         except ConfigError as exc:
             raise ConfigError(f"{key}={value}: {exc}") from exc
     worst = STATUS_OK
-    for value, config in zip(values, configs):
-        result = run_experiment(config)
+    for value, (config, prepared) in zip(values, setups):
+        result = run_prepared(config, prepared)
         print(f"{key}={value}: status={result.status} "
               f"max_X={result.summary.get('max_x_norm', float('nan')):.6g} "
               f"gronwall_C={result.summary.get('gronwall_constant', float('nan')):.6g}")

@@ -639,7 +639,14 @@ def prepare_experiment(config: RunConfig) -> tuple[SystemParams, SolutionPair, S
 def run_experiment(config: RunConfig) -> ExperimentResult:
     """Run one configured experiment, write artifacts, evaluate the checks;
     ConfigError, before anything runs, from `prepare_experiment`."""
-    params, state0, stepper, tracker = prepare_experiment(config)
+    return run_prepared(config, prepare_experiment(config))
+
+
+def run_prepared(config: RunConfig, prepared: tuple[SystemParams, SolutionPair, StepperConfig,
+                                                    DiagnosticTracker]) -> ExperimentResult:
+    """`run_experiment` on the set-up that `prepare_experiment(config)` returned; a
+    set-up runs once, since its tracker keeps the records."""
+    params, state0, stepper, tracker = prepared
     snapshots = (_SnapshotObserver(config.out_snapshots, config.snapshot_times)
                  if config.out_snapshots else None)
     steps_taken = 0

@@ -16,7 +16,7 @@ h(sigma) = 1/g(tau(sigma))^2 with respect to sigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ INCONCLUSIVE = "inconclusive"
 
 # kind -> the parameters it reads; its keys are the catalog
 _PARAMETERS = {"constant_one": (), "power_log": ("c",), "iterated_log": (), "power": ("epsilon",),
-               "spiky": ("period", "height"), "tabulated": ("points",)}
+               "spiky": ("period", "height")}
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,6 @@ class GFunction:
           is constant, so monotonicity is preserved while the Osgood
           integral picks up a fixed contribution per jump window and
           diverges.
-      tabulated(points): piecewise-constant from (radius, value) pairs,
-          extended by the last value; must be non-decreasing with values >= 1.
     """
 
     kind: str
@@ -56,7 +54,6 @@ class GFunction:
     epsilon: float = 0.1
     period: float = 0.6
     height: float = 2.0
-    points: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self):
         if self.kind not in _PARAMETERS:
@@ -69,18 +66,6 @@ class GFunction:
             raise ValueError("power requires epsilon > 0")
         if self.kind == "spiky" and (self.period <= 0.0 or self.height < 1.0):
             raise ValueError("spiky requires period > 0 and height >= 1")
-        if self.kind == "tabulated":
-            pts = np.asarray(self.points, dtype=np.float64)
-            if pts.ndim != 2 or pts.shape[1] != 2 or pts.size == 0 or not np.all(np.isfinite(pts)):
-                raise ValueError("tabulated g requires a non-empty sequence of finite (radius, value) pairs")
-            radii, values = pts.T.tolist()
-            if any(r < 0 for r in radii) or sorted(radii) != radii:
-                raise ValueError("tabulated radii must be non-negative and sorted")
-            if any(v < 1.0 for v in values):
-                raise ValueError("tabulated g values must be >= 1")
-            if any(b < a for a, b in zip(values, values[1:])):
-                raise ValueError("monotonicity violation: tabulated g must be non-decreasing")
-            object.__setattr__(self, "points", tuple(map(tuple, pts.tolist())))
 
     def __call__(self, r):
         """Evaluate g at radius r (scalar or array), r >= 0."""
@@ -95,13 +80,8 @@ class GFunction:
             out = np.sqrt(np.log(E + np.log(E + r)))
         elif self.kind == "power":
             out = (E + r) ** self.epsilon
-        elif self.kind == "spiky":
+        else:  # spiky
             out = self.height ** self._spiky_jump_count(_loglog_of_radius(r))
-        else:  # tabulated
-            radii = np.array([p[0] for p in self.points])
-            values = np.array([p[1] for p in self.points])
-            idx = np.searchsorted(radii, r, side="right") - 1
-            out = np.where(idx < 0, 1.0, values[np.clip(idx, 0, len(values) - 1)])
         return out if out.ndim else float(out)
 
     def _spiky_jump_count(self, sigma):
@@ -127,11 +107,8 @@ class GFunction:
             return 1.0 / np.log(E + log_e_plus_tau)
         if self.kind == "power":
             return np.exp(-2.0 * self.epsilon * log_e_plus_tau)
-        if self.kind == "spiky":
-            return self.height ** (-2.0 * self._spiky_jump_count(sigma))
-        # tabulated: tau fits in a double whenever sigma <= lnln(realmax)
-        tau = np.exp(np.minimum(np.exp(sigma), 709.0))
-        return 1.0 / np.asarray(self(tau)) ** 2
+        # spiky
+        return self.height ** (-2.0 * self._spiky_jump_count(sigma))
 
 
 def _loglog_of_radius(r):

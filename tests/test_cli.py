@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lmhd
-from lmhd import diagnostics
+from lmhd import diagnostics, multiplier
 from lmhd.cli import main
 from lmhd.diagnostics import RECORD_FIELDS, config_from_mapping, evaluate_checks
 
@@ -134,7 +134,6 @@ EXIT_CONTRACT = {
     ("osgood", "non_numeric_limit"): (None, ["power", "--limit", "abc"], 2),
     ("osgood", "unread_param"): (None, ["constant_one", "epsilon=5"], 2),
     ("osgood", "param_named_kind"): (None, ["power", "kind=1"], 2),
-    ("osgood", "tabulated_points_number"): (None, ["tabulated", "points=1"], 2),
 }
 # (command, failure mode) -> (field, value) written into a record of "{series}"
 SERIES_EDITS = {("check", "negative_record_value"): ("diss_u", "-1.0"),
@@ -399,6 +398,15 @@ def test_sweep_rejects_every_value_before_the_first_run(tmp_path, capsys, vary, 
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+def test_sweep_builds_each_set_up_once(cfg_path, capsys, monkeypatch):
+    calls = []
+    original = diagnostics.initial_condition
+    monkeypatch.setattr(diagnostics, "initial_condition",
+                        lambda *args: calls.append(args[0]) or original(*args))
+    assert main(["sweep", str(cfg_path), "--vary", "g1=constant_one,iterated_log,power"]) == 0
+    assert calls == ["orszag_tang_2d"] * 3
+
+
 def test_sweep_varies_any_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE_CFG + f"out.series = {tmp_path / 'series.csv'}\n")
@@ -426,8 +434,20 @@ def test_check_flags_override_config_keys(tmp_path, capsys):
     assert flagged["energy_residual"] != plain["energy_residual"]
 
 
-# every g1 kind that --g1 sets without parameters
-G1_CATALOG = ("constant_one", "power_log", "iterated_log", "power", "spiky")
+# every catalog kind; each reads only parameters that have defaults
+G1_CATALOG = tuple(multiplier._PARAMETERS)
+
+
+@pytest.mark.parametrize("kind", G1_CATALOG)
+def test_every_catalog_kind_is_reachable_from_a_command(kind, tmp_path, capsys):
+    """No catalog entry that no command can use: osgood classifies it, and a run takes it as g1."""
+    assert main(["osgood", kind]) == 0
+    assert json.loads(capsys.readouterr().out)["g"] == kind
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG.replace("kind = constant_one", f"kind = {kind}")
+                   .replace("stepper.t_end = 0.02", "stepper.t_end = 0.002"))
+    assert main(["run", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 2
 
 
 @pytest.fixture(scope="module")

@@ -115,7 +115,7 @@ class TestEnergyBalance:
 
 
 GRONWALL_KINDS = [make_g("constant_one"), make_g("power_log"), make_g("iterated_log"), make_g("power"),
-                  make_g("spiky"), make_g("tabulated", points=((0.0, 1.0), (10.0, 2.0), (1e6, 3.0)))]
+                  make_g("spiky"), make_g("spiky", period=0.3, height=2.0)]
 
 
 def synthetic_records(t, x_norm):
@@ -143,9 +143,9 @@ class TestGronwall:
             gronwall_bound_check([], make_g("constant_one"))
 
     def test_staircase_constant_is_exact(self):
-        # g = 2 between the jumps at 10 and 1e6, so F(e + X) - F(e + X(0)) is
-        # (lnln(e + X) - lnln(e + X(0))) / 4 in closed form
-        g = make_g("tabulated", points=((0.0, 1.0), (10.0, 2.0), (1e6, 3.0)))
+        # g = 2 between the jumps at lnln r = 1.2 and 4.8 (|k| ~ 27.7 and exp(exp(4.8))), so
+        # F(e + X) - F(e + X(0)) is (lnln(e + X) - lnln(e + X(0))) / 4 in closed form
+        g = make_g("spiky", period=0.3, height=2.0)
         x_norm = np.linspace(256.0, 264.0, 17)
         t = np.linspace(0.0, 1.0, 17)
         exact = (np.log(np.log(E + x_norm[1:])) - np.log(np.log(E + x_norm[0]))) / 4.0

@@ -31,9 +31,9 @@ CATALOG = [
     make_g("power", epsilon=0.1),
     make_g("power", epsilon=0.5),
     make_g("spiky", period=0.6, height=2.0),
-    make_g("tabulated", points=((0.0, 1.0), (4.0, 1.5), (64.0, 2.0))),
+    make_g("spiky", period=0.3, height=2.0),
 ]
-SMOOTH = [g for g in CATALOG if g.kind not in ("spiky", "tabulated")]
+SMOOTH = [g for g in CATALOG if g.kind != "spiky"]
 
 
 class TestGFunction:
@@ -47,19 +47,6 @@ class TestGFunction:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_g("mystery")
-
-    def test_non_monotone_tabulated_rejected(self):
-        with pytest.raises(ValueError, match="monotonicity"):
-            make_g("tabulated", points=((0.0, 2.0), (1.0, 1.5)))
-
-    def test_tabulated_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            make_g("tabulated", points=((0.0, 0.5),))
-
-    @pytest.mark.parametrize("points", [((0.0, np.nan),), ((np.nan, 2.0),), ((0.0, 1.0), (np.inf, 2.0))])
-    def test_tabulated_non_finite_rejected(self, points):
-        with pytest.raises(ValueError, match="finite"):
-            make_g("tabulated", points=points)
 
     @pytest.mark.parametrize("kind, param", [("power_log", "c"), ("power", "epsilon"),
                                              ("spiky", "period"), ("spiky", "height")])
@@ -317,9 +304,10 @@ class TestPartialIntegral:
             partial_integral(make_g("iterated_log"), limit)
 
     def test_staircase_differences_are_exact(self):
-        # g = 2 on [10, 1e6), so F(x) - F(x0) = (lnln x - lnln x0) / 4 there; the
-        # jump at 10 lies below every limit and is cut once, for all of them
-        g = make_g("tabulated", points=((0.0, 1.0), (10.0, 2.0), (1e6, 3.0)))
+        # g = 2 between the jumps at lnln r = 1.2 and 4.8 (|k| ~ 27.7 and exp(exp(4.8))), so
+        # F(x) - F(x0) = (lnln x - lnln x0) / 4 there; the first jump lies below every
+        # limit and is cut once, for all of them
+        g = make_g("spiky", period=0.3, height=2.0)
         x = E + np.linspace(256.0, 264.0, 17)
         f = partial_integral(g, x)
         exact = (np.log(np.log(x)) - np.log(np.log(x[0]))) / 4.0

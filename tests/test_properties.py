@@ -170,7 +170,6 @@ def rebuilt_record(state, params, gamma, s, prev=None):
 catalog_g = st.sampled_from([
     make_g("constant_one"), make_g("power_log", c=2.0), make_g("iterated_log"), make_g("power"),
     make_g("spiky", period=0.2, height=1.5),
-    make_g("tabulated", points=((0.0, 1.0), (2.0, 1.5), (5.0, 3.0))),
 ])
 catalog_specs = st.builds(DissipationSpec, st.floats(0.0, 10.0), st.floats(0.5, 4.0), catalog_g)
 
