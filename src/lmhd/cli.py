@@ -24,7 +24,6 @@ from .diagnostics import (
     read_config,
     read_series,
     run_experiment,
-    run_prepared,
 )
 from .multiplier import make_g, osgood_classify
 
@@ -63,7 +62,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"{key}={value}: {exc}") from exc
     worst = STATUS_OK
     for value, (config, prepared) in zip(values, setups):
-        result = run_prepared(config, prepared)
+        result = run_experiment(config, prepared)
         print(f"{key}={value}: status={result.status} "
               f"max_X={result.summary.get('max_x_norm', float('nan')):.6g} "
               f"gronwall_C={result.summary.get('gronwall_constant', float('nan')):.6g}")

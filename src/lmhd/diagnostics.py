@@ -636,17 +636,14 @@ def prepare_experiment(config: RunConfig) -> tuple[SystemParams, SolutionPair, S
     return params, state0, stepper, tracker
 
 
-def run_experiment(config: RunConfig) -> ExperimentResult:
+def run_experiment(config: RunConfig,
+                   prepared: tuple[SystemParams, SolutionPair, StepperConfig, DiagnosticTracker]
+                   | None = None) -> ExperimentResult:
     """Run one configured experiment, write artifacts, evaluate the checks;
-    ConfigError, before anything runs, from `prepare_experiment`."""
-    return run_prepared(config, prepare_experiment(config))
-
-
-def run_prepared(config: RunConfig, prepared: tuple[SystemParams, SolutionPair, StepperConfig,
-                                                    DiagnosticTracker]) -> ExperimentResult:
-    """`run_experiment` on the set-up that `prepare_experiment(config)` returned; a
+    ConfigError, before anything runs, from `prepare_experiment`. `prepared` is
+    what `prepare_experiment(config)` returned, run in place of a new set-up; a
     set-up runs once, since its tracker keeps the records."""
-    params, state0, stepper, tracker = prepared
+    params, state0, stepper, tracker = prepared or prepare_experiment(config)
     snapshots = (_SnapshotObserver(config.out_snapshots, config.snapshot_times)
                  if config.out_snapshots else None)
     steps_taken = 0

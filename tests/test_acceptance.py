@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 The trajectory fixtures are session-scoped and shared between criteria, and
-read from one session fixture that runs all 18 trajectories in a pool of two
-processes; the full module takes about a minute at desk scale (64 s on a
+read from one session fixture that runs the trajectories of the selected tests
+(all 18 in a full run) in a pool of two processes with this process's warning
+filters; the full module takes about a minute at desk scale (69 s on a
 2-core x86-64 host with Python 3.11.7 and numpy 2.4.6), most of it in the
 pool.
 """
@@ -10,6 +11,7 @@ pool.
 import multiprocessing
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
@@ -73,19 +75,21 @@ def trajectory(points, nu, dt, t_end, cadence, gname="constant_one", alpha=2.0, 
     return tracker.records, final, wall, params
 
 
-# every trajectory the fixtures below read: key -> trajectory() arguments
+# the trajectories behind each trajectory fixture: key -> trajectory() arguments, where a
+# key is the fixture's name, or (fixture name, g name) for the fixtures that return a catalog
 TRAJECTORIES = {
     # criterion-1 trajectory: 64^2 Orszag-Tang, nu=1, eta=0, alpha=2, g=1
-    "viscous": (64, 1.0, 1e-3, 1.0, 10),
-    "inviscid": (64, 0.0, 1e-3, 1.0, 10),
+    "traj_viscous": (64, 1.0, 1e-3, 1.0, 10),
+    "traj_inviscid": (64, 0.0, 1e-3, 1.0, 10),
     # one grid refinement and dt halving of the criterion-1 trajectory
-    "viscous_refined": (128, 1.0, 5e-4, 1.0, 20),
+    "traj_viscous_refined": (128, 1.0, 5e-4, 1.0, 20),
     # theorem-regime runs (nu=0.05, alpha=2=1+N/2) per catalog g, t in [0,2]
-    **{("catalog", name): (64, 0.05, 1e-3, 2.0, 10, name) for name in CATALOG_NAMES},
+    **{("catalog_runs", name): (64, 0.05, 1e-3, 2.0, 10, name) for name in CATALOG_NAMES},
     # grid-refined, dt-halved variants on the common window t in [0,1]
-    **{("refined", name): (128, 0.05, 5e-4, 1.0, 20, name) for name in CATALOG_NAMES},
+    **{("catalog_runs_refined", name): (128, 0.05, 5e-4, 1.0, 20, name) for name in CATALOG_NAMES},
     # dt-halved 64^2 variants over the full t in [0,2] window
-    **{("dt_halved", name): (64, 0.05, 5e-4, 2.0, 20, name) for name in CATALOG_NAMES},
+    **{("catalog_runs_dt_halved", name): (64, 0.05, 5e-4, 2.0, 20, name)
+       for name in CATALOG_NAMES},
 }
 
 
@@ -95,54 +99,87 @@ def trajectory_cost(args):
     return points**2 * round(t_end / dt)
 
 
+def install_warning_filters(filters):
+    """Pool initializer: give a worker the warning filters of the process that made the
+    pool, so that a warning pyproject's `filterwarnings` makes an error is one there too."""
+    warnings.resetwarnings()
+    for action, message, category, module, lineno in filters:
+        # a filter holds its message and module as a compiled pattern, a string or None
+        warnings.filterwarnings(action, getattr(message, "pattern", message) or "", category,
+                                getattr(module, "pattern", module) or "", lineno, append=True)
+
+
 @pytest.fixture(scope="session")
-def trajectories():
-    """Every trajectory of TRAJECTORIES, run in at most two worker processes, longest first.
+def trajectory_pool():
+    """At most two spawned worker processes with this test's warning filters.
 
     The workers are spawned, not forked, so that no fork copies this process's threads."""
-    order = sorted(TRAJECTORIES, key=lambda key: trajectory_cost(TRAJECTORIES[key]), reverse=True)
     with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = {key: pool.submit(trajectory, *TRAJECTORIES[key]) for key in order}
-        return {key: future.result() for key, future in futures.items()}
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=install_warning_filters,
+                             initargs=(list(warnings.filters),)) as pool:
+        yield pool
 
 
 @pytest.fixture(scope="session")
-def traj_viscous(trajectories):
-    return trajectories["viscous"]
+def trajectory_futures(request, trajectory_pool):
+    """The trajectories of the fixtures the selected tests use, submitted longest first."""
+    used = {name for item in request.session.items for name in item.fixturenames}
+    keys = [key for key in TRAJECTORIES if (key[0] if isinstance(key, tuple) else key) in used]
+    keys.sort(key=lambda key: trajectory_cost(TRAJECTORIES[key]), reverse=True)
+    return {key: trajectory_pool.submit(trajectory, *TRAJECTORIES[key]) for key in keys}
 
 
 @pytest.fixture(scope="session")
-def traj_inviscid(trajectories):
-    return trajectories["inviscid"]
+def traj_viscous(trajectory_futures):
+    return trajectory_futures["traj_viscous"].result()
 
 
 @pytest.fixture(scope="session")
-def traj_viscous_refined(trajectories):
-    return trajectories["viscous_refined"]
+def traj_inviscid(trajectory_futures):
+    return trajectory_futures["traj_inviscid"].result()
 
 
 @pytest.fixture(scope="session")
-def catalog_runs(trajectories):
-    return {name: trajectories[("catalog", name)] for name in CATALOG_NAMES}
+def traj_viscous_refined(trajectory_futures):
+    return trajectory_futures["traj_viscous_refined"].result()
 
 
 @pytest.fixture(scope="session")
-def catalog_runs_refined(trajectories):
-    return {name: trajectories[("refined", name)] for name in CATALOG_NAMES}
+def catalog_runs(trajectory_futures):
+    return {name: trajectory_futures["catalog_runs", name].result() for name in CATALOG_NAMES}
 
 
 @pytest.fixture(scope="session")
-def catalog_runs_dt_halved(trajectories):
-    return {name: trajectories[("dt_halved", name)] for name in CATALOG_NAMES}
+def catalog_runs_refined(trajectory_futures):
+    return {name: trajectory_futures["catalog_runs_refined", name].result()
+            for name in CATALOG_NAMES}
 
 
-def test_pooled_trajectory_is_bit_identical_to_in_process(trajectories):
-    records, final, _, params = trajectories["inviscid"]
-    records_here, final_here, _, params_here = trajectory(*TRAJECTORIES["inviscid"])
+@pytest.fixture(scope="session")
+def catalog_runs_dt_halved(trajectory_futures):
+    return {name: trajectory_futures["catalog_runs_dt_halved", name].result()
+            for name in CATALOG_NAMES}
+
+
+def test_pooled_trajectory_is_bit_identical_to_in_process(traj_inviscid):
+    records, final, _, params = traj_inviscid
+    records_here, final_here, _, params_here = trajectory(*TRAJECTORIES["traj_inviscid"])
     assert np.array(records).tobytes() == np.array(records_here).tobytes()
     assert final.time == final_here.time and final.data.tobytes() == final_here.data.tobytes()
     assert params == params_here
+
+
+@pytest.mark.parametrize("category", [RuntimeWarning, np.exceptions.ComplexWarning,
+                                      DeprecationWarning, PendingDeprecationWarning])
+def test_a_warning_in_a_pool_worker_is_an_error(trajectory_pool, category):
+    with pytest.raises(category, match="raised in a worker"):
+        trajectory_pool.submit(warnings.warn, "raised in a worker", category).result()
+
+
+def test_a_floating_point_warning_in_a_pool_worker_is_an_error(trajectory_pool):
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        trajectory_pool.submit(np.log, np.float64(0.0)).result()
 
 
 def split_ratio_max(records):
