@@ -65,21 +65,34 @@ RECORD_FIELDS = list(DiagnosticRecord._fields)
 
 class RecordWeights(NamedTuple):
     """The factors of a record that do not read the state, on the band of one
-    grid: m(|k|)^2 of u and b, and (|k|^2)^order for the orders 1, s and gamma
-    of x_norm, y_norm and gamma_norm."""
+    grid of M modes: `matrix`, shape (8, 2 M), whose rows weight the flattened
+    band power of u then b to the sums of P_u and P_b, diss_u, diss_b,
+    diss_grad_u, x_norm, y_norm and gamma_norm; and `ik`, the i k_j of the
+    gradient of u's band."""
 
-    m_u2: np.ndarray
-    m_b2: np.ndarray
-    k_powers: tuple[np.ndarray, np.ndarray, np.ndarray]
+    matrix: np.ndarray
+    ik: np.ndarray
 
 
 def record_weights(grid: sp.Grid, params: SystemParams, gamma: float, s: float) -> RecordWeights:
     """The weights of every record of a run; a weight that overflows is kept as inf."""
+    k_squared = grid.band_k_squared
+    matrix = np.zeros((8, 2) + grid.band_shape)
+    # (2 pi)^N of sp.mode_power, and band_parseval, which counts the mirror -k of columns 1..kc
+    parseval = matrix[0, 0]
+    parseval[...] = sp.BOX_LENGTH ** grid.dim * grid.band_parseval
+    matrix[1, 1] = parseval
     with np.errstate(over="ignore", invalid="ignore"):
-        m_u, m_b = (band_symbol(d, grid) for d in (params.diss_u, params.diss_b))
-        # |k|^(2 order) = (|k|^2)^order
-        k_powers = tuple(sp.radial_power(grid.band_k_squared, order) for order in (1.0, s, gamma))
-        return RecordWeights(m_u**2, m_b**2, k_powers)
+        for i, spec in enumerate((params.diss_u, params.diss_b)):
+            np.square(band_symbol(spec, grid), out=matrix[2 + i, i])
+        # sum_j |m k_j u_hat|^2 = m^2 |k|^2 |u_hat|^2
+        np.multiply(matrix[2, 0], k_squared, out=matrix[4, 0])
+        # |k|^(2 order) = (|k|^2)^order for the orders 1, s and gamma, on u and b alike
+        matrix[5] = k_squared
+        for row, order in ((6, s), (7, gamma)):
+            matrix[row] = sp.radial_power(k_squared, order)
+        matrix[2:] *= parseval
+    return RecordWeights(matrix.reshape(8, -1), 1j * grid.band_kmesh[:, None])
 
 
 def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: float,
@@ -97,26 +110,19 @@ def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: floa
     with np.errstate(over="ignore", invalid="ignore"):
         if weights is None:
             weights = record_weights(grid, params, gamma, s)
-        # sp.mode_power of u and b in one pass; grid.band_parseval counts the
-        # mirror -k of columns 1..kc
-        power_u, power_b = grid.band_parseval * (
-            sp.BOX_LENGTH ** grid.dim * np.sum(band.real**2 + band.imag**2, axis=1))
-        power = power_u + power_b
-        l_u_density = weights.m_u2 * power_u
+        # sum_i |v_hat_i|^2 of u and b, flattened: every L2-type sum is one row of one product
+        power = np.sum(band.real**2 + band.imag**2, axis=1).reshape(-1)
+        sum_u, sum_b, diss_u, diss_b, diss_grad_u, x_norm, y_norm, gamma_norm = (
+            weights.matrix @ power).tolist()
+        energy = 0.5 * (sum_u + sum_b)
 
-        energy = 0.5 * float(np.sum(power))
-        diss_u = float(np.sum(l_u_density))
-        diss_b = float(np.sum(weights.m_b2 * power_b))
-        # sum_j |m k_j u_hat|^2 = m^2 |k|^2 |u_hat|^2
-        diss_grad_u = float(np.sum(grid.band_k_squared * l_u_density))
-        x_norm, y_norm, gamma_norm = (float(np.sum(w * power)) for w in weights.k_powers)
-
-        grad_u_inf = float(np.max(np.abs(sp.band_to_physical(sp.gradient_array(band[0], grid), grid))))
+        grad_u = sp.band_to_physical(weights.ik * band[0], grid)
+        grad_u_inf = max(float(grad_u.max()), -float(grad_u.min()))
         split_low, split_high = split_terms(params.diss_u, E + x_norm, diss_u, diss_grad_u)
         # solenoidal_residual of u and b, normalised by their own L2 norms; the band holds
         # every nonzero mode or its mirror, which has the same |k . v_hat|
-        div_u, div_b = (float(np.max(np.abs(kv))) / max(1.0, float(np.sqrt(np.sum(p))))
-                        for kv, p in zip(sp._k_dot(band, grid), (power_u, power_b)))
+        k_dot_max = np.abs(sp._k_dot(band, grid)).reshape(2, -1).max(axis=1).tolist()
+        div_u, div_b = (kv / max(1.0, math.sqrt(p)) for kv, p in zip(k_dot_max, (sum_u, sum_b)))
 
         t = state.time
         if prev is None:
@@ -128,23 +134,10 @@ def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: floa
             cum_diss_grad = prev.cum_diss_grad + half_dt * (prev.diss_grad_u + diss_grad_u)
 
         return DiagnosticRecord(
-            t=t,
-            energy=energy,
-            diss_u=diss_u,
-            diss_b=diss_b,
-            diss_grad_u=diss_grad_u,
-            x_norm=x_norm,
-            y_norm=y_norm,
-            gamma_norm=gamma_norm,
-            grad_u_inf=grad_u_inf,
-            split_low=split_low,
-            split_high=split_high,
-            cum_diss=cum_diss,
-            cum_diss_b=cum_diss_b,
-            cum_diss_grad=cum_diss_grad,
-            div_u=div_u,
-            div_b=div_b,
-        )
+            t=t, energy=energy, diss_u=diss_u, diss_b=diss_b, diss_grad_u=diss_grad_u,
+            x_norm=x_norm, y_norm=y_norm, gamma_norm=gamma_norm, grad_u_inf=grad_u_inf,
+            split_low=split_low, split_high=split_high, cum_diss=cum_diss, cum_diss_b=cum_diss_b,
+            cum_diss_grad=cum_diss_grad, div_u=div_u, div_b=div_b)
 
 
 class DiagnosticTracker:
@@ -604,9 +597,12 @@ class _SnapshotObserver:
 
     def __call__(self, step_index: int, state: SolutionPair) -> None:
         if self.pending and self.pending[0] <= state.time + 1e-12:
-            # one file for every time now due, named by the time of the state it holds
+            # one file for every time now due, named by the time of the state it holds, to
+            # six decimals or as many more as tell it from a file written before
             self.pending = [t for t in self.pending if t > state.time + 1e-12]
-            path = f"{self.prefix}_t{state.time:.6f}.lmhd"
+            digits = 6
+            while (path := f"{self.prefix}_t{state.time:.{digits}f}.lmhd") in self.written:
+                digits += 1
             sp.write_snapshot(path, list(state.u.components + state.b.components))
             self.written.append(path)
 

@@ -318,7 +318,7 @@ def to_physical_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 def radial_power(r: np.ndarray | float, s: float) -> np.ndarray:
     """r^s for radii r >= 0, with 0 at r = 0 for every s."""
     r = np.asarray(r, dtype=np.float64)
-    return np.where(r > 0.0, np.where(r > 0.0, r, 1.0) ** s, 0.0)
+    return np.power(r, s, out=np.zeros(r.shape), where=r > 0.0)
 
 
 def fractional_derivative(f: SpectralField, s: float) -> SpectralField:

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lmhd
-from lmhd import diagnostics, multiplier
+from lmhd import diagnostics, multiplier, spectral as sp
 from lmhd.cli import main
 from lmhd.diagnostics import RECORD_FIELDS, config_from_mapping, evaluate_checks
 
@@ -255,6 +256,27 @@ def test_run_and_check_report_identical_constants(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     for key in ("energy_residual", "gronwall_constant", "gamma_log_constant", "max_div"):
         assert report[key] == summary[key]
+
+
+def test_snapshots_whose_times_share_six_decimals_get_two_files(tmp_path, capsys):
+    """States at t = 1e-7 and 2e-7 both print as 0.000000: the second file's name takes
+    a seventh decimal rather than overwriting the first."""
+    series, cfg = tmp_path / "series.csv", tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG.replace("stepper.dt = 0.001", "stepper.dt = 1e-7")
+                   .replace("stepper.t_end = 0.02", "stepper.t_end = 3e-7")
+                   + f"out.series = {series}\nout.snapshots = {tmp_path / 'snap'}\n"
+                   "out.snapshot_times = 1e-7, 2e-7\n")
+    assert main(["run", str(cfg)]) == 0
+    paths = json.loads(capsys.readouterr().out)["snapshots"]
+    assert paths == [f"{tmp_path / 'snap'}_t0.000000.lmhd", f"{tmp_path / 'snap'}_t0.0000002.lmhd"]
+    assert all(Path(path).is_file() for path in paths)
+    table = diagnostics.read_series(str(series))
+    for path, requested in zip(paths, (1e-7, 2e-7)):
+        row = table[table[:, 0] >= requested - 1e-12][0]
+        # Parseval: half the (2 pi)^2-weighted sum of |coeff|^2 over the four fields
+        energy = 0.5 * (2.0 * np.pi) ** 2 * sum(float(np.sum(np.abs(f.coeffs) ** 2))
+                                                for f in sp.read_snapshot(path))
+        assert abs(energy - row[RECORD_FIELDS.index("energy")]) <= 1e-12 * energy
 
 
 NON_FINITE_ARGS = {

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,13 @@ from lmhd.integrator import StepperConfig, run
 from lmhd.multiplier import DissipationSpec, GFunction, make_g, partial_integral
 
 E = float(np.e)
+
+# the record table of a short adaptive 64^2 run, as hex
+BLAS_THREADS_RECORDS = (
+    "import numpy as np; from lmhd.diagnostics import config_from_mapping, run_experiment; "
+    "result = run_experiment(config_from_mapping({'grid.points': '64', 'params.nu': '0.05', "
+    "'stepper.dt': 'adaptive', 'stepper.t_end': '0.02'})); "
+    "print(np.array(result.records).tobytes().hex())")
 
 
 def make_params(nu=1.0, eta=0.0, alpha=2.0, g1="constant_one"):
@@ -766,8 +776,51 @@ class TestRunExperiment:
         result = run_experiment(config_from_mapping({"grid.points": "16", "stepper.dt": "0.001",
                                                      "stepper.t_end": str(t_end)}))
         assert result.status == STATUS_OK and len(result.records) == round(t_end * 1000) + 1
-        # radial_power: the 3 Sobolev weights and 1 per band_symbol
-        assert sorted(calls) == ["band_symbol"] * 4 + ["radial_power"] * 7
+        # radial_power: the Sobolev weights of orders s and gamma (order 1 is |k|^2
+        # itself) and 1 per band_symbol
+        assert sorted(calls) == ["band_symbol"] * 4 + ["radial_power"] * 6
+
+    def test_a_record_makes_one_inverse_and_no_forward_transform(self, monkeypatch):
+        # only grad_u_inf needs a transform: one band_to_physical per record, none to the spectrum
+        grid, params = sp.make_grid(2, 16), make_params(g1="iterated_log")
+        states = [SolutionPair.from_band(grid, state_band(initial_condition(
+            "random_band", {"seed": n}, grid)), 0.1 * n) for n in range(4)]
+        calls = []
+        for name in ("band_to_physical", "to_physical_array", "physical_to_band", "physical_to_half",
+                     "to_spectral_array"):
+            original = getattr(sp, name)
+            monkeypatch.setattr(sp, name, lambda *args, _name=name, _original=original:
+                                calls.append(_name) or _original(*args))
+        tracker = DiagnosticTracker(params, 2.5, 5.0)
+        for n, state in enumerate(states):
+            tracker(n, state)
+        assert calls == ["band_to_physical"] * 4
+        make_record(states[0], params, 2.5, 5.0)
+        assert calls == ["band_to_physical"] * 5
+
+    def test_identical_adaptive_runs_write_identical_series(self, tmp_path):
+        written = []
+        for n in range(2):
+            series = tmp_path / f"series{n}.csv"
+            result = run_experiment(config_from_mapping({
+                "grid.points": "32", "params.nu": "0.05", "stepper.dt": "adaptive",
+                "stepper.t_end": "0.1", "out.series": str(series)}))
+            assert result.status == STATUS_OK and len(result.records) > 5
+            written.append(series.read_bytes())
+        assert written[0] == written[1]
+
+    def test_records_do_not_depend_on_the_blas_thread_count(self):
+        # at 64^2 the record's (8, 1892) weight product is large enough for OpenBLAS to split
+        # it over threads; a fresh interpreter per thread count, as the count is read at import
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(diagnostics.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_RECORDS], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and len(outputs[0]) > 1000
 
     def test_energy_tolerance_failure(self):
         cfg = config_from_mapping({

@@ -133,37 +133,60 @@ def test_nonlinear_tendency_is_energy_neutral(grid, seed):
     assert abs(flux) <= 1e-12 * scale
 
 
+def _reference_record(state, params, prev, sums, l2_norms):
+    """The record of a state from the energy, its six other L2-type sums (diss_u,
+    diss_b, diss_grad_u, x_norm, y_norm, gamma_norm) and the L2 norms of u and b."""
+    grid, band = state.grid, state_band(state)
+    energy, diss_u, diss_b, diss_grad_u, x_norm, y_norm, gamma_norm = sums
+    grad_u_inf = float(np.max(np.abs(sp.band_to_physical(sp.gradient_array(band[0], grid), grid))))
+    split_low, split_high = split_terms(params.diss_u, E + x_norm, diss_u, diss_grad_u)
+    div_u, div_b = (float(np.max(np.abs(kv))) / max(1.0, norm)
+                    for kv, norm in zip(sp._k_dot(band, grid), l2_norms))
+    t = state.time
+    if prev is None:
+        cum_diss = cum_diss_b = cum_diss_grad = 0.0
+    else:
+        half_dt = 0.5 * (t - prev.t)
+        cum_diss = prev.cum_diss + half_dt * (prev.diss_u + diss_u)
+        cum_diss_b = prev.cum_diss_b + half_dt * (prev.diss_b + diss_b)
+        cum_diss_grad = prev.cum_diss_grad + half_dt * (prev.diss_grad_u + diss_grad_u)
+    return DiagnosticRecord(t, energy, diss_u, diss_b, diss_grad_u, x_norm, y_norm, gamma_norm,
+                            grad_u_inf, split_low, split_high, cum_diss, cum_diss_b, cum_diss_grad,
+                            div_u, div_b)
+
+
 def rebuilt_record(state, params, gamma, s, prev=None):
-    """Reference: make_record as it was before the record weights were built
-    once per run, rebuilding the symbols and the Sobolev weights per record."""
+    """Reference: the record weight matrix rebuilt for this record alone, from the
+    full-spectrum symbols, applied to the band power in one product."""
+    grid, band = state.grid, state_band(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        parseval = np.broadcast_to(sp.BOX_LENGTH ** grid.dim * grid.band_parseval, grid.band_shape)
+        m_u2, m_b2 = (sp.to_band(symbol(d, grid.kmag), grid) ** 2 for d in (params.diss_u, params.diss_b))
+        k_squared, zero = grid.band_k_squared, np.zeros(grid.band_shape)
+        sobolev = [sp.radial_power(k_squared, order) * parseval for order in (1.0, s, gamma)]
+        matrix = np.array([(parseval, zero), (zero, parseval), (m_u2 * parseval, zero),
+                           (zero, m_b2 * parseval), (m_u2 * k_squared * parseval, zero),
+                           *((w, w) for w in sobolev)]).reshape(8, -1)
+        sum_u, sum_b, *sums = matrix @ np.sum(band.real**2 + band.imag**2, axis=1).reshape(-1)
+        return _reference_record(state, params, prev, [0.5 * (sum_u + sum_b), *sums],
+                                 [math.sqrt(sum_u), math.sqrt(sum_b)])
+
+
+def per_sum_record(state, params, gamma, s, prev=None):
+    """Reference: one sum per record field over the Parseval density of u and b,
+    with the symbols and Sobolev weights rebuilt per record."""
     grid, band = state.grid, state_band(state)
     with np.errstate(over="ignore", invalid="ignore"):
         power_u, power_b = (grid.band_parseval * sp.mode_power(c) for c in band)
         power = power_u + power_b
         m_u, m_b = (sp.to_band(symbol(d, grid.kmag), grid) for d in (params.diss_u, params.diss_b))
         l_u_density = m_u**2 * power_u
-        energy = 0.5 * float(np.sum(power))
-        diss_u = float(np.sum(l_u_density))
-        diss_b = float(np.sum(m_b**2 * power_b))
-        diss_grad_u = float(np.sum(grid.band_k_squared * l_u_density))
-        x_norm, y_norm, gamma_norm = (
-            float(np.sum(sp.radial_power(grid.band_k_squared, order) * power)) for order in (1.0, s, gamma)
-        )
-        grad_u_inf = float(np.max(np.abs(sp.band_to_physical(sp.gradient_array(band[0], grid), grid))))
-        split_low, split_high = split_terms(params.diss_u, E + x_norm, diss_u, diss_grad_u)
-        div_u, div_b = (float(np.max(np.abs(kv))) / max(1.0, float(np.sqrt(np.sum(p))))
-                        for kv, p in zip(sp._k_dot(band, grid), (power_u, power_b)))
-        t = state.time
-        if prev is None:
-            cum_diss = cum_diss_b = cum_diss_grad = 0.0
-        else:
-            half_dt = 0.5 * (t - prev.t)
-            cum_diss = prev.cum_diss + half_dt * (prev.diss_u + diss_u)
-            cum_diss_b = prev.cum_diss_b + half_dt * (prev.diss_b + diss_b)
-            cum_diss_grad = prev.cum_diss_grad + half_dt * (prev.diss_grad_u + diss_grad_u)
-        return DiagnosticRecord(t, energy, diss_u, diss_b, diss_grad_u, x_norm, y_norm, gamma_norm,
-                                grad_u_inf, split_low, split_high, cum_diss, cum_diss_b, cum_diss_grad,
-                                div_u, div_b)
+        sums = [0.5 * float(np.sum(power)), float(np.sum(l_u_density)), float(np.sum(m_b**2 * power_b)),
+                float(np.sum(grid.band_k_squared * l_u_density)),
+                *(float(np.sum(sp.radial_power(grid.band_k_squared, order) * power))
+                  for order in (1.0, s, gamma))]
+        return _reference_record(state, params, prev, sums,
+                                 [float(np.sqrt(np.sum(p))) for p in (power_u, power_b)])
 
 
 # every catalog kind, with a spiky g whose first jump (|k| ~ 4.8) lies inside the 16-point bands
@@ -187,14 +210,18 @@ def test_tracker_records_equal_the_per_record_weights_reference(grid, seed, diss
     tracker = DiagnosticTracker(params, gamma, s, cadence)
     states = [SolutionPair.from_band(grid, state_band(random_pair(grid, seed + n)), 0.1 * n)
               for n in range(5)]
-    expected = []
+    expected, per_sum = [], []
     for n, state in enumerate(states):
         tracker(n, state)
         if n % cadence == 0:
             expected.append(rebuilt_record(state, params, gamma, s, expected[-1] if expected else None))
+            per_sum.append(per_sum_record(state, params, gamma, s, per_sum[-1] if per_sum else None))
     assert np.array(tracker.records).tobytes() == np.array(expected).tobytes()
     single = make_record(states[-1], params, gamma, s)
     assert np.array(single).tobytes() == np.array(rebuilt_record(states[-1], params, gamma, s)).tobytes()
+    # the one product sums in another order than one sum per field: a few ulps apart,
+    # with the same inf and nan cells
+    np.testing.assert_allclose(np.array(tracker.records), np.array(per_sum), rtol=1e-14, atol=0.0)
 
 
 # the catalog, and a spiky g that jumps at |k| ~ 2.78, 2.86 and 3.07, inside the 8-point bands too
