@@ -28,7 +28,7 @@ from .multiplier import (
     symbol,
 )
 from .dynamics import SolutionPair, SystemParams, nonlinear_tendency
-from .integrator import BlowupError, StepperConfig, run, step
+from .integrator import BlowupError, StepperConfig, run
 from .lpaley import (
     BesovIndex,
     DyadicPartition,

@@ -54,6 +54,8 @@ def _cmd_sweep(args) -> int:
         if "out.series" in raw:
             stem = Path(raw["out.series"])
             mapping["out.series"] = str(stem.with_name(f"{stem.stem}_{value}{stem.suffix}"))
+        if "out.snapshots" in raw:
+            mapping["out.snapshots"] = f"{raw['out.snapshots']}_{value}"
         mapping["params.g1.kind" if key == "g1" else key] = value
         try:
             config = config_from_mapping(mapping)

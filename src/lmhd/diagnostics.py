@@ -208,14 +208,7 @@ def energy_balance_residual(records: list[DiagnosticRecord] | np.ndarray, nu: fl
     return worst / max(e0, 1e-300)
 
 
-@dataclass(frozen=True)
-class GronwallReport:
-    constant: float
-    warning: str | None = None
-
-
-def gronwall_bound_check(records: list[DiagnosticRecord] | np.ndarray, g1: GFunction,
-                         params: SystemParams | None = None) -> GronwallReport:
+def gronwall_bound_check(records: list[DiagnosticRecord] | np.ndarray, g1: GFunction) -> float:
     """Smallest C with F(e + X(t)) - F(e + X(0)) <= C * int_0^t (1 + diss_u).
 
     F is the running Osgood integral of g1, taken at every record in one
@@ -229,24 +222,15 @@ def gronwall_bound_check(records: list[DiagnosticRecord] | np.ndarray, g1: GFunc
     bad = np.flatnonzero(~np.isfinite(r.x_norm))
     if bad.size:
         raise ValueError(f"x_norm is not finite at record {bad[0]} (t={float(r.t[bad[0]])})")
-    warning = None
-    if params is not None and not params.theorem_regime():
-        warning = "parameters are outside the theorem regime (need nu>0, eta=0, alpha>=1+N/2)"
     f = partial_integral(g1, E + r.x_norm)
     lhs = f[1:] - f[0]
     rhs = (r.t[1:] - r.t[0]) + r.cum_diss[1:]
     # records with rhs <= 0 (or NaN) bound nothing
     bounded = rhs > 0.0
-    return GronwallReport(constant=_max_positive(lhs[bounded] / rhs[bounded]), warning=warning)
+    return _max_positive(lhs[bounded] / rhs[bounded])
 
 
-@dataclass(frozen=True)
-class GammaLogReport:
-    constant: float
-    max_derivative: float
-
-
-def gamma_log_derivative_check(records: list[DiagnosticRecord] | np.ndarray) -> GammaLogReport:
+def gamma_log_derivative_check(records: list[DiagnosticRecord] | np.ndarray) -> float:
     """Smallest C bounding d/dt ln(e + gamma_norm) by C*(||L u|| + ||L grad u||).
 
     Infinite when the log rises where the bound is <= 1e-300; ValueError for a
@@ -266,10 +250,8 @@ def gamma_log_derivative_check(records: list[DiagnosticRecord] | np.ndarray) -> 
     # a NaN derivative is not a falling one
     rising = ~(dw <= 0.0)
     if np.any(rising & (denom <= 1e-300)):
-        constant = math.inf
-    else:
-        constant = _max_positive(dw[rising] / denom[rising])
-    return GammaLogReport(constant=constant, max_derivative=float(np.max(dw)) if dw.size else 0.0)
+        return math.inf
+    return _max_positive(dw[rising] / denom[rising])
 
 
 def evaluate_checks(records: list[DiagnosticRecord] | np.ndarray, config: RunConfig,
@@ -296,14 +278,15 @@ def evaluate_checks(records: list[DiagnosticRecord] | np.ndarray, config: RunCon
         if config.energy_tol is not None and residual > config.energy_tol:
             failures.append(f"energy residual {residual:.3e} > {config.energy_tol:.3e}")
     if len(table):
-        gron = gronwall_bound_check(table, config.g1, params)
-        report["gronwall_constant"] = gron.constant
-        if gron.warning:
-            report["gronwall_warning"] = gron.warning
-        if not math.isfinite(gron.constant):
+        gronwall = gronwall_bound_check(table, config.g1)
+        report["gronwall_constant"] = gronwall
+        if params is not None and not params.theorem_regime():
+            report["gronwall_warning"] = (
+                "parameters are outside the theorem regime (need nu>0, eta=0, alpha>=1+N/2)")
+        if not math.isfinite(gronwall):
             failures.append("gronwall constant is not finite")
     if len(table) >= _MIN_GAMMA_RECORDS:
-        gamma = gamma_log_derivative_check(table).constant
+        gamma = gamma_log_derivative_check(table)
         report["gamma_log_constant"] = gamma
         if not math.isfinite(gamma):
             failures.append("gamma log-derivative constant is not finite")
@@ -653,49 +636,35 @@ def run_experiment(config: RunConfig,
 
     wall_start = time.perf_counter()
     records = tracker.records
+    final_state, head, message = None, {}, []
     try:
         final_state = run(state0, params, stepper, observer=observer)
     except BlowupError as exc:
-        # the records written so far, and why the run stopped, for the summary file too
-        summary = {"blowup_time": exc.time, "blowup_step": exc.step, "steps": steps_taken,
-                   "records": len(records), "wall_time_s": time.perf_counter() - wall_start}
-        # the state before a blow-up often overflows a norm: check the records before the
-        # first non-finite one, and name that field
-        table = _table(records)
-        nonfinite = ~np.isfinite(table)
-        checked = table[~np.logical_or.accumulate(nonfinite.any(axis=1))]
-        report, failures = evaluate_checks(checked, config, params) if len(checked) else ({}, [])
-        if cell := _first_cell(nonfinite, table):
-            failures.insert(0, f"non-finite record field {cell}")
-        summary.update(report)
-        _write_outputs(config, records, summary, snapshots)
-        return ExperimentResult(STATUS_BLOWUP, records, summary,
-                                message="; ".join([str(exc), *failures]))
-
-    summary = {
-        "steps": steps_taken,
-        "records": len(records),
-        "wall_time_s": time.perf_counter() - wall_start,
-        "t_final": final_state.time,
-        "max_x_norm": max((r.x_norm for r in records), default=0.0),
-        "sup_gamma_norm": max((r.gamma_norm for r in records), default=0.0),
-        "cum_diss_grad": records[-1].cum_diss_grad if records else 0.0,
-        "osgood_g1": osgood_classify(config.g1).classification,
-    }
-    report, failures = evaluate_checks(records, config, params)
+        # why the run stopped, for the summary file too
+        head, message = {"blowup_time": exc.time, "blowup_step": exc.step}, [str(exc)]
+    summary = {**head, "steps": steps_taken, "records": len(records),
+               "wall_time_s": time.perf_counter() - wall_start}
+    if final_state is not None:
+        summary.update(t_final=final_state.time,
+                       max_x_norm=max((r.x_norm for r in records), default=0.0),
+                       sup_gamma_norm=max((r.gamma_norm for r in records), default=0.0),
+                       cum_diss_grad=records[-1].cum_diss_grad if records else 0.0,
+                       osgood_g1=osgood_classify(config.g1).classification)
+    # a norm often overflows before the state does: check the records before the first
+    # non-finite one, and name that field first
+    table = _table(records)
+    nonfinite = ~np.isfinite(table)
+    checked = table[~np.logical_or.accumulate(nonfinite.any(axis=1))]
+    report, failures = evaluate_checks(checked, config, params) if len(checked) else ({}, [])
+    if cell := _first_cell(nonfinite, table):
+        failures.insert(0, f"non-finite record field {cell}")
     summary.update(report)
-    _write_outputs(config, records, summary, snapshots)
-
-    status = STATUS_CHECK_FAILED if failures else STATUS_OK
-    return ExperimentResult(status, records, summary, final_state, message="; ".join(failures))
-
-
-def _write_outputs(config: RunConfig, records: list[DiagnosticRecord], summary: dict,
-                   snapshots: _SnapshotObserver | None) -> None:
-    """Add the written snapshot paths to the summary, then write the series and
-    `<series>.summary.json`, which equals `lmhd run` stdout less `status`."""
+    # <out.series>.summary.json equals `lmhd run` stdout less `status`
     if snapshots is not None:
         summary["snapshots"] = snapshots.written
     if config.out_series:
         write_series(config.out_series, records)
         Path(config.out_series + ".summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    status = (STATUS_BLOWUP if final_state is None
+              else STATUS_CHECK_FAILED if failures else STATUS_OK)
+    return ExperimentResult(status, records, summary, final_state, "; ".join(message + failures))

@@ -71,32 +71,16 @@ def _advance(y: np.ndarray, grid: sp.Grid, dt: float, e_half: np.ndarray, e_full
     return e_full * y + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
 
 
-def step(state: SolutionPair, params: SystemParams, dt: float,
-         nonlinear: Callable | None = tendency) -> SolutionPair:
-    """Advance one integrating-factor RK4 step of size dt.
-
-    The step runs on the band of `state.data`: `nonlinear(band, grid)` returns
-    the nonlinear tendency of a band state array as a new array of its shape,
-    never writing to `band`.  None means no nonlinearity: the step is the
-    exact linear decay.  ValueError for a state with a nonzero coefficient
-    outside the band.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    grid = state.grid
-    e_half = np.exp(-_decay_rates(params, grid) * (dt / 2.0))
-    y = _advance(state_band(state), grid, dt, e_half, e_half * e_half, nonlinear)
-    return SolutionPair.from_band(grid, y, state.time + dt)
-
-
 def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
         observer: Callable[[int, SolutionPair], None] | None = None,
         nonlinear: Callable | None = tendency) -> SolutionPair:
     """Step from state0 until t_end or max_steps, invoking observer each step.
 
-    The steps run on the band of the state, with the hook
-    `nonlinear(band, grid) -> band array` of `step` (None: exact linear decay
-    only); ValueError for a state0 outside the band.  The observer receives
+    The integrating-factor RK4 steps run on the band of the state:
+    `nonlinear(band, grid)` returns the nonlinear tendency of a band state
+    array as a new array of its shape, never writing to `band`; None means
+    no nonlinearity, so a step is the exact linear decay.  ValueError for a
+    state0 with a nonzero coefficient outside the band.  The observer receives
     (step_index, state) with index 0 for the initial state; every state, and
     the returned one, is a `SolutionPair.from_band` pair, whose full-spectrum
     `data` is built on first access.  It must not mutate the state: `state.u`,

@@ -270,13 +270,19 @@ def test_snapshots_whose_times_share_six_decimals_get_two_files(tmp_path, capsys
     paths = json.loads(capsys.readouterr().out)["snapshots"]
     assert paths == [f"{tmp_path / 'snap'}_t0.000000.lmhd", f"{tmp_path / 'snap'}_t0.0000002.lmhd"]
     assert all(Path(path).is_file() for path in paths)
-    table = diagnostics.read_series(str(series))
     for path, requested in zip(paths, (1e-7, 2e-7)):
-        row = table[table[:, 0] >= requested - 1e-12][0]
-        # Parseval: half the (2 pi)^2-weighted sum of |coeff|^2 over the four fields
-        energy = 0.5 * (2.0 * np.pi) ** 2 * sum(float(np.sum(np.abs(f.coeffs) ** 2))
-                                                for f in sp.read_snapshot(path))
-        assert abs(energy - row[RECORD_FIELDS.index("energy")]) <= 1e-12 * energy
+        assert_snapshot_energy_is_recorded(path, requested, series)
+
+
+def assert_snapshot_energy_is_recorded(path, requested, series):
+    """The 2D snapshot's Parseval energy equals that of the series' first record at or
+    after the requested time."""
+    table = diagnostics.read_series(str(series))
+    row = table[table[:, 0] >= requested - 1e-12][0]
+    # Parseval: half the (2 pi)^2-weighted sum of |coeff|^2 over the four fields
+    energy = 0.5 * (2.0 * np.pi) ** 2 * sum(float(np.sum(np.abs(f.coeffs) ** 2))
+                                            for f in sp.read_snapshot(path))
+    assert abs(energy - row[RECORD_FIELDS.index("energy")]) <= 1e-12 * energy
 
 
 NON_FINITE_ARGS = {
@@ -438,6 +444,20 @@ def test_sweep_varies_any_config_key(tmp_path, capsys):
     low, high = (tmp_path / f"series_{alpha}.csv" for alpha in ("1.5", "2.0"))
     assert low.is_file() and high.is_file()
     assert low.read_text() != high.read_text()
+
+
+def test_sweep_writes_each_value_its_own_snapshots(tmp_path, capsys):
+    """Each value's snapshots take the prefix `<prefix>_<value>`, as its series takes
+    `<stem>_<value><suffix>`, so no run overwrites another's file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG + f"out.series = {tmp_path / 'series.csv'}\n"
+                   f"out.snapshots = {tmp_path / 'snap'}\nout.snapshot_times = 0.002\n")
+    assert main(["sweep", str(cfg), "--vary", "params.nu=0.05,5.0"]) == 0
+    for nu in ("0.05", "5.0"):
+        series = tmp_path / f"series_{nu}.csv"
+        paths = json.loads(Path(f"{series}.summary.json").read_text())["snapshots"]
+        assert paths == [f"{tmp_path / 'snap'}_{nu}_t0.002000.lmhd"]
+        assert_snapshot_energy_is_recorded(paths[0], 0.002, series)
 
 
 def test_check_flags_override_config_keys(tmp_path, capsys):

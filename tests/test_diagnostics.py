@@ -16,8 +16,6 @@ from lmhd.diagnostics import (
     ConfigError,
     DiagnosticRecord,
     DiagnosticTracker,
-    GammaLogReport,
-    GronwallReport,
     RECORD_FIELDS,
     RunConfig,
     STATUS_BLOWUP,
@@ -137,16 +135,14 @@ def synthetic_records(t, x_norm):
 class TestGronwall:
     def test_monotone_decay_gives_zero_constant(self):
         records, params = linear_mode_tracker(t_end=0.05, dt=1e-3)
-        report = gronwall_bound_check(records, params.diss_u.g, params)
-        assert report.constant == 0.0
-        assert report.warning is None
+        assert gronwall_bound_check(records, params.diss_u.g) == 0.0
 
     def test_non_theorem_regime_warns_but_computes(self):
-        records, _ = linear_mode_tracker(t_end=0.05, dt=1e-3)
-        inviscid = make_params(nu=0.0)
-        report = gronwall_bound_check(records, inviscid.diss_u.g, inviscid)
-        assert report.warning is not None
-        assert np.isfinite(report.constant)
+        records, params = linear_mode_tracker(t_end=0.05, dt=1e-3)
+        assert "gronwall_warning" not in evaluate_checks(records, RunConfig(), params)[0]
+        report, _ = evaluate_checks(records, RunConfig(nu=0.0), make_params(nu=0.0))
+        assert report["gronwall_warning"].startswith("parameters are outside the theorem regime")
+        assert np.isfinite(report["gronwall_constant"])
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
@@ -159,7 +155,7 @@ class TestGronwall:
         x_norm = np.linspace(256.0, 264.0, 17)
         t = np.linspace(0.0, 1.0, 17)
         exact = (np.log(np.log(E + x_norm[1:])) - np.log(np.log(E + x_norm[0]))) / 4.0
-        constant = gronwall_bound_check(synthetic_records(t, x_norm), g).constant
+        constant = gronwall_bound_check(synthetic_records(t, x_norm), g)
         assert constant == pytest.approx(np.max(exact / t[1:]), rel=1e-12, abs=0.0)
 
     @settings(max_examples=25, deadline=None)
@@ -167,7 +163,7 @@ class TestGronwall:
            st.lists(st.floats(0.0, 1e12), min_size=1, max_size=30).map(lambda xs: sorted(xs, reverse=True)))
     def test_non_increasing_x_gives_zero_constant(self, g, x_norm):
         records = synthetic_records(np.arange(len(x_norm), dtype=float), np.array(x_norm))
-        assert gronwall_bound_check(records, g).constant == 0.0
+        assert gronwall_bound_check(records, g) == 0.0
 
     @pytest.mark.parametrize("g", GRONWALL_KINDS, ids=lambda g: g.kind)
     def test_one_quadrature_pass_per_check(self, g, monkeypatch):
@@ -197,15 +193,11 @@ class TestGammaLogDerivative:
             r = make_record(zero, params, gamma=2.5, s=5.0,
                             prev=records[-1] if records else None)
             records.append(r._replace(t=0.01 * i))
-        report = gamma_log_derivative_check(records)
-        assert report.constant == 0.0
-        assert report.max_derivative == 0.0
+        assert gamma_log_derivative_check(records) == 0.0
 
     def test_decaying_mode_gives_zero(self):
         records, _ = linear_mode_tracker(t_end=0.1, dt=1e-3)
-        report = gamma_log_derivative_check(records)
-        assert report.constant == 0.0
-        assert report.max_derivative <= 0.0
+        assert gamma_log_derivative_check(records) == 0.0
 
     def test_repeated_record_time_rejected(self):
         records, _ = linear_mode_tracker(t_end=0.1, dt=1e-3)
@@ -232,16 +224,13 @@ def loop_energy_balance_residual(records, nu, eta):
     return worst / max(e0, 1e-300)
 
 
-def loop_gronwall_bound_check(records, g1, params=None):
+def loop_gronwall_bound_check(records, g1):
     if not records:
         raise ValueError("empty series")
     x_norm = np.array([r.x_norm for r in records])
     bad = np.flatnonzero(~np.isfinite(x_norm))
     if bad.size:
         raise ValueError(f"x_norm is not finite at record {bad[0]} (t={records[bad[0]].t})")
-    warning = None
-    if params is not None and not params.theorem_regime():
-        warning = "parameters are outside the theorem regime (need nu>0, eta=0, alpha>=1+N/2)"
     f0, *f = partial_integral(g1, E + x_norm).tolist()
     constant = 0.0
     for r, fr in zip(records[1:], f):
@@ -249,7 +238,7 @@ def loop_gronwall_bound_check(records, g1, params=None):
         rhs = (r.t - records[0].t) + r.cum_diss
         if rhs > 0.0:
             constant = max(constant, lhs / rhs)
-    return GronwallReport(constant=constant, warning=warning)
+    return constant
 
 
 def loop_gamma_log_derivative_check(records):
@@ -269,7 +258,7 @@ def loop_gamma_log_derivative_check(records):
             constant = float("inf")
         else:
             constant = max(constant, deriv / denom)
-    return GammaLogReport(constant=constant, max_derivative=float(np.max(dw)) if dw.size else 0.0)
+    return constant
 
 
 def loop_evaluate_checks(records, config, params):
@@ -283,14 +272,15 @@ def loop_evaluate_checks(records, config, params):
         if config.energy_tol is not None and residual > config.energy_tol:
             failures.append(f"energy residual {residual:.3e} > {config.energy_tol:.3e}")
     if records:
-        gron = loop_gronwall_bound_check(records, config.g1, params)
-        report["gronwall_constant"] = gron.constant
-        if gron.warning:
-            report["gronwall_warning"] = gron.warning
-        if not math.isfinite(gron.constant):
+        gronwall = loop_gronwall_bound_check(records, config.g1)
+        report["gronwall_constant"] = gronwall
+        if params is not None and not params.theorem_regime():
+            report["gronwall_warning"] = (
+                "parameters are outside the theorem regime (need nu>0, eta=0, alpha>=1+N/2)")
+        if not math.isfinite(gronwall):
             failures.append("gronwall constant is not finite")
     if len(records) >= 50:
-        gamma = loop_gamma_log_derivative_check(records).constant
+        gamma = loop_gamma_log_derivative_check(records)
         report["gamma_log_constant"] = gamma
         if not math.isfinite(gamma):
             failures.append("gamma log-derivative constant is not finite")
@@ -311,10 +301,7 @@ def outcome(check, *args):
 
 
 def same_bits(a, b):
-    """Equal values bit for bit, walking tuples, lists, dicts and report dataclasses;
-    any NaN equals any NaN."""
-    if isinstance(a, (GronwallReport, GammaLogReport)):
-        return type(a) is type(b) and same_bits(vars(a), vars(b))
+    """Equal values bit for bit, walking tuples, lists and dicts; any NaN equals any NaN."""
     if isinstance(a, dict):
         return type(b) is dict and a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a)
     if isinstance(a, (tuple, list)):
@@ -359,7 +346,7 @@ class TestChecksOnTables:
         config = RunConfig(nu=nu, eta=eta, g1=g, energy_tol=energy_tol)
         params = config.system_params() if with_params else None
         pairs = [(energy_balance_residual, loop_energy_balance_residual, (nu, eta)),
-                 (gronwall_bound_check, loop_gronwall_bound_check, (g, params)),
+                 (gronwall_bound_check, loop_gronwall_bound_check, (g,)),
                  (gamma_log_derivative_check, loop_gamma_log_derivative_check, ()),
                  (evaluate_checks, loop_evaluate_checks, (config, params))]
         # non-finite cells give numpy's invalid-value warnings in both forms;
@@ -373,15 +360,15 @@ class TestChecksOnTables:
     def test_zero_dissipation_where_the_log_rises_gives_inf(self):
         t = np.linspace(0.0, 1.0, 60)
         records = [DiagnosticRecord(*[0.0] * len(RECORD_FIELDS))._replace(t=ti, gamma_norm=ti) for ti in t]
-        assert gamma_log_derivative_check(records).constant == math.inf
+        assert gamma_log_derivative_check(records) == math.inf
 
     def test_nan_derivative_where_the_bound_vanishes_gives_inf(self):
         # a NaN derivative is not a falling one, so in the loop form it meets
         # the zero bound of these records as a rising one does
         records = synthetic_records(np.linspace(0.0, 1.0, 60), np.ones(60))
         records[5] = records[5]._replace(gamma_norm=math.nan)
-        assert gamma_log_derivative_check(records).constant == math.inf
-        assert loop_gamma_log_derivative_check(records).constant == math.inf
+        assert gamma_log_derivative_check(records) == math.inf
+        assert loop_gamma_log_derivative_check(records) == math.inf
 
     @pytest.mark.parametrize("n", [1, 3, 49, 50])
     def test_negative_field_rejected_at_any_length(self, n):
@@ -753,6 +740,22 @@ class TestRunExperiment:
             nonfinite = ["non-finite record field y_norm at t=10.0"] if records == 3 else []
             assert result.message == "; ".join(["non-finite coefficients at t=15.0 (step 3)",
                                                 *nonfinite, *failures])
+
+    def test_a_finished_run_checks_its_finite_records_as_a_blowup_does(self):
+        # 16^2 Orszag-Tang at nu = 0 and dt = 5 overflows y_norm at t = 10: run to t = 10
+        # it finishes, run to t = 20 it blows up at t = 15, and both endings report the
+        # checks of the two records before t = 10 and name the overflow first
+        finished, blowup = (
+            run_experiment(config_from_mapping({"grid.points": "16", "params.nu": "0.0",
+                                                "stepper.dt": "5.0", "stepper.t_end": t_end}))
+            for t_end in ("10.0", "20.0"))
+        assert finished.status == STATUS_CHECK_FAILED and finished.exit_code == 4
+        assert blowup.status == STATUS_BLOWUP
+        assert finished.records == blowup.records
+        for key in ("gronwall_constant", "max_div"):
+            assert finished.summary[key] == blowup.summary[key]
+        assert finished.message == "non-finite record field y_norm at t=10.0"
+        assert blowup.message == "non-finite coefficients at t=15.0 (step 3); " + finished.message
 
     @pytest.mark.parametrize("t_end", [0.009, 0.019])
     def test_weights_are_built_once_per_run(self, monkeypatch, t_end):

@@ -1,6 +1,8 @@
 """Nonlinear tendencies against a direct convolution oracle, plus the
 structural identities (skew-symmetry, solenoidality, cancellations)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from lmhd.dynamics import (
     nonlinear_tendency,
     tendency,
 )
-from lmhd.integrator import step
+from lmhd.integrator import StepperConfig, run
 from lmhd.multiplier import DissipationSpec, make_g
 from lmhd.spectral import SpectralField, VectorField
 
@@ -210,7 +212,7 @@ class TestFullTendency:
         assert np.max(np.abs(du.coeffs)) < 1e-13
         assert all(np.max(np.abs(c.coeffs)) == 0.0 for c in db.components)
         dt = 0.01
-        new = step(state, params, dt)
+        new = run(state, params, StepperConfig(t_end=math.inf, dt=dt, max_steps=1))
         expected = np.exp(-nu * dt) * u.coeffs  # m(1)^2 = 1 for alpha=2, g=1
         assert np.max(np.abs(new.u.coeffs - expected)) < 1e-13
         assert np.max(np.abs(new.b.coeffs)) == 0.0

@@ -1,13 +1,15 @@
 """Integrating-factor RK4: exact linear decay, determinism, CFL, blow-up,
 and the pruned transforms and cached band operator of the band hot path."""
 
+import math
+
 import numpy as np
 import pytest
 
 from lmhd import spectral as sp
 from lmhd.diagnostics import config_from_mapping, make_record, run_experiment
 from lmhd.dynamics import SolutionPair, SystemParams, tendency
-from lmhd.integrator import BlowupError, StepperConfig, run, step
+from lmhd.integrator import BlowupError, StepperConfig, run
 from lmhd.multiplier import DissipationSpec, make_g
 from lmhd.spectral import SpectralField, VectorField
 
@@ -154,7 +156,7 @@ class TestRun:
     def test_step_requires_positive_dt(self, grid16):
         params = make_params()
         with pytest.raises(ValueError):
-            step(single_mode_state(grid16), params, 0.0)
+            run(single_mode_state(grid16), params, StepperConfig(t_end=math.inf, dt=0.0, max_steps=1))
 
 
 class TestConservation:
@@ -201,7 +203,7 @@ def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
 
         monkeypatch.setattr(np.fft, name, counted)
 
-    new = step(state, params, 1e-3)
+    new = run(state, params, StepperConfig(t_end=math.inf, dt=1e-3, max_steps=1))
     band_columns = grid.kc + 1
     assert sorted(calls) == sorted([("ifft", band_columns), ("fft", band_columns)] * 4 * (dim - 1)
                                    + [("irfft", band_columns), ("rfft", points)] * 4)
@@ -236,7 +238,7 @@ def test_step_projects_only_when_the_band_operator_is_built(monkeypatch, dim, po
         return original(comps, grid)
 
     monkeypatch.setattr(sp, "leray_array", counted)
-    step(state, params, 1e-3)
+    run(state, params, StepperConfig(t_end=math.inf, dt=1e-3, max_steps=1))
     assert calls == []
 
 

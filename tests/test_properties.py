@@ -17,7 +17,7 @@ from lmhd.diagnostics import (_CONFIG_KEYS, ConfigError, DiagnosticRecord, Diagn
                               config_from_mapping, make_record)
 from lmhd.dynamics import (SolutionPair, SystemParams, band_operator, nonlinear_tendency, state_band,
                            tendency)
-from lmhd.integrator import StepperConfig, run, step
+from lmhd.integrator import StepperConfig, run
 from lmhd.lpaley import split_terms
 from lmhd.multiplier import E, DissipationSpec, make_g, symbol
 from lmhd.spectral import SpectralField, VectorField
@@ -116,7 +116,7 @@ def test_step_and_run_leave_input_unchanged_and_step_is_solenoidal(grid, seed, d
     state = random_pair(grid, seed)
     before = state.data.copy()
     params = SystemParams(diss_u, DissipationSpec(0.0, 1.0, make_g("constant_one")), grid.dim)
-    new = step(state, params, 1e-3)
+    new = run(state, params, StepperConfig(t_end=math.inf, dt=1e-3, max_steps=1))
     run(state, params, StepperConfig(t_end=2e-3, dt=1e-3))
     assert np.array_equal(state.data, before)
     assert not np.shares_memory(new.data, state.data)
@@ -243,7 +243,7 @@ def test_linear_step_and_run_are_exact_decay(grid, seed, data, g1, g2, alpha, be
     # nu |k|^(2 alpha) / g(|k|)^2 written out, per field
     rates = np.array([[c * k ** (2.0 * a) / float(g(k)) ** 2]
                       for c, a, g in ((nu, alpha, g1), (eta, beta, g2))])
-    for final in (step(state, params, dt, nonlinear=None),
+    for final in (run(state, params, StepperConfig(t_end=math.inf, dt=dt, max_steps=1), nonlinear=None),
                   run(state, params, StepperConfig(t_end=steps * dt, dt=dt), nonlinear=None)):
         decay = rates * final.time
         expected = band[mode] * np.exp(-decay)
@@ -282,7 +282,7 @@ def test_band_pair_builds_data_once_and_sees_writes_through_it(grid, seed, data)
     params = SystemParams(DissipationSpec(1.0, 2.0, make_g("constant_one")),
                           DissipationSpec(0.0, 1.0, make_g("constant_one")), grid.dim)
     with pytest.raises(ValueError, match="outside the 2/3-rule band"):
-        step(pair, params, 1e-3)
+        run(pair, params, StepperConfig(t_end=math.inf, dt=1e-3, max_steps=1))
 
 
 def full_spectrum_tendency(y, grid):
@@ -368,7 +368,7 @@ def test_conjugate_symmetry_residual_equals_roll_flip_reference(grid, seed):
 @given(grids, seeds, specs)
 def test_step_output_is_conjugate_symmetric(grid, seed, diss_u):
     params = SystemParams(diss_u, DissipationSpec(0.0, 1.0, make_g("constant_one")), grid.dim)
-    new = step(random_pair(grid, seed), params, 1e-2)
+    new = run(random_pair(grid, seed), params, StepperConfig(t_end=math.inf, dt=1e-2, max_steps=1))
     scale = np.max(np.abs(new.data))
     for f in new.u.components + new.b.components:
         assert sp.conjugate_symmetry_residual(f) <= 1e-14 * scale
@@ -429,8 +429,9 @@ def test_step_and_run_reject_a_state_outside_the_band(grid, seed, data):
     state.data[(data.draw(st.integers(0, 1)), data.draw(st.integers(0, grid.dim - 1))) + index] = 1e-3
     params = SystemParams(DissipationSpec(1.0, 2.0, make_g("constant_one")),
                           DissipationSpec(0.0, 1.0, make_g("constant_one")), grid.dim)
-    for call in (lambda: step(state, params, 1e-3),
-                 lambda: step(state, params, 1e-3, nonlinear=None),
+    for call in (lambda: run(state, params, StepperConfig(t_end=math.inf, dt=1e-3, max_steps=1)),
+                 lambda: run(state, params, StepperConfig(t_end=math.inf, dt=1e-3, max_steps=1),
+                             nonlinear=None),
                  lambda: run(state, params, StepperConfig(t_end=1e-3, dt=1e-3)),
                  lambda: nonlinear_tendency(state),
                  lambda: make_record(state, params, gamma=2.5, s=5.0)):
