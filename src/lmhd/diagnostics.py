@@ -104,7 +104,8 @@ def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: floa
     with a nonzero coefficient outside the band.
 
     Norms of a state that is about to blow up may overflow to inf; the
-    record keeps them rather than warning.
+    record keeps them rather than warning.  A weight that overflowed to inf
+    makes its sum inf where the state has power at its mode, and never nan.
     """
     grid, band = state.grid, state_band(state)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -112,8 +113,14 @@ def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: floa
             weights = record_weights(grid, params, gamma, s)
         # sum_i |v_hat_i|^2 of u and b, flattened: every L2-type sum is one row of one product
         power = np.sum(band.real**2 + band.imag**2, axis=1).reshape(-1)
-        sum_u, sum_b, diss_u, diss_b, diss_grad_u, x_norm, y_norm, gamma_norm = (
-            weights.matrix @ power).tolist()
+        sums = (weights.matrix @ power).tolist()
+        if any(map(math.isnan, sums)):
+            # an overflowed (inf) weight times a mode of zero power reads nan: such a sum
+            # is taken over the modes that have power
+            live = power != 0.0
+            sums = [float(row[live] @ power[live]) if math.isnan(value) else value
+                    for value, row in zip(sums, weights.matrix)]
+        sum_u, sum_b, diss_u, diss_b, diss_grad_u, x_norm, y_norm, gamma_norm = sums
         energy = 0.5 * (sum_u + sum_b)
 
         grad_u = sp.band_to_physical(weights.ik * band[0], grid)
@@ -529,7 +536,7 @@ def write_series(path: str, records: list[DiagnosticRecord]) -> None:
     lines = [",".join(RECORD_FIELDS)]
     for r in records:
         lines.append(",".join(f"{value:.17e}" for value in r))
-    Path(path).write_text("\n".join(lines) + "\n")
+    sp.write_in_place(path, [("\n".join(lines) + "\n").encode()])
 
 
 def read_series(path: str) -> np.ndarray:
@@ -664,7 +671,8 @@ def run_experiment(config: RunConfig,
         summary["snapshots"] = snapshots.written
     if config.out_series:
         write_series(config.out_series, records)
-        Path(config.out_series + ".summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        sp.write_in_place(config.out_series + ".summary.json",
+                          [(json.dumps(summary, indent=2) + "\n").encode()])
     status = (STATUS_BLOWUP if final_state is None
               else STATUS_CHECK_FAILED if failures else STATUS_OK)
     return ExperimentResult(status, records, summary, final_state, "; ".join(message + failures))

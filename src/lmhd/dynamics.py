@@ -133,46 +133,62 @@ def band_operator(grid: sp.Grid) -> tuple[np.ndarray, np.ndarray]:
     return d_u, d_b
 
 
+@functools.lru_cache(maxsize=8)
+def _tendency_buffers(grid: sp.Grid) -> tuple[np.ndarray, ...]:
+    """The working arrays of `tendency` on one grid: the physical u and b, the
+    products, S_dd, a product temporary, the products' band spectra and one
+    operator-block temporary.  Built at the grid's first tendency and reused by
+    every later one, so the hot path allocates only its result."""
+    sym, anti = _PRODUCT_PAIRS[grid.dim]
+    products = len(sym) + len(anti)
+    return (np.empty((2, grid.dim) + grid.shape), np.empty((products,) + grid.shape),
+            np.empty(grid.shape), np.empty(grid.shape),
+            np.empty((products,) + grid.band_shape, dtype=np.complex128),
+            np.empty((grid.dim,) + grid.band_shape, dtype=np.complex128))
+
+
 def tendency(band: np.ndarray, grid: sp.Grid) -> np.ndarray:
     """Nonlinear tendency of the stacked state (u, b) on the retained band.
 
     `band` is `sp.to_band` of a state array, shape (2, dim, *grid.band_shape),
-    and so is the result.  du_i = P d_j(b_j b_i - u_j u_i) and
+    and so is the result, a new array.  du_i = P d_j(b_j b_i - u_j u_i) and
     db_i = d_j(b_j u_i - u_j b_i): one pruned inverse forms u and b, one
     pruned forward transform, whose band gather is the 2/3 dealiasing, takes
     the dim^2 - 1 products (S - S_dd I but its zero (d, d) entry, and the
     antisymmetric ones; see the module docstring), and the divergence and the
     Leray projection are one contraction of their spectra with each block of
     the cached `band_operator`.  db is solenoidal by antisymmetry.  This is
-    the stepper's hot path; `nonlinear_tendency` wraps it for a SolutionPair.
+    the stepper's hot path: every intermediate lives in the grid's
+    `_tendency_buffers` and the transforms' buffers, which a thread stepping
+    the same grid at the same time would share.  `nonlinear_tendency` wraps
+    it for a SolutionPair.
     """
     sym, anti = _PRODUCT_PAIRS[grid.dim]
     d_u, d_b = band_operator(grid)
+    fields, products, s_dd, tmp, spec, term = _tendency_buffers(grid)
     d = grid.dim - 1
     # overflow here is a blow-up in progress; the stepper detects it after
     # the step rather than warning mid-evaluation
     with np.errstate(over="ignore", invalid="ignore"):
-        u, b = sp.band_to_physical(band, grid)
-        s_dd = b[d] * b[d]
-        s_dd -= u[d] * u[d]
-        # filled in place, one temporary per product and no stacking copy
-        products = np.empty((len(sym) + len(anti),) + grid.shape)
+        u, b = sp.band_to_physical(band, grid, out=fields)
+        np.multiply(b[d], b[d], out=s_dd)
+        s_dd -= np.multiply(u[d], u[d], out=tmp)
         for p, (i, j) in enumerate(sym):
             np.multiply(b[i], b[j], out=products[p])
-            products[p] -= u[i] * u[j]
+            products[p] -= np.multiply(u[i], u[j], out=tmp)
             if i == j:
                 products[p] -= s_dd
         for p, (i, j) in enumerate(anti, len(sym)):
             np.multiply(b[j], u[i], out=products[p])
-            products[p] -= u[j] * b[i]
-        spec = sp.physical_to_band(products, grid)
+            products[p] -= np.multiply(u[j], b[i], out=tmp)
+        spec = sp.physical_to_band(products, grid, out=spec)
 
         # each block's sum over products, in product order, accumulated in place
         out = np.empty_like(band)
         for field, op, spectra in ((out[0], d_u, spec[:len(sym)]), (out[1], d_b, spec[len(sym):])):
             np.multiply(op[:, 0], spectra[0], out=field)
             for p in range(1, len(spectra)):
-                field += op[:, p] * spectra[p]
+                field += np.multiply(op[:, p], spectra[p], out=term)
     return out
 
 

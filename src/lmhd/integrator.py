@@ -9,7 +9,9 @@ A step works on the retained band of the 2/3 rule (`spectral.to_band`):
 states inside the band stay there, so `run` holds only the band between
 steps and hands the observer, and returns, `SolutionPair.from_band` pairs,
 whose full spectrum is built only if something reads it.  The decay factors
-are exponentiated once per distinct step size.
+are exponentiated once per distinct step size, and a step allocates only the
+tendencies and the new band: its stage states live in arrays that `run`
+allocates once.
 """
 
 from __future__ import annotations
@@ -59,16 +61,46 @@ def _decay_rates(params: SystemParams, grid: sp.Grid) -> np.ndarray:
                      for spec in (params.diss_u, params.diss_b)])[:, None]
 
 
-def _advance(y: np.ndarray, grid: sp.Grid, dt: float, e_half: np.ndarray, e_full: np.ndarray,
-             nonlinear: Callable | None) -> np.ndarray:
-    """The band y one IF-RK4 step later, given the decay factors over dt/2 and dt."""
+def _advance(y: np.ndarray, grid: sp.Grid, dt: float, factors: tuple[np.ndarray, ...],
+             nonlinear: Callable | None, stages: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The band y one IF-RK4 step later, as a new array, given the decay factors
+    (e_half, e_full, 2 e_half) over dt/2 and dt and two scratch band arrays.
+
+    n1..n4 are the tendencies at y, e_half (y + dt/2 n1), e_half y + dt/2 n2 and
+    e_full y + dt (e_half n3), and the step is e_full y + (dt/6)(e_full n1 +
+    (2 e_half)(n2 + n3) + n4).  Every product and sum is taken in that order, so
+    the result is bit for bit the textbook expression's, but in place: the
+    stage states go to the scratch arrays and each tendency, which the hook
+    returns new, is overwritten once it has been read.
+    """
+    e_half, e_full, e_half2 = factors
     if nonlinear is None:
         return e_full * y
+    stage, scratch = stages
     n1 = nonlinear(y, grid)
-    n2 = nonlinear(e_half * (y + (dt / 2.0) * n1), grid)
-    n3 = nonlinear(e_half * y + (dt / 2.0) * n2, grid)
-    n4 = nonlinear(e_full * y + dt * (e_half * n3), grid)
-    return e_full * y + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+    np.multiply(dt / 2.0, n1, out=stage)
+    stage += y
+    stage *= e_half
+    n2 = nonlinear(stage, grid)                                  # at e_half (y + dt/2 n1)
+    np.multiply(e_half, y, out=stage)
+    stage += np.multiply(dt / 2.0, n2, out=scratch)
+    n3 = nonlinear(stage, grid)                                  # at e_half y + dt/2 n2
+    n2 += n3
+    n3 *= e_half
+    n3 *= dt
+    np.multiply(e_full, y, out=stage)
+    stage += n3
+    n4 = nonlinear(stage, grid)                                  # at e_full y + dt e_half n3
+    n2 *= e_half2
+    n1 *= e_full
+    n1 += n2
+    n1 += n4
+    n1 *= dt / 6.0
+    # made last, above the four tendencies freed on return, so that freeing them does
+    # not leave the heap top free to be trimmed and faulted in again by the next step
+    out = e_full * y
+    out += n1
+    return out
 
 
 def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
@@ -96,17 +128,21 @@ def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
     factors_dt = None
     t, n = state0.time, 0
     kmax = grid.points / 2.0
+    # the working arrays of every step of this run
+    stages = np.empty_like(y), np.empty_like(y)
+    fields = np.empty((2, grid.dim) + grid.shape) if config.dt is None else None
     while t < config.t_end - 1e-14 and n < config.max_steps:
         if config.dt is None:
-            vmax = float(np.max(np.abs(sp.band_to_physical(y, grid))))
+            sp.band_to_physical(y, grid, out=fields)
+            vmax = float(np.max(np.abs(fields, out=fields)))
             dt = config.cfl_number / (vmax * kmax) if vmax > 0.0 else config.t_end - t
             dt = min(dt, config.t_end - t)
         else:
             dt = min(config.dt, config.t_end - t)
         if dt != factors_dt:
             e_half = np.exp(-rates * (dt / 2.0))
-            e_full, factors_dt = e_half * e_half, dt
-        y = _advance(y, grid, dt, e_half, e_full, nonlinear)
+            factors, factors_dt = (e_half, e_half * e_half, 2.0 * e_half), dt
+        y = _advance(y, grid, dt, factors, nonlinear, stages)
         t, n = t + dt, n + 1
         if not np.all(np.isfinite(y)):
             raise BlowupError(t, n)

@@ -17,13 +17,17 @@ enter by `rfftn` completed with `from_half`, and leave by one `irfftn` of the
 full array in `to_physical_array`.  `band_to_physical` and `physical_to_band`
 are the pruned real transforms of the band, equal bit for bit to the
 half-spectrum ones; initial states, the stepper and the records use only these.
+Given `out=`, as the stepper's calls are, they write there and take their
+intermediates from buffers kept per grid and leading shape.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,40 +252,83 @@ def from_band(band: np.ndarray, grid: Grid) -> np.ndarray:
     return half
 
 
-def _keep_rows(x: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
-    """The band rows 0..kc and -kc..-1 of x on one leading axis."""
+def _keep_rows(x: np.ndarray, axis: int, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """The band rows 0..kc and -kc..-1 of x on one leading axis, in `out` when given."""
     (_, low), (_, high) = grid._row_blocks[axis]
-    return np.concatenate((x[low], x[high]), axis=axis)
+    return np.concatenate((x[low], x[high]), axis=axis, out=out)
 
 
-def _pad_rows(x: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
-    """x with its band rows on one leading axis placed among `points` rows, zero elsewhere."""
-    shape = list(x.shape)
-    shape[axis] = grid.points
-    out = np.zeros(shape, dtype=x.dtype)
+def _pad_rows(x: np.ndarray, axis: int, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """x with its band rows on one leading axis placed among `points` rows, zero elsewhere;
+    written into `out` when given, whose other rows must be zero."""
+    if out is None:
+        shape = list(x.shape)
+        shape[axis] = grid.points
+        out = np.zeros(shape, dtype=x.dtype)
     for band, spectrum in grid._row_blocks[axis]:
         out[spectrum] = x[band]
     return out
 
 
-def band_to_physical(band: np.ndarray, grid: Grid) -> np.ndarray:
+# The intermediates of the pruned transforms of one grid and one leading shape, for the
+# calls given `out=`, which the stepper makes over and over: reusing them spares the
+# allocator, whose freed blocks of this size go back to the kernel and fault in again.
+# They are process state, shared by every such call on the grid.
+
+@functools.lru_cache(maxsize=8)
+def _inverse_buffers(grid: Grid, lead: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per leading axis of `band_to_physical`: the padded rows, zero outside the band
+    rows that every call writes, and the ifft output."""
+    shape = list(lead + grid.band_shape)
+    buffers = []
+    for axis in range(-grid.dim, -1):
+        shape[axis] = grid.points
+        buffers.append((np.zeros(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)))
+    return tuple(buffers)
+
+
+@functools.lru_cache(maxsize=8)
+def _forward_buffers(grid: Grid, lead: tuple[int, ...]) -> tuple[np.ndarray, tuple, tuple]:
+    """The rfft half spectrum of `physical_to_band`, the fft output of each leading
+    axis, and the kept rows of each but the last, whose rows go to `out`."""
+    shape = list(lead + grid.shape)
+    shape[-1] = grid.points // 2 + 1
+    half = np.empty(shape, dtype=np.complex128)
+    shape[-1] = grid.kc + 1
+    spectra, rows = [], []
+    for axis in range(-2, -grid.dim - 1, -1):
+        spectra.append(np.empty(shape, dtype=np.complex128))
+        shape[axis] = 2 * grid.kc + 1
+        rows.append(np.empty(shape, dtype=np.complex128))
+    return half, tuple(spectra), tuple(rows[:-1])
+
+
+def band_to_physical(band: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Real samples of band arrays stacked on leading axes, bit for bit
     `to_physical_array(from_band(band))`: in irfftn's axis order, each leading
     axis is padded and gets a complex ifft over only the kc + 1 columns that can
-    be nonzero, then one irfft of the last axis."""
-    for axis in range(-grid.dim, -1):
-        band = np.fft.ifft(_pad_rows(band, axis, grid), axis=axis, norm="forward")
-    return np.fft.irfft(band, n=grid.points, axis=-1, norm="forward")
+    be nonzero, then one irfft of the last axis.  With `out`, the samples are
+    written there and the intermediates are the grid's buffers; without it,
+    every array is new."""
+    buffers = (_inverse_buffers(grid, band.shape[:-grid.dim]) if out is not None
+               else ((None, None),) * (grid.dim - 1))
+    for axis, (padded, spectrum) in zip(range(-grid.dim, -1), buffers):
+        band = np.fft.ifft(_pad_rows(band, axis, grid, padded), axis=axis, norm="forward",
+                           out=spectrum)
+    return np.fft.irfft(band, n=grid.points, axis=-1, norm="forward", out=out)
 
 
-def physical_to_band(samples: np.ndarray, grid: Grid) -> np.ndarray:
+def physical_to_band(samples: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Band of real sample arrays stacked on leading axes, bit for bit
     `to_band(physical_to_half(samples))`: one rfft of the last axis keeps
     columns 0..kc, then in rfftn's axis order each leading axis gets a complex
-    fft and keeps its band rows."""
-    x = np.fft.rfft(samples, axis=-1, norm="forward")[..., : grid.kc + 1]
-    for axis in range(-2, -grid.dim - 1, -1):
-        x = _keep_rows(np.fft.fft(x, axis=axis, norm="forward"), axis, grid)
+    fft and keeps its band rows.  With `out`, the band is written there and the
+    intermediates are the grid's buffers; without it, every array is new."""
+    half, spectra, rows = (_forward_buffers(grid, samples.shape[:-grid.dim]) if out is not None
+                           else (None, (None,) * (grid.dim - 1), (None,) * (grid.dim - 2)))
+    x = np.fft.rfft(samples, axis=-1, norm="forward", out=half)[..., : grid.kc + 1]
+    for axis, spectrum, kept in zip(range(-2, -grid.dim - 1, -1), spectra, rows + (out,)):
+        x = _keep_rows(np.fft.fft(x, axis=axis, norm="forward", out=spectrum), axis, grid, kept)
     return x
 
 
@@ -420,6 +467,21 @@ SNAPSHOT_MAGIC = b"LMHD"
 SNAPSHOT_VERSION = 1
 
 
+def write_in_place(path: str, chunks: Iterable) -> None:
+    """Write the bytes-like `chunks` to `path` in order, as a truncating open
+    would, but rewriting an existing file in place: it is opened without
+    O_TRUNC and cut at the end of what was written (also when a write fails).
+    The final bytes are the same, on the same inode, through a symlink, with
+    the mode kept; ext4 flushes a file truncated to zero when it is closed,
+    which made every rewrite of a run's outputs wait for the disk."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            for chunk in chunks:
+                fh.write(chunk)
+        finally:
+            fh.truncate()
+
+
 def write_snapshot(path: str, fields: list[SpectralField]) -> None:
     """Write fields as {magic, version, N, points, count} + little-endian complex128."""
     if not fields:
@@ -427,12 +489,10 @@ def write_snapshot(path: str, fields: list[SpectralField]) -> None:
     grid = fields[0].grid
     for f in fields:
         _check_same_grid(grid, f.grid)
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<IIII", SNAPSHOT_VERSION, grid.dim, grid.points, len(fields)))
-        # one field at a time, with no copy of a contiguous little-endian field
-        for f in fields:
-            fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16"))
+    header = SNAPSHOT_MAGIC + struct.pack("<IIII", SNAPSHOT_VERSION, grid.dim, grid.points, len(fields))
+    # one field at a time, with no copy of a contiguous little-endian field
+    write_in_place(path, itertools.chain(
+        (header,), (np.ascontiguousarray(f.coeffs, dtype="<c16") for f in fields)))
 
 
 def read_snapshot(path: str) -> list[SpectralField]:

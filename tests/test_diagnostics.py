@@ -88,6 +88,26 @@ class TestRecord:
         assert r.y_norm == pytest.approx(2.0 * np.pi**2, rel=1e-10)  # |k| = 1
         assert r.gamma_norm == pytest.approx(2.0 * np.pi**2, rel=1e-10)
 
+    @pytest.mark.parametrize("s", [150.0, 200.0])
+    def test_an_overflowed_sobolev_weight_never_reads_nan(self, s):
+        # on 32^2 Orszag-Tang, (|k|^2)^s overflows to inf at modes where the t = 0 state
+        # has no power, which made y_norm nan; at s = 200 it also overflows at |k|^2 = 100,
+        # where the state has roundoff power (1e-33), so the sum is finite only at s = 150
+        config = config_from_mapping({"grid.points": "32", "ic.name": "orszag_tang_2d",
+                                      "diag.s": str(s), "stepper.dt": "0.001",
+                                      "stepper.t_end": "0.001", "diag.cadence": "1"})
+        _, state0, _, _ = diagnostics.prepare_experiment(config)
+        grid = state0.grid
+        power = np.sum(np.abs(state_band(state0)) ** 2, axis=(0, 1))
+        live = power != 0.0
+        with np.errstate(over="ignore"):
+            weight = sp.BOX_LENGTH**2 * grid.band_parseval * sp.radial_power(grid.band_k_squared, s)
+            direct = float(np.sum(weight[live] * power[live]))
+        first, later = (r.y_norm for r in run_experiment(config).records)
+        assert math.isfinite(first) == (s == 150.0)
+        assert first == pytest.approx(direct, rel=1e-13)
+        assert later == math.inf
+
     def test_nonnegativity_and_monotone_cum(self):
         records, _ = linear_mode_tracker(t_end=0.02, dt=1e-3)
         for r in records:
@@ -685,6 +705,31 @@ class TestRunExperiment:
         fields = sp.read_snapshot(str(snaps[0]))
         assert len(fields) == 4  # u and b components
 
+    def test_a_rerun_rewrites_longer_outputs_to_the_bytes_of_a_fresh_run(self, tmp_path):
+        # series, summary and snapshot go over longer files of the same names: no old tail
+        # is left, and each file keeps its inode
+        outputs = {}
+        for name in ("fresh", "rerun"):
+            directory = tmp_path / name
+            directory.mkdir()
+            files = [directory / "out.csv", directory / "out.csv.summary.json",
+                     directory / "snap_t0.002000.lmhd"]
+            if name == "rerun":
+                for path in files:
+                    path.write_bytes(b"x" * 100_000)
+            inodes = [path.stat().st_ino for path in files if path.exists()]
+            result = run_experiment(config_from_mapping({
+                "grid.points": "16", "stepper.t_end": "0.004", "stepper.dt": "0.001",
+                "out.series": str(files[0]), "out.snapshots": str(directory / "snap"),
+                "out.snapshot_times": "0.002"}))
+            assert result.status == STATUS_OK
+            assert inodes in ([], [path.stat().st_ino for path in files])
+            summary = json.loads(files[1].read_text())
+            assert summary.pop("snapshots") == [str(files[2])]
+            del summary["wall_time_s"]
+            outputs[name] = (files[0].read_bytes(), summary, files[2].read_bytes())
+        assert outputs["rerun"] == outputs["fresh"]
+
     def test_adaptive_snapshots_are_named_by_the_time_of_the_state_they_hold(self, tmp_path):
         # adaptive steps do not fall on the requested times: each file holds the
         # first state at or after its time, and its name says which
@@ -837,12 +882,13 @@ class TestRunExperiment:
         assert result.status == STATUS_CHECK_FAILED and result.exit_code == 4
 
     def test_overflowing_record_fails_check(self):
-        # |k|^(2s) overflows for s = 200 on a 16^2 grid, so y_norm is not finite
+        # |k|^(2s) overflows for s = 200 on a 16^2 grid at modes where the initial state has
+        # no power, so y_norm is finite at t = 0, and inf once the state has power there
         cfg = config_from_mapping({"grid.points": "16", "stepper.t_end": "0.002",
                                    "stepper.dt": "0.001", "diag.s": "200"})
         result = run_experiment(cfg)
         assert result.status == STATUS_CHECK_FAILED and result.exit_code == 4
-        assert result.message == "non-finite record field y_norm at t=0.0"
+        assert result.message == "non-finite record field y_norm at t=0.001"
 
     def test_observer_does_not_change_dynamics(self):
         mapping = {

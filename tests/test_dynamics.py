@@ -2,6 +2,7 @@
 structural identities (skew-symmetry, solenoidality, cancellations)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,9 +160,9 @@ def test_tendency_forward_transforms_dim_squared_less_one_fields(monkeypatch, di
     calls = []
     original = sp.physical_to_band
 
-    def counted(samples, grid):
+    def counted(samples, grid, **kwargs):
         calls.append(len(samples))
-        return original(samples, grid)
+        return original(samples, grid, **kwargs)
 
     monkeypatch.setattr(sp, "physical_to_band", counted)
     tendency(sp.to_band(state.data, grid), grid)
@@ -182,8 +183,8 @@ def test_tendency_contraction_equals_stacked_sum(monkeypatch, dim, points, seed)
     spectra = []
     original = sp.physical_to_band
 
-    def kept(samples, grid):
-        spectra.append(original(samples, grid))
+    def kept(samples, grid, **kwargs):
+        spectra.append(original(samples, grid, **kwargs))
         return spectra[-1]
 
     monkeypatch.setattr(sp, "physical_to_band", kept)
@@ -192,6 +193,38 @@ def test_tendency_contraction_equals_stacked_sum(monkeypatch, dim, points, seed)
     spec, n = spectra[0], d_u.shape[1]
     expected = np.stack([np.sum(d_u * spec[None, :n], axis=1), np.sum(d_b * spec[None, n:], axis=1)])
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
+def test_a_tendency_result_shares_no_buffer(dim, points):
+    """Each tendency is a new array: a later call, whose intermediates reuse the
+    grid's buffers, leaves an earlier result as it was."""
+    grid = sp.make_grid(dim, points)
+    first_band, second_band = (sp.to_band(SolutionPair(random_solenoidal(grid, seed),
+                                                       random_solenoidal(grid, seed + 1)).data, grid)
+                               for seed in (1, 3))
+    first = tendency(first_band, grid)
+    kept = first.copy()
+    second = tendency(second_band, grid)
+    assert np.array_equal(first, kept) and not np.shares_memory(first, second)
+    assert np.array_equal(tendency(first_band, grid), kept)
+
+
+def test_a_warm_tendency_allocates_little_but_its_result():
+    """After the grid's first tendency has built its buffers, a 64^2 tendency's
+    traced allocation peak stays within two band arrays, its result and the
+    transforms' own scratch; one new array per intermediate (7.9 band arrays)
+    fails here."""
+    grid = sp.make_grid(2, 64)
+    band = sp.to_band(SolutionPair(random_solenoidal(grid, 1), random_solenoidal(grid, 2)).data, grid)
+    tendency(band, grid)
+    tracemalloc.start()
+    try:
+        tendency(band, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * band.nbytes
 
 
 class TestFullTendency:

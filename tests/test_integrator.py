@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lmhd import spectral as sp
+from lmhd import integrator, spectral as sp
 from lmhd.diagnostics import config_from_mapping, make_record, run_experiment
 from lmhd.dynamics import SolutionPair, SystemParams, tendency
 from lmhd.integrator import BlowupError, StepperConfig, run
@@ -180,6 +180,43 @@ class TestConservation:
         final = run(state0, params, StepperConfig(t_end=0.1, dt=1e-3))
         assert sp.solenoidal_residual(final.u) <= 1e-12
         assert sp.solenoidal_residual(final.b) <= 1e-12
+
+
+def textbook_advance(y, grid, dt, rates):
+    """Reference: one IF-RK4 step of the band y as one expression per stage."""
+    e_half = np.exp(-rates * (dt / 2.0))
+    e_full = e_half * e_half
+    n1 = tendency(y, grid)
+    n2 = tendency(e_half * (y + (dt / 2.0) * n1), grid)
+    n3 = tendency(e_half * y + (dt / 2.0) * n2, grid)
+    n4 = tendency(e_full * y + dt * (e_half * n3), grid)
+    return e_full * y + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+
+
+@pytest.mark.parametrize("dim, points", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("dt", [2e-3, None], ids=["fixed", "adaptive"])
+def test_in_place_steps_are_the_textbook_expression_bit_for_bit(monkeypatch, dim, points, dt):
+    """Every step of a run, fixed (with a shorter last step) or adaptive, equals
+    `textbook_advance` from the same band and dt, in every bit."""
+    grid = sp.make_grid(dim, points)
+    state = SolutionPair(random_solenoidal(grid, 5), random_solenoidal(grid, 6))
+    params = SystemParams(DissipationSpec(0.05, 1.0 + dim / 2.0, make_g("iterated_log")),
+                          DissipationSpec(0.02, 1.0, make_g("constant_one")), dim)
+    steps = []
+    original = integrator._advance
+
+    def recorded(y, grid, step_dt, *args):
+        new = original(y, grid, step_dt, *args)
+        steps.append((y.copy(), step_dt, new.copy()))
+        return new
+
+    monkeypatch.setattr(integrator, "_advance", recorded)
+    run(state, params, StepperConfig(t_end=0.011, dt=dt) if dt else
+        StepperConfig(t_end=math.inf, max_steps=5))
+    assert len({step_dt for _, step_dt, _ in steps}) >= 2
+    rates = integrator._decay_rates(params, grid)
+    for y, step_dt, new in steps:
+        assert np.array_equal(new, textbook_advance(y, grid, step_dt, rates))
 
 
 @pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])

@@ -1,6 +1,7 @@
 """Transforms, differential multipliers, projection, norms, snapshots."""
 
 import os
+import stat
 import struct
 from types import SimpleNamespace
 
@@ -111,6 +112,27 @@ class TestTransforms:
         physical = np.sum(samples**2) * grid32.cell_volume
         spectral = TWO_PI**2 * np.sum(np.abs(f.coeffs) ** 2)
         assert abs(physical - spectral) <= 1e-12 * spectral
+
+
+    @pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
+    def test_band_transforms_with_out_match_and_without_share_nothing(self, dim, points):
+        # with out=, a pruned transform writes there, bit for bit the new array of a call
+        # without it; a call without out= returns an array no later call writes to
+        grid = sp.make_grid(dim, points)
+        rng = np.random.default_rng(points)
+        lead = (2, dim)
+        bands = [rng.standard_normal(lead + grid.band_shape) + 1j * rng.standard_normal(lead + grid.band_shape)
+                 for _ in range(2)]
+        samples = [rng.standard_normal(lead + grid.shape) for _ in range(2)]
+        for transform, inputs, shape, dtype in ((sp.band_to_physical, bands, grid.shape, np.float64),
+                                                (sp.physical_to_band, samples, grid.band_shape, np.complex128)):
+            first = transform(inputs[0], grid)
+            kept = first.copy()
+            out = np.empty(lead + shape, dtype=dtype)
+            assert transform(inputs[1], grid, out=out) is out
+            assert np.array_equal(out, transform(inputs[1], grid))
+            assert np.array_equal(transform(inputs[0], grid, out=out), kept)
+            assert np.array_equal(first, kept)
 
 
 class TestFractionalDerivative:
@@ -297,6 +319,33 @@ class TestSnapshots(object):
         sp.write_snapshot(str(path), fields)
         stacked = np.stack([f.coeffs for f in fields]).astype("<c16").tobytes()
         assert path.read_bytes() == b"LMHD" + struct.pack("<IIII", 1, dim, points, 4) + stacked
+
+    def test_rewrite_keeps_the_file_and_cuts_its_old_tail(self, tmp_path, grid16):
+        # a snapshot written through a symlink over a longer file: the bytes of a fresh
+        # write, on the same inode, with the file's own mode
+        fields = [random_real_field(grid16, seed=s) for s in (1, 2)]
+        fresh, old, link = tmp_path / "fresh.lmhd", tmp_path / "old.lmhd", tmp_path / "link.lmhd"
+        sp.write_snapshot(str(fresh), fields)
+        old.write_bytes(b"x" * (3 * fresh.stat().st_size))
+        old.chmod(0o640)
+        link.symlink_to(old)
+        inode = old.stat().st_ino
+        sp.write_snapshot(str(link), fields)
+        assert old.read_bytes() == fresh.read_bytes()
+        assert old.stat().st_ino == inode and stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert link.is_symlink()
+
+    def test_write_in_place_cuts_the_file_where_a_write_failed(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"old contents")
+
+        def chunks():
+            yield b"new"
+            raise OSError("no space left on device")
+
+        with pytest.raises(OSError):
+            sp.write_in_place(str(path), chunks())
+        assert path.read_bytes() == b"new"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.lmhd"
