@@ -47,6 +47,9 @@ def _cmd_sweep(args) -> int:
     key, values = key.strip(), [v.strip() for v in listed.split(",")]
     if not sep or not all(values):
         raise ConfigError(f"expected --vary KEY=v1,v2,..., got {args.vary!r}")
+    # a value's files are named by its string, so a repeated one would overwrite them
+    if repeated := [value for i, value in enumerate(values) if value in values[:i]]:
+        raise ConfigError(f"--vary lists {key}={repeated[0]} twice")
     # every swept config is set up, with run_experiment's checks, before the first run starts
     setups = []
     for value in values:

@@ -267,16 +267,21 @@ def evaluate_checks(records: list[DiagnosticRecord] | np.ndarray, config: RunCon
     nu, eta, g1 and optional energy tolerance; params, when given, is checked
     against the theorem regime.
 
-    Returns the measured values by name and the failure messages. A non-finite
-    record field fails the series outright, and a negative one, which no run
-    writes, raises ValueError; the constants fail when not finite and the
-    divergence residual above 1e-8.
+    Returns the measured values by name and the failure messages. A norm often
+    overflows before the state does, so the checks read the records before the
+    first one with a non-finite field, and that field fails the series first;
+    the report is empty when the first record has one. A negative field among
+    the records read, which no run writes, raises ValueError; the constants
+    fail when not finite and the divergence residual above 1e-8.
     """
     report: dict = {}
-    failures: list[str] = []
     table = _table(records)
-    if cell := _first_cell(~np.isfinite(table), table):
-        return report, [f"non-finite record field {cell}"]
+    nonfinite = ~np.isfinite(table)
+    cell = _first_cell(nonfinite, table)
+    failures = [f"non-finite record field {cell}"] if cell else []
+    table = table[~np.logical_or.accumulate(nonfinite.any(axis=1))]
+    if not len(table):
+        return report, failures
     if cell := _first_cell(table < 0.0, table):
         raise ValueError(f"negative record field {cell}")
     if len(table) >= _MIN_ENERGY_RECORDS:
@@ -284,21 +289,20 @@ def evaluate_checks(records: list[DiagnosticRecord] | np.ndarray, config: RunCon
         report["energy_residual"] = residual
         if config.energy_tol is not None and residual > config.energy_tol:
             failures.append(f"energy residual {residual:.3e} > {config.energy_tol:.3e}")
-    if len(table):
-        gronwall = gronwall_bound_check(table, config.g1)
-        report["gronwall_constant"] = gronwall
-        if params is not None and not params.theorem_regime():
-            report["gronwall_warning"] = (
-                "parameters are outside the theorem regime (need nu>0, eta=0, alpha>=1+N/2)")
-        if not math.isfinite(gronwall):
-            failures.append("gronwall constant is not finite")
+    gronwall = gronwall_bound_check(table, config.g1)
+    report["gronwall_constant"] = gronwall
+    if params is not None and not params.theorem_regime():
+        report["gronwall_warning"] = (
+            "parameters are outside the theorem regime (need nu>0, eta=0, alpha>=1+N/2)")
+    if not math.isfinite(gronwall):
+        failures.append("gronwall constant is not finite")
     if len(table) >= _MIN_GAMMA_RECORDS:
         gamma = gamma_log_derivative_check(table)
         report["gamma_log_constant"] = gamma
         if not math.isfinite(gamma):
             failures.append("gamma log-derivative constant is not finite")
     r = DiagnosticRecord._make(table.T)
-    max_div = float(np.max(np.maximum(r.div_u, r.div_b), initial=0.0))
+    max_div = float(np.max(np.maximum(r.div_u, r.div_b)))
     report["max_div"] = max_div
     if max_div > _SOLENOIDAL_TOL:
         failures.append(f"solenoidality residual {max_div:.3e} > {_SOLENOIDAL_TOL:.0e}")
@@ -625,10 +629,10 @@ def prepare_experiment(config: RunConfig) -> tuple[SystemParams, SolutionPair, S
 def run_experiment(config: RunConfig,
                    prepared: tuple[SystemParams, SolutionPair, StepperConfig, DiagnosticTracker]
                    | None = None) -> ExperimentResult:
-    """Run one configured experiment, write artifacts, evaluate the checks;
-    ConfigError, before anything runs, from `prepare_experiment`. `prepared` is
-    what `prepare_experiment(config)` returned, run in place of a new set-up; a
-    set-up runs once, since its tracker keeps the records."""
+    """Run one configured experiment, write artifacts, and report its records by
+    `evaluate_checks`; ConfigError, before anything runs, from `prepare_experiment`.
+    `prepared` is what `prepare_experiment(config)` returned, run in place of a new
+    set-up; a set-up runs once, since its tracker keeps the records."""
     params, state0, stepper, tracker = prepared or prepare_experiment(config)
     snapshots = (_SnapshotObserver(config.out_snapshots, config.snapshot_times)
                  if config.out_snapshots else None)
@@ -657,14 +661,7 @@ def run_experiment(config: RunConfig,
                        sup_gamma_norm=max((r.gamma_norm for r in records), default=0.0),
                        cum_diss_grad=records[-1].cum_diss_grad if records else 0.0,
                        osgood_g1=osgood_classify(config.g1).classification)
-    # a norm often overflows before the state does: check the records before the first
-    # non-finite one, and name that field first
-    table = _table(records)
-    nonfinite = ~np.isfinite(table)
-    checked = table[~np.logical_or.accumulate(nonfinite.any(axis=1))]
-    report, failures = evaluate_checks(checked, config, params) if len(checked) else ({}, [])
-    if cell := _first_cell(nonfinite, table):
-        failures.insert(0, f"non-finite record field {cell}")
+    report, failures = evaluate_checks(records, config, params)
     summary.update(report)
     # <out.series>.summary.json equals `lmhd run` stdout less `status`
     if snapshots is not None:

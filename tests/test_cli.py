@@ -356,6 +356,57 @@ def test_check_negative_record_value_is_an_input_error(field, tmp_path, capsys):
     assert err == f"config error: negative record field {field} at t={time}\n"
 
 
+@pytest.mark.parametrize("negative_row, code", [(4, 2), (9, 4)], ids=["before", "after"])
+def test_check_reads_negative_cells_before_the_first_non_finite_record(negative_row, code,
+                                                                       tmp_path, capsys):
+    """A negative cell among the records the checks read is an input error; one after the
+    first non-finite record is not read, and the series fails on that record."""
+    series = tmp_path / "series.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG + f"out.series = {series}\n")
+    assert main(["run", str(cfg)]) == 0
+    set_series_cell(series, "x_norm", "inf")
+    set_series_cell(series, "diss_u", "-1.0", row=negative_row)
+    capsys.readouterr()
+    assert main(["check", str(series)]) == code
+    err = capsys.readouterr().err
+    assert err == ("config error: negative record field diss_u at t=0.003\n" if code == 2
+                   else "non-finite record field x_norm at t=0.005\n")
+
+
+# 16^2 Orszag-Tang at nu = 0 and dt = 5 overflows y_norm at t = 10: run to t = 10 it finishes
+# with that record, run to t = 20 it blows up at t = 15
+OVERFLOW_CFG = (BASE_CFG.replace("params.nu = 1.0", "params.nu = 0.0")
+                .replace("stepper.dt = 0.001", "stepper.dt = 5"))
+CHECK_KEYS = ("energy_residual", "gronwall_constant", "gronwall_warning", "gamma_log_constant",
+              "max_div")
+
+
+@pytest.mark.parametrize("text, run_code", [
+    (BASE_CFG.replace("stepper.t_end = 0.02", "stepper.t_end = 0.06"), 0),
+    (OVERFLOW_CFG.replace("stepper.t_end = 0.02", "stepper.t_end = 10"), 4),
+    (OVERFLOW_CFG.replace("stepper.t_end = 0.02", "stepper.t_end = 20"), 3),
+], ids=["ok", "non_finite_record", "blowup"])
+def test_check_of_a_run_series_reports_what_the_run_reported(text, run_code, tmp_path, capsys):
+    """lmhd check of the series lmhd run wrote prints the run's check keys bit for bit, exits
+    with the run's code (4 for a blown-up run's series) and gives the run's message less its
+    blow-up text."""
+    series, cfg = tmp_path / "series.csv", tmp_path / "run.cfg"
+    cfg.write_text(text + f"out.series = {series}\n")
+    assert main(["run", str(cfg)]) == run_code
+    run_out, run_err = capsys.readouterr()
+    summary = json.loads(run_out)
+    failures = run_err.splitlines()[0].split("; ") if run_err else []
+    if run_code == 3:
+        assert failures.pop(0).startswith(f"non-finite coefficients at t={summary['blowup_time']}")
+    assert main(["check", str(series), "--config", str(cfg)]) == (4 if run_code == 3 else run_code)
+    out, err = capsys.readouterr()
+    assert "gronwall_constant" in summary and ("gamma_log_constant" in summary) == (run_code == 0)
+    assert out == json.dumps({key: summary[key] for key in CHECK_KEYS if key in summary},
+                             indent=2) + "\n"
+    assert err == ("; ".join(failures) + "\n" if failures else "")
+
+
 def test_sweep(cfg_path, capsys):
     code = main(["sweep", str(cfg_path), "--vary", "g1=constant_one,iterated_log"])
     out = capsys.readouterr().out
@@ -424,6 +475,28 @@ def test_sweep_rejects_every_value_before_the_first_run(tmp_path, capsys, vary, 
     key, values = vary.split("=")
     assert captured.err.startswith(f"config error: {key}={values.split(',')[1]}: ")
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("vary, repeated", [("params.alpha=2.0,2.0", "params.alpha=2.0"),
+                                            ("g1=constant_one,power, constant_one", "g1=constant_one")])
+def test_sweep_rejects_a_repeated_value_before_the_first_run(tmp_path, capsys, vary, repeated):
+    """Two runs of one value would write the same files, so the sweep exits 2 with nothing run."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG + f"out.series = {tmp_path / 'series.csv'}\n")
+    assert main(["sweep", str(cfg), "--vary", vary]) == 2
+    assert capsys.readouterr() == ("", f"config error: --vary lists {repeated} twice\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_sweep_runs_values_that_differ_as_strings(tmp_path, capsys):
+    """2.0 and 2 are one alpha but two values, each with its own files."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG + f"out.series = {tmp_path / 'series.csv'}\n")
+    assert main(["sweep", str(cfg), "--vary", "params.alpha=2.0,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["params.alpha=2.0", "params.alpha=2"]
+    first, second = (tmp_path / f"series_{alpha}.csv" for alpha in ("2.0", "2"))
+    assert first.read_text() == second.read_text()
 
 
 def test_sweep_builds_each_set_up_once(cfg_path, capsys, monkeypatch):
@@ -551,3 +624,44 @@ def test_osgood_unknown_g():
 
 def test_osgood_bad_param():
     assert main(["osgood", "power", "epsilon"]) == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["power_log", "c=0.5"], "power_log requires c >= 1 so that g >= 1"),
+    (["power", "epsilon=0"], "power requires epsilon > 0"),
+    (["spiky", "period=0"], "spiky requires period > 0 and height >= 1"),
+    (["spiky", "height=0.5"], "spiky requires period > 0 and height >= 1"),
+])
+def test_osgood_parameter_outside_its_range_exits_2(args, message, capsys):
+    assert main(["osgood", *args]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (BASE_CFG.replace("grid.n = 2", "grid.n = 3").replace("orszag_tang_2d", "taylor_green_2d"),
+     "taylor_green_2d requires a 2D grid"),
+    (SINGLE_MODE_CFG + "ic.k = 0,0\n", "single_mode requires a nonzero 2-vector k"),
+], ids=["taylor_green_3d", "single_mode_zero_k"])
+def test_run_initial_condition_outside_its_domain_exits_2(text, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_osgood_spiky_of_height_one_is_constant_one(capsys):
+    """height = 1 never jumps, so the integral is constant_one's bit for bit."""
+    assert main(["osgood", "spiky", "height=1"]) == 0
+    spiky = json.loads(capsys.readouterr().out)
+    assert main(["osgood", "constant_one"]) == 0
+    constant = json.loads(capsys.readouterr().out)
+    assert spiky["partial_integral"] == constant["partial_integral"] == 5.4392026312362045
+    assert spiky["classification"] == constant["classification"] == "diverges"
+
+
+def test_osgood_power_whose_tail_underflows_converges(capsys):
+    """At epsilon = 50 the last window integrals underflow, which reads as convergence."""
+    assert main(["osgood", "power", "epsilon=50"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["classification"] == "converges"
+    assert 0.0 < out["partial_integral"] < 1e-70

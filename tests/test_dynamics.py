@@ -296,3 +296,8 @@ class TestValidation:
     def test_negative_time_rejected(self, grid16):
         with pytest.raises(ValueError):
             SolutionPair(sp.zero_vector(grid16), sp.zero_vector(grid16), time=-1.0)
+
+    def test_band_of_the_wrong_shape_rejected(self, grid16):
+        # a band pair on 16^2 is (2, 2, 11, 6); this one has the full grid's rows and columns
+        with pytest.raises(ValueError, match=r"array shape \(2, 2, 16, 9\) does not match a band pair"):
+            SolutionPair.from_band(grid16, np.zeros((2, 2, 16, 9), dtype=np.complex128), 0.0)

@@ -164,6 +164,13 @@ class TestBernstein:
             ratio = bernstein_ratio(f, j, 1, 2, 2)
             assert lower - 1e-12 <= ratio <= 2.0
 
+    def test_order_zero_compares_the_field_with_itself(self, grid32):
+        # no derivative: ||f||_inf over 2^(2 j) ||f||_2, finite and positive
+        for seed in range(5):
+            ratio = bernstein_ratio(random_annulus_field(grid32, 2, seed=seed), 2, 0, 2, np.inf)
+            assert np.isfinite(ratio) and ratio > 0.0
+        assert bernstein_ratio(sp.zero_field(grid32), 2, 0, 2, 2) == 0.0
+
     def test_fractional_variant_consistent_with_dyadic_weight(self, grid32):
         for seed in range(10):
             f = random_annulus_field(grid32, 3, seed=seed)
@@ -241,6 +248,24 @@ class TestCommutator:
             commutator_ratio(f, g, 1.0, (2, 3, 6, 2, np.inf))
         with pytest.raises(ValueError):
             commutator_ratio(f, g, 0.0, HOLDER)
+
+    def test_grids_must_match(self, grid16, grid32):
+        f = random_real_field(grid16, seed=5, band=4)
+        g = random_real_field(grid32, seed=6, band=4)
+        with pytest.raises(ValueError, match="commutator arguments must share one grid"):
+            commutator_ratio(f, g, 1.0, HOLDER)
+
+    @pytest.mark.parametrize("exponents", [(1, 2, 2, 2, 2), (1, 1, np.inf, 1, np.inf)],
+                             ids=["grad_l2", "grad_l1"])
+    def test_gradient_in_l2_and_l1(self, grid32, exponents):
+        # the bound takes ||grad f|| in L^2 or L^1
+        constant = sp.forward_transform(np.full(grid32.shape, 3.0), grid32)
+        for seed in range(5):
+            f = random_real_field(grid32, seed=700 + seed, band=7)
+            g = random_real_field(grid32, seed=900 + seed, band=7)
+            ratio = commutator_ratio(f, g, 1.0, exponents)
+            assert np.isfinite(ratio) and ratio > 0.0
+            assert commutator_ratio(constant, g, 1.0, exponents) == 0.0
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
     def test_corpus_bounded(self, grid32, s):

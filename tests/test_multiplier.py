@@ -47,6 +47,12 @@ class TestGFunction:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_g("mystery")
+        with pytest.raises(ValueError, match="unknown g kind 'bogus'"):
+            GFunction("bogus")
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="g is defined for radii >= 0"):
+            make_g("iterated_log")(-1.0)
 
     @pytest.mark.parametrize("kind, param", [("power_log", "c"), ("power", "epsilon"),
                                              ("spiky", "period"), ("spiky", "height")])
@@ -189,6 +195,11 @@ class TestOsgood:
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.5])
     def test_power_converges(self, eps):
         assert osgood_classify(make_g("power", epsilon=eps)).classification == CONVERGES
+
+    def test_power_with_an_underflowed_tail_converges(self):
+        # at epsilon = 50 the last window integrals are below 1e-290, so no ratio is formed
+        verdict = osgood_classify(make_g("power", epsilon=50.0))
+        assert verdict.classification == CONVERGES and verdict.window_ratios == ()
 
     def test_power_log_converges(self):
         # the comparison bound g^2 <= c ln(e+tau) integrates to a finite value

@@ -184,6 +184,24 @@ class TestGradientDivergence:
         f32 = sp.zero_field(grid32)
         with pytest.raises(ValueError):
             VectorField((f16, f32))
+        for a, b in ((f16, f32), (sp.zero_vector(grid16), sp.zero_vector(grid32))):
+            for combine in (lambda x, y: x + y, lambda x, y: x - y):
+                with pytest.raises(ValueError, match="grid mismatch: "):
+                    combine(a, b)
+
+
+class TestFieldShapes:
+    def test_scalar_shape_must_match_its_grid(self, grid16):
+        with pytest.raises(ValueError, match=r"coefficient shape \(8, 8\) does not match grid \(16, 16\)"):
+            SpectralField(grid16, np.zeros((8, 8), dtype=np.complex128))
+
+    def test_vector_needs_one_component_per_axis(self, grid16):
+        with pytest.raises(ValueError, match="expected 2 components, got 3"):
+            VectorField([sp.zero_field(grid16)] * 3)
+
+    def test_vector_array_must_hold_one_field_per_axis(self, grid16):
+        with pytest.raises(ValueError, match=r"array shape \(3, 16, 16\) does not hold 2 fields on "):
+            VectorField.from_array(grid16, np.zeros((3, 16, 16), dtype=np.complex128))
 
 
 class TestLerayProjection:
@@ -290,6 +308,12 @@ class TestSnapshots(object):
                 assert np.array_equal(a.coeffs, b.coeffs)
                 assert b.coeffs.dtype == np.complex128 and b.coeffs.dtype.isnative
                 assert b.coeffs.flags.writeable
+
+    def test_no_fields_rejected(self, tmp_path):
+        path = tmp_path / "state.lmhd"
+        with pytest.raises(ValueError, match="snapshot requires at least one field"):
+            sp.write_snapshot(str(path), [])
+        assert not path.exists()
 
     def test_header(self, tmp_path, grid16):
         path = str(tmp_path / "state.lmhd")
