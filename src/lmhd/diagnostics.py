@@ -21,7 +21,6 @@ import numpy as np
 from . import spectral as sp
 from .dynamics import SolutionPair, SystemParams, state_band
 from .integrator import BlowupError, StepperConfig, run
-from .lpaley import split_terms
 from .multiplier import (
     E,
     DissipationSpec,
@@ -93,6 +92,17 @@ def record_weights(grid: sp.Grid, params: SystemParams, gamma: float, s: float) 
             matrix[row] = sp.radial_power(k_squared, order)
         matrix[2:] *= parseval
     return RecordWeights(matrix.reshape(8, -1), 1j * grid.band_kmesh[:, None])
+
+
+def split_terms(diss: DissipationSpec, m1: float, l_u_sq: float,
+                l_grad_sq: float) -> tuple[float, float]:
+    """(low_term, high_term) = (g(m1) sqrt(ln m1) ||L u||, m1^(-1/2) ||L grad u||), the bound
+    terms of the gradient sup norm, from l_u_sq = ||L u||^2 and l_grad_sq = ||L grad u||^2."""
+    if m1 < E:
+        raise ValueError("threshold m1 must be >= e")
+    low_term = float(diss.g(m1)) * float(np.sqrt(np.log(m1))) * float(np.sqrt(l_u_sq))
+    high_term = float(m1) ** -0.5 * float(np.sqrt(l_grad_sq))
+    return low_term, high_term
 
 
 def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: float,
@@ -232,9 +242,10 @@ def gronwall_bound_check(records: list[DiagnosticRecord] | np.ndarray, g1: GFunc
     f = partial_integral(g1, E + r.x_norm)
     lhs = f[1:] - f[0]
     rhs = (r.t[1:] - r.t[0]) + r.cum_diss[1:]
-    # records with rhs <= 0 (or NaN) bound nothing
+    # records with rhs <= 0 (or NaN) bound nothing; a quotient that overflows reads inf
     bounded = rhs > 0.0
-    return _max_positive(lhs[bounded] / rhs[bounded])
+    with np.errstate(over="ignore"):
+        return _max_positive(lhs[bounded] / rhs[bounded])
 
 
 def gamma_log_derivative_check(records: list[DiagnosticRecord] | np.ndarray) -> float:
@@ -252,38 +263,43 @@ def gamma_log_derivative_check(records: list[DiagnosticRecord] | np.ndarray) -> 
     if cell := _first_cell((table < 0.0) & _ROOTED, table):
         raise ValueError(f"negative record field {cell}")
     w = np.log(E + r.gamma_norm)
-    dw = (w[2:] - w[:-2]) / (r.t[2:] - r.t[:-2])
     denom = (np.sqrt(r.diss_u) + np.sqrt(r.diss_grad_u))[1:-1]
-    # a NaN derivative is not a falling one
-    rising = ~(dw <= 0.0)
-    if np.any(rising & (denom <= 1e-300)):
-        return math.inf
-    return _max_positive(dw[rising] / denom[rising])
+    # a quotient that overflows, as over record times a subnormal apart, reads inf
+    with np.errstate(over="ignore"):
+        dw = (w[2:] - w[:-2]) / (r.t[2:] - r.t[:-2])
+        # a NaN derivative is not a falling one
+        rising = ~(dw <= 0.0)
+        if np.any(rising & (denom <= 1e-300)):
+            return math.inf
+        return _max_positive(dw[rising] / denom[rising])
 
 
 def evaluate_checks(records: list[DiagnosticRecord] | np.ndarray, config: RunConfig,
                     params: SystemParams | None) -> tuple[dict, list[str]]:
-    """Every estimate check the series is long enough for, with the config's
+    """The series values (max_x_norm, sup_gamma_norm, the last cum_diss_grad)
+    and every estimate check the series is long enough for, with the config's
     nu, eta, g1 and optional energy tolerance; params, when given, is checked
     against the theorem regime.
 
     Returns the measured values by name and the failure messages. A norm often
-    overflows before the state does, so the checks read the records before the
+    overflows before the state does, so the report reads the records before the
     first one with a non-finite field, and that field fails the series first;
     the report is empty when the first record has one. A negative field among
     the records read, which no run writes, raises ValueError; the constants
     fail when not finite and the divergence residual above 1e-8.
     """
-    report: dict = {}
     table = _table(records)
     nonfinite = ~np.isfinite(table)
     cell = _first_cell(nonfinite, table)
     failures = [f"non-finite record field {cell}"] if cell else []
     table = table[~np.logical_or.accumulate(nonfinite.any(axis=1))]
     if not len(table):
-        return report, failures
+        return {}, failures
     if cell := _first_cell(table < 0.0, table):
         raise ValueError(f"negative record field {cell}")
+    r = DiagnosticRecord._make(table.T)
+    report = {"max_x_norm": float(np.max(r.x_norm)), "sup_gamma_norm": float(np.max(r.gamma_norm)),
+              "cum_diss_grad": float(r.cum_diss_grad[-1])}
     if len(table) >= _MIN_ENERGY_RECORDS:
         residual = energy_balance_residual(table, config.nu, config.eta)
         report["energy_residual"] = residual
@@ -301,7 +317,6 @@ def evaluate_checks(records: list[DiagnosticRecord] | np.ndarray, config: RunCon
         report["gamma_log_constant"] = gamma
         if not math.isfinite(gamma):
             failures.append("gamma log-derivative constant is not finite")
-    r = DiagnosticRecord._make(table.T)
     max_div = float(np.max(np.maximum(r.div_u, r.div_b)))
     report["max_div"] = max_div
     if max_div > _SOLENOIDAL_TOL:
@@ -657,9 +672,6 @@ def run_experiment(config: RunConfig,
                "wall_time_s": time.perf_counter() - wall_start}
     if final_state is not None:
         summary.update(t_final=final_state.time,
-                       max_x_norm=max((r.x_norm for r in records), default=0.0),
-                       sup_gamma_norm=max((r.gamma_norm for r in records), default=0.0),
-                       cum_diss_grad=records[-1].cum_diss_grad if records else 0.0,
                        osgood_g1=osgood_classify(config.g1).classification)
     report, failures = evaluate_checks(records, config, params)
     summary.update(report)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .multiplier import E, DissipationSpec
 from .spectral import SpectralField
 
 
@@ -148,21 +147,6 @@ def bernstein_ratio(f: SpectralField, j: int, k_order: int, p: float, q: float,
     if denom == 0.0:
         return 0.0
     return numerator / denom
-
-
-# ---------------------------------------------------------------------------
-# gradient sup-norm frequency splitting
-# ---------------------------------------------------------------------------
-
-def split_terms(diss: DissipationSpec, m1: float, l_u_sq: float,
-                l_grad_sq: float) -> tuple[float, float]:
-    """(low_term, high_term) = (g(m1) sqrt(ln m1) ||L u||, m1^(-1/2) ||L grad u||), the bound
-    terms of the gradient sup norm, from l_u_sq = ||L u||^2 and l_grad_sq = ||L grad u||^2."""
-    if m1 < E:
-        raise ValueError("threshold m1 must be >= e")
-    low_term = float(diss.g(m1)) * float(np.sqrt(np.log(m1))) * float(np.sqrt(l_u_sq))
-    high_term = float(m1) ** -0.5 * float(np.sqrt(l_grad_sq))
-    return low_term, high_term
 
 
 # ---------------------------------------------------------------------------

@@ -378,8 +378,8 @@ def test_check_reads_negative_cells_before_the_first_non_finite_record(negative_
 # with that record, run to t = 20 it blows up at t = 15
 OVERFLOW_CFG = (BASE_CFG.replace("params.nu = 1.0", "params.nu = 0.0")
                 .replace("stepper.dt = 0.001", "stepper.dt = 5"))
-CHECK_KEYS = ("energy_residual", "gronwall_constant", "gronwall_warning", "gamma_log_constant",
-              "max_div")
+CHECK_KEYS = ("max_x_norm", "sup_gamma_norm", "cum_diss_grad", "energy_residual",
+              "gronwall_constant", "gronwall_warning", "gamma_log_constant", "max_div")
 
 
 @pytest.mark.parametrize("text, run_code", [
@@ -388,7 +388,7 @@ CHECK_KEYS = ("energy_residual", "gronwall_constant", "gronwall_warning", "gamma
     (OVERFLOW_CFG.replace("stepper.t_end = 0.02", "stepper.t_end = 20"), 3),
 ], ids=["ok", "non_finite_record", "blowup"])
 def test_check_of_a_run_series_reports_what_the_run_reported(text, run_code, tmp_path, capsys):
-    """lmhd check of the series lmhd run wrote prints the run's check keys bit for bit, exits
+    """lmhd check of the series lmhd run wrote prints the run's report keys bit for bit, exits
     with the run's code (4 for a blown-up run's series) and gives the run's message less its
     blow-up text."""
     series, cfg = tmp_path / "series.csv", tmp_path / "run.cfg"
@@ -401,10 +401,60 @@ def test_check_of_a_run_series_reports_what_the_run_reported(text, run_code, tmp
         assert failures.pop(0).startswith(f"non-finite coefficients at t={summary['blowup_time']}")
     assert main(["check", str(series), "--config", str(cfg)]) == (4 if run_code == 3 else run_code)
     out, err = capsys.readouterr()
-    assert "gronwall_constant" in summary and ("gamma_log_constant" in summary) == (run_code == 0)
+    assert {"max_x_norm", "sup_gamma_norm", "cum_diss_grad", "gronwall_constant"} <= summary.keys()
+    assert ("gamma_log_constant" in summary) == (run_code == 0)
     assert out == json.dumps({key: summary[key] for key in CHECK_KEYS if key in summary},
                              indent=2) + "\n"
     assert err == ("; ".join(failures) + "\n" if failures else "")
+
+
+# the series values of OVERFLOW_CFG's records before the one whose y_norm overflowed
+OVERFLOW_SERIES_VALUES = {"max_x_norm": 2.675997118426415e+20,
+                          "sup_gamma_norm": 3.5148458734244548e+22,
+                          "cum_diss_grad": 1.6084636540149758e+23}
+
+
+@pytest.mark.parametrize("t_end, run_code", [(10, 4), (20, 3)], ids=["finished", "blowup"])
+def test_run_reports_the_series_values_of_its_finite_records(t_end, run_code, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(OVERFLOW_CFG.replace("stepper.t_end = 0.02", f"stepper.t_end = {t_end}"))
+    assert main(["run", str(cfg)]) == run_code
+    summary = json.loads(capsys.readouterr().out)
+    assert {key: summary[key] for key in OVERFLOW_SERIES_VALUES} == OVERFLOW_SERIES_VALUES
+    assert main(["sweep", str(cfg), "--vary", "g1=constant_one"]) == run_code
+    assert capsys.readouterr().out == ("g1=constant_one: status=" + summary["status"] +
+                                       " max_X=2.676e+20 gronwall_C=3.5687e-22\n")
+
+
+def write_synthetic_series(path, t, **columns):
+    """A series file of the given times and columns, with 0 in every other field."""
+    zero = dict.fromkeys(RECORD_FIELDS, 0.0)
+    diagnostics.write_series(str(path), [
+        diagnostics.DiagnosticRecord(**{**zero, "t": ti, **{k: v[i] for k, v in columns.items()}})
+        for i, ti in enumerate(t)])
+
+
+# record times a subnormal apart make a check's quotient overflow
+SUBNORMAL_STEPS = {
+    "gronwall": ([0.0, 5e-324, 1.0], {"x_norm": [1.0, 1e6, 1e6]},
+                 "gronwall_constant", "gronwall constant is not finite"),
+    "gamma": ([0.0, 5e-324, 1e-323] + [1e-3 * i for i in range(1, 58)],
+              {"gamma_norm": [1.0 + i for i in range(60)], "diss_u": [1.0] * 60,
+               "diss_grad_u": [1.0] * 60},
+              "gamma_log_constant", "gamma log-derivative constant is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(SUBNORMAL_STEPS))
+def test_check_quotient_that_overflows_reads_inf_without_a_warning(case, tmp_path, capsys):
+    t, columns, key, failure = SUBNORMAL_STEPS[case]
+    series = tmp_path / "series.csv"
+    write_synthetic_series(series, t, **columns)
+    assert main(["check", str(series)]) == 4
+    out, err = capsys.readouterr()
+    assert json.loads(out)[key] == float("inf")
+    assert f'"{key}": Infinity' in out
+    assert err == failure + "\n"
 
 
 def test_sweep(cfg_path, capsys):

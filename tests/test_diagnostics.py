@@ -291,6 +291,9 @@ def loop_evaluate_checks(records, config, params):
     records = list(itertools.takewhile(lambda r: all(map(math.isfinite, r)), records))
     if not records:
         return report, failures
+    report["max_x_norm"] = max(r.x_norm for r in records)
+    report["sup_gamma_norm"] = max(r.gamma_norm for r in records)
+    report["cum_diss_grad"] = records[-1].cum_diss_grad
     if len(records) >= 3:
         residual = loop_energy_balance_residual(records, config.nu, config.eta)
         report["energy_residual"] = residual

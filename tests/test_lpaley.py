@@ -1,10 +1,13 @@
 """Dyadic decomposition, Besov norms, and the measured inequality ratios."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lmhd import spectral as sp
-from lmhd.diagnostics import make_record
+from lmhd import diagnostics, lpaley, spectral as sp
+from lmhd.diagnostics import make_record, split_terms
 from lmhd.dynamics import SolutionPair, SystemParams
 from lmhd.lpaley import (
     BesovIndex,
@@ -14,7 +17,6 @@ from lmhd.lpaley import (
     commutator_ratio,
     dyadic_blocks,
     make_partition,
-    split_terms,
 )
 from lmhd.multiplier import DissipationSpec, make_g
 from lmhd.spectral import SpectralField, VectorField
@@ -275,3 +277,24 @@ class TestCommutator:
             g = random_real_field(grid32, seed=900 + seed, band=7)
             worst = max(worst, commutator_ratio(f, g, s, HOLDER))
         assert np.isfinite(worst) and worst < 5.0
+
+
+def lmhd_imports(module):
+    """The modules of lmhd that a module of the package imports, read from its source:
+    `from . import a`, `from .a import b`, `from lmhd import a` and `import lmhd.a` all name a."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["lmhd" if node.level else None, node.module]))
+            dotted = [f"{base}.{alias.name}" for alias in node.names] if base == "lmhd" else [base]
+        else:
+            continue
+        names.update(name.split(".")[1] for name in dotted if name.startswith("lmhd."))
+    return names
+
+
+def test_the_toolkit_sits_on_spectral_alone_and_the_record_does_not_import_it():
+    assert lmhd_imports(lpaley) == {"spectral"}
+    assert "lpaley" not in lmhd_imports(diagnostics)

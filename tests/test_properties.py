@@ -14,11 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from lmhd import spectral as sp
 from lmhd.diagnostics import (_CONFIG_KEYS, ConfigError, DiagnosticRecord, DiagnosticTracker, RunConfig,
-                              config_from_mapping, make_record)
+                              config_from_mapping, make_record, split_terms)
 from lmhd.dynamics import (SolutionPair, SystemParams, band_operator, nonlinear_tendency, state_band,
                            tendency)
 from lmhd.integrator import StepperConfig, run
-from lmhd.lpaley import split_terms
 from lmhd.multiplier import E, DissipationSpec, make_g, symbol
 from lmhd.spectral import SpectralField, VectorField
 

@@ -203,6 +203,17 @@ class TestFieldShapes:
         with pytest.raises(ValueError, match=r"array shape \(3, 16, 16\) does not hold 2 fields on "):
             VectorField.from_array(grid16, np.zeros((3, 16, 16), dtype=np.complex128))
 
+    def test_scalar_times_field_in_either_order(self, grid16):
+        for field in (random_real_field(grid16, seed=1), random_solenoidal(grid16, seed=2)):
+            for product in (field * 2.5, 2.5 * field):
+                assert type(product) is type(field) and product.grid == field.grid
+                assert np.array_equal(product.coeffs, field.coeffs * 2.5)
+
+    def test_real_coefficients_are_stored_complex(self, grid16):
+        coeffs = np.random.default_rng(3).standard_normal(grid16.shape)
+        field = SpectralField(grid16, coeffs)
+        assert field.coeffs.dtype == np.complex128 and np.array_equal(field.coeffs, coeffs)
+
 
 class TestLerayProjection:
     def test_annihilates_gradients(self, grid32):
