@@ -221,7 +221,8 @@ def energy_balance_residual(records: list[DiagnosticRecord] | np.ndarray, nu: fl
         raise ValueError(f"need at least {_MIN_ENERGY_RECORDS} records")
     r = DiagnosticRecord._make(table.T)
     e0 = float(r.energy[0])
-    worst = _max_positive(np.abs(r.energy - e0 + nu * r.cum_diss + eta * r.cum_diss_b))
+    with np.errstate(over="ignore"):
+        worst = _max_positive(np.abs(r.energy - e0 + nu * r.cum_diss + eta * r.cum_diss_b))
     return worst / max(e0, 1e-300)
 
 

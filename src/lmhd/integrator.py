@@ -56,9 +56,11 @@ class BlowupError(RuntimeError):
 
 
 def _decay_rates(params: SystemParams, grid: sp.Grid) -> np.ndarray:
-    """coefficient * m(|k|)^2 for both fields on the band, stacked like the state."""
-    return np.stack([spec.coefficient * band_symbol(spec, grid) ** 2
-                     for spec in (params.diss_u, params.diss_b)])[:, None]
+    """coefficient * m(|k|)^2 for both fields on the band, stacked like the state;
+    a rate that overflows is inf, whose decay factor exp(-inf) = 0 is exact."""
+    with np.errstate(over="ignore"):
+        return np.stack([spec.coefficient * band_symbol(spec, grid) ** 2
+                         for spec in (params.diss_u, params.diss_b)])[:, None]
 
 
 def _advance(y: np.ndarray, grid: sp.Grid, dt: float, factors: tuple[np.ndarray, ...],

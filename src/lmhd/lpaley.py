@@ -211,7 +211,7 @@ def commutator_ratio(f: SpectralField, g: SpectralField, s: float,
     product = sp.forward_transform(f_phys * g_phys, grid)
     lam_s_g = sp.fractional_derivative(g, s)
     cross = sp.forward_transform(f_phys * sp.to_physical(lam_s_g), grid)
-    lhs_field = sp.fractional_derivative(product, s) - cross
+    lhs_field = SpectralField(grid, sp.fractional_derivative(product, s).coeffs - cross.coeffs)
     lhs = sp.lp_norm(lhs_field, p)
 
     rhs = (

@@ -75,7 +75,7 @@ class GFunction:
         if self.kind == "constant_one":
             out = np.ones_like(r)
         elif self.kind == "power_log":
-            out = np.sqrt(self.c * np.log(E + r))
+            out = np.sqrt(self.c) * np.sqrt(np.log(E + r))
         elif self.kind == "iterated_log":
             out = np.sqrt(np.log(E + np.log(E + r)))
         elif self.kind == "power":
@@ -92,7 +92,7 @@ class GFunction:
             return np.zeros_like(sigma)
         with np.errstate(divide="ignore", invalid="ignore"):
             jmax = np.floor(np.log(np.maximum(sigma, 1e-300) / self.period) / lh2)
-        return np.where(sigma >= self.period * self.height**2, np.maximum(jmax, 0.0) + 0.0, 0.0)
+        return np.maximum(jmax, 0.0) + 0.0
 
     def inverse_square_loglog(self, sigma):
         """h(sigma) = 1 / g(tau)^2 at tau = exp(exp(sigma)), overflow-safe."""
@@ -102,7 +102,8 @@ class GFunction:
         # ln(e + tau) computed without forming tau
         log_e_plus_tau = np.logaddexp(1.0, np.exp(sigma))
         if self.kind == "power_log":
-            return 1.0 / (self.c * log_e_plus_tau)
+            with np.errstate(over="ignore"):
+                return 1.0 / (self.c * log_e_plus_tau)
         if self.kind == "iterated_log":
             return 1.0 / np.log(E + log_e_plus_tau)
         if self.kind == "power":

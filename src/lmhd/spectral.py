@@ -104,34 +104,8 @@ def make_grid(dim: int, points: int) -> Grid:
     return Grid(dim, points)
 
 
-class _FieldArithmetic:
-    """Vector-space operations on `coeffs`, shared by scalar and vector fields."""
-
-    def _new(self, coeffs: np.ndarray):
-        raise NotImplementedError
-
-    def copy(self):
-        return self._new(self.coeffs.copy())
-
-    def __add__(self, other):
-        _check_same_grid(self.grid, other.grid)
-        return self._new(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _check_same_grid(self.grid, other.grid)
-        return self._new(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float):
-        return self._new(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._new(-self.coeffs)
-
-
 @dataclass
-class SpectralField(_FieldArithmetic):
+class SpectralField:
     """One scalar field stored as complex Fourier coefficients."""
 
     grid: Grid
@@ -145,11 +119,8 @@ class SpectralField(_FieldArithmetic):
         if self.coeffs.dtype != np.complex128:
             self.coeffs = self.coeffs.astype(np.complex128)
 
-    def _new(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self.grid, coeffs)
 
-
-class VectorField(_FieldArithmetic):
+class VectorField:
     """N spectral components sharing one grid, stored as one array.
 
     `coeffs` has shape (N, *grid.shape); `components` are SpectralField views
@@ -176,9 +147,6 @@ class VectorField(_FieldArithmetic):
         field.grid = grid
         field.coeffs = data.astype(np.complex128, copy=False)
         return field
-
-    def _new(self, coeffs: np.ndarray) -> "VectorField":
-        return VectorField.from_array(self.grid, coeffs)
 
     @property
     def components(self) -> tuple[SpectralField, ...]:

@@ -457,6 +457,59 @@ def test_check_quotient_that_overflows_reads_inf_without_a_warning(case, tmp_pat
     assert err == failure + "\n"
 
 
+# valid finite inputs whose arithmetic overflows to the right limit, inf
+def _energy_overflow_series(tmp_path):
+    series = tmp_path / "series.csv"
+    write_synthetic_series(series, [0.0, 1.0, 2.0], energy=[1.0, 1.5e308, 1.0],
+                           cum_diss=[0.0, 1.5e308, 1.6e308])
+    return ["check", str(series), "--nu", "1.2"]
+
+
+def _decay_overflow_run(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG.replace("params.alpha = 2.0", "params.alpha = 400"))
+    return ["run", str(cfg)]
+
+
+@pytest.mark.parametrize("command, code, key, value, err", [
+    (_energy_overflow_series, 0, "energy_residual", float("inf"), ""),
+    (_decay_overflow_run, 4, "status", "check_failed", "non-finite record field diss_u at t=0.0\n"),
+    (lambda tmp_path: ["osgood", "power_log", "c=1e308"], 0, "partial_integral", 1.042422198353274e-309,
+     ""),
+], ids=["energy_residual", "decay_rates", "power_log_integrand"])
+def test_overflow_on_valid_input_reads_inf_without_a_warning(command, code, key, value, err, tmp_path,
+                                                             capsys):
+    assert main(command(tmp_path)) == code
+    out, captured_err = capsys.readouterr()
+    assert json.loads(out)[key] == value
+    assert captured_err == err
+
+
+def test_power_log_with_c_near_the_float_maximum_runs(tmp_path, capsys):
+    series, cfg = tmp_path / "series.csv", tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG.replace("kind = constant_one", "kind = power_log\nparams.g1.c = 1e308")
+                   + f"out.series = {series}\n")
+    assert main(["run", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    split_low = diagnostics.read_series(str(series))[:, RECORD_FIELDS.index("split_low")]
+    assert np.all(np.isfinite(split_low))
+
+
+def test_spiky_with_a_height_past_the_square_root_of_the_float_maximum(tmp_path, capsys):
+    """The first jump of spiky height=1e300 lies past every finite radius, so it is g = 1."""
+    assert main(["osgood", "spiky", "height=1e300"]) == 0
+    spiky = json.loads(capsys.readouterr().out)
+    assert main(["osgood", "constant_one"]) == 0
+    assert {**spiky, "g": "constant_one"} == json.loads(capsys.readouterr().out)
+    cfg = tmp_path / "run.cfg"
+    for name, g1 in (("spiky", "spiky\nparams.g1.height = 1e300"), ("constant_one", "constant_one")):
+        cfg.write_text(BASE_CFG.replace("kind = constant_one", f"kind = {g1}")
+                       + f"out.series = {tmp_path / name}.csv\n")
+        assert main(["run", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "spiky.csv").read_bytes() == (tmp_path / "constant_one.csv").read_bytes()
+
+
 def test_sweep(cfg_path, capsys):
     code = main(["sweep", str(cfg_path), "--vary", "g1=constant_one,iterated_log"])
     out = capsys.readouterr().out

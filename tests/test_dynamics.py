@@ -73,7 +73,7 @@ class TestNonlinearTendency:
     def test_equal_fields_cancel(self, grid32):
         # (u.grad)u = (b.grad)b and (u.grad)b = (b.grad)u when u = b
         u = random_solenoidal(grid32, seed=1)
-        state = SolutionPair(u, u.copy())
+        state = SolutionPair(u, VectorField(u.components))
         du, db = nonlinear_tendency(state)
         scale = sp.vector_l2_norm(u) ** 2
         assert all(np.max(np.abs(c.coeffs)) <= 1e-13 * scale for c in du.components)

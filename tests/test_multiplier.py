@@ -65,6 +65,13 @@ class TestGFunction:
         g = make_g("power_log", c=1.0)
         assert abs(g(10.0) - np.sqrt(np.log(E + 10.0))) < 1e-14
 
+    def test_power_log_is_sqrt_c_times_the_root_log(self):
+        """At c = 1 g is sqrt(ln(e + r)) bit for bit; at c = 1e308 it is finite, about 1e154."""
+        radii = np.sqrt(sp.make_grid(2, 64).band_k_squared)
+        root_log = np.sqrt(np.log(E + radii))
+        assert np.array_equal(make_g("power_log")(radii), root_log)
+        np.testing.assert_allclose(make_g("power_log", c=1e308)(radii), 1e154 * root_log, rtol=1e-15)
+
     @pytest.mark.parametrize("g", CATALOG, ids=lambda g: g.kind)
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-3.0, 6.5), min_size=1, max_size=50))

@@ -184,10 +184,10 @@ class TestGradientDivergence:
         f32 = sp.zero_field(grid32)
         with pytest.raises(ValueError):
             VectorField((f16, f32))
-        for a, b in ((f16, f32), (sp.zero_vector(grid16), sp.zero_vector(grid32))):
-            for combine in (lambda x, y: x + y, lambda x, y: x - y):
-                with pytest.raises(ValueError, match="grid mismatch: "):
-                    combine(a, b)
+        with pytest.raises(ValueError, match="grid mismatch: "):
+            sp.l2_inner(f16, f32)
+        with pytest.raises(ValueError, match="grid mismatch: "):
+            sp.write_snapshot(os.devnull, [f16, f32])
 
 
 class TestFieldShapes:
@@ -202,12 +202,6 @@ class TestFieldShapes:
     def test_vector_array_must_hold_one_field_per_axis(self, grid16):
         with pytest.raises(ValueError, match=r"array shape \(3, 16, 16\) does not hold 2 fields on "):
             VectorField.from_array(grid16, np.zeros((3, 16, 16), dtype=np.complex128))
-
-    def test_scalar_times_field_in_either_order(self, grid16):
-        for field in (random_real_field(grid16, seed=1), random_solenoidal(grid16, seed=2)):
-            for product in (field * 2.5, 2.5 * field):
-                assert type(product) is type(field) and product.grid == field.grid
-                assert np.array_equal(product.coeffs, field.coeffs * 2.5)
 
     def test_real_coefficients_are_stored_complex(self, grid16):
         coeffs = np.random.default_rng(3).standard_normal(grid16.shape)
@@ -224,7 +218,7 @@ class TestLerayProjection:
     def test_fixes_solenoidal_fields(self, grid32):
         psi = random_real_field(grid32, seed=5)
         stream = VectorField((
-            -sp.gradient(psi).components[1],
+            SpectralField(grid32, -sp.gradient(psi).components[1].coeffs),
             sp.gradient(psi).components[0],
         ))
         out = sp.leray_project(stream)
