@@ -613,7 +613,7 @@ class _SnapshotObserver:
             digits = 6
             while (path := f"{self.prefix}_t{state.time:.{digits}f}.lmhd") in self.written:
                 digits += 1
-            sp.write_snapshot(path, list(state.u.components + state.b.components))
+            sp.write_band_snapshot(path, state_band(state), state.grid)
             self.written.append(path)
 
 

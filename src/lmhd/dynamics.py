@@ -138,13 +138,15 @@ def _tendency_buffers(grid: sp.Grid) -> tuple[np.ndarray, ...]:
     """The working arrays of `tendency` on one grid: the physical u and b, the
     products, S_dd, a product temporary, the products' band spectra and one
     operator-block temporary.  Built at the grid's first tendency and reused by
-    every later one, so the hot path allocates only its result."""
+    every later one, so the hot path allocates only its result; each starts on a
+    cache line."""
     sym, anti = _PRODUCT_PAIRS[grid.dim]
     products = len(sym) + len(anti)
-    return (np.empty((2, grid.dim) + grid.shape), np.empty((products,) + grid.shape),
-            np.empty(grid.shape), np.empty(grid.shape),
-            np.empty((products,) + grid.band_shape, dtype=np.complex128),
-            np.empty((grid.dim,) + grid.band_shape, dtype=np.complex128))
+    return (sp.cache_aligned((2, grid.dim) + grid.shape),
+            sp.cache_aligned((products,) + grid.shape),
+            sp.cache_aligned(grid.shape), sp.cache_aligned(grid.shape),
+            sp.cache_aligned((products,) + grid.band_shape, np.complex128),
+            sp.cache_aligned((grid.dim,) + grid.band_shape, np.complex128))
 
 
 def tendency(band: np.ndarray, grid: sp.Grid) -> np.ndarray:

@@ -57,9 +57,11 @@ class BlowupError(RuntimeError):
 
 def _decay_rates(params: SystemParams, grid: sp.Grid) -> np.ndarray:
     """coefficient * m(|k|)^2 for both fields on the band, stacked like the state;
-    a rate that overflows is inf, whose decay factor exp(-inf) = 0 is exact."""
+    a rate that overflows is inf, whose decay factor exp(-inf) = 0 is exact, and a
+    zero coefficient's rate is 0, also where its symbol overflows."""
     with np.errstate(over="ignore"):
-        return np.stack([spec.coefficient * band_symbol(spec, grid) ** 2
+        return np.stack([spec.coefficient * band_symbol(spec, grid) ** 2 if spec.coefficient
+                         else np.zeros(grid.band_shape)
                          for spec in (params.diss_u, params.diss_b)])[:, None]
 
 
@@ -130,9 +132,9 @@ def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
     factors_dt = None
     t, n = state0.time, 0
     kmax = grid.points / 2.0
-    # the working arrays of every step of this run
-    stages = np.empty_like(y), np.empty_like(y)
-    fields = np.empty((2, grid.dim) + grid.shape) if config.dt is None else None
+    # the working arrays of every step of this run, on cache lines
+    stages = sp.cache_aligned(y.shape, y.dtype), sp.cache_aligned(y.shape, y.dtype)
+    fields = sp.cache_aligned((2, grid.dim) + grid.shape) if config.dt is None else None
     while t < config.t_end - 1e-14 and n < config.max_steps:
         if config.dt is None:
             sp.band_to_physical(y, grid, out=fields)

@@ -18,13 +18,15 @@ full array in `to_physical_array`.  `band_to_physical` and `physical_to_band`
 are the pruned real transforms of the band, equal bit for bit to the
 half-spectrum ones; initial states, the stepper and the records use only these.
 Given `out=`, as the stepper's calls are, they write there and take their
-intermediates from buffers kept per grid and leading shape.
+intermediates from buffers kept per grid and leading shape, which start on
+cache lines (`cache_aligned`).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import struct
 from collections.abc import Iterable
@@ -238,21 +240,37 @@ def _pad_rows(x: np.ndarray, axis: int, grid: Grid, out: np.ndarray | None = Non
     return out
 
 
+def cache_aligned(shape: tuple[int, ...], dtype=np.float64, zero: bool = False) -> np.ndarray:
+    """A new array, zero-filled if `zero`, that starts on a 64-byte cache line.  numpy
+    starts arrays where malloc does, 16-byte aligned at offsets that depend on the heap,
+    and an elementwise op on arrays off the line takes about twice as long; this one is
+    a view into a block 64 bytes longer, which it keeps alive through `.base`."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    block = (np.zeros if zero else np.empty)(nbytes + 64, dtype=np.uint8)
+    start = -block.ctypes.data % 64
+    return block[start:start + nbytes].view(dtype).reshape(shape)
+
+
 # The intermediates of the pruned transforms of one grid and one leading shape, for the
 # calls given `out=`, which the stepper makes over and over: reusing them spares the
 # allocator, whose freed blocks of this size go back to the kernel and fault in again.
 # They are process state, shared by every such call on the grid.
 
 @functools.lru_cache(maxsize=8)
-def _inverse_buffers(grid: Grid, lead: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per leading axis of `band_to_physical`: the padded rows, zero outside the band
-    rows that every call writes, and the ifft output."""
+def _inverse_buffers(grid: Grid, lead: tuple[int, ...]) -> tuple[tuple, tuple, np.ndarray]:
+    """Of `band_to_physical`: the padded rows of each leading axis, zero outside the
+    band rows that every call writes, the ifft output of each but the last, and the
+    half spectrum that irfft reads, zero outside the columns 0..kc that the last
+    ifft writes."""
     shape = list(lead + grid.band_shape)
-    buffers = []
+    padded, spectra = [], []
     for axis in range(-grid.dim, -1):
         shape[axis] = grid.points
-        buffers.append((np.zeros(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)))
-    return tuple(buffers)
+        padded.append(cache_aligned(tuple(shape), np.complex128, zero=True))
+        if axis < -2:
+            spectra.append(cache_aligned(tuple(shape), np.complex128))
+    shape[-1] = grid.points // 2 + 1
+    return tuple(padded), tuple(spectra), cache_aligned(tuple(shape), np.complex128, zero=True)
 
 
 @functools.lru_cache(maxsize=8)
@@ -261,13 +279,13 @@ def _forward_buffers(grid: Grid, lead: tuple[int, ...]) -> tuple[np.ndarray, tup
     axis, and the kept rows of each but the last, whose rows go to `out`."""
     shape = list(lead + grid.shape)
     shape[-1] = grid.points // 2 + 1
-    half = np.empty(shape, dtype=np.complex128)
+    half = cache_aligned(tuple(shape), np.complex128)
     shape[-1] = grid.kc + 1
     spectra, rows = [], []
     for axis in range(-2, -grid.dim - 1, -1):
-        spectra.append(np.empty(shape, dtype=np.complex128))
+        spectra.append(cache_aligned(tuple(shape), np.complex128))
         shape[axis] = 2 * grid.kc + 1
-        rows.append(np.empty(shape, dtype=np.complex128))
+        rows.append(cache_aligned(tuple(shape), np.complex128))
     return half, tuple(spectra), tuple(rows[:-1])
 
 
@@ -275,15 +293,20 @@ def band_to_physical(band: np.ndarray, grid: Grid, out: np.ndarray | None = None
     """Real samples of band arrays stacked on leading axes, bit for bit
     `to_physical_array(from_band(band))`: in irfftn's axis order, each leading
     axis is padded and gets a complex ifft over only the kc + 1 columns that can
-    be nonzero, then one irfft of the last axis.  With `out`, the samples are
+    be nonzero, the last one into columns 0..kc of a zeroed half spectrum, then
+    one irfft of the last axis reads the whole half spectrum, which numpy
+    transforms faster than the band columns alone.  With `out`, the samples are
     written there and the intermediates are the grid's buffers; without it,
     every array is new."""
-    buffers = (_inverse_buffers(grid, band.shape[:-grid.dim]) if out is not None
-               else ((None, None),) * (grid.dim - 1))
-    for axis, (padded, spectrum) in zip(range(-grid.dim, -1), buffers):
-        band = np.fft.ifft(_pad_rows(band, axis, grid, padded), axis=axis, norm="forward",
+    lead = band.shape[:-grid.dim]
+    padded, spectra, half = (_inverse_buffers(grid, lead) if out is not None else (
+        (None,) * (grid.dim - 1), (None,) * (grid.dim - 2),
+        np.zeros(lead + grid.shape[:-1] + (grid.points // 2 + 1,), dtype=np.complex128)))
+    for axis, rows, spectrum in zip(range(-grid.dim, -1), padded,
+                                    spectra + (half[..., : grid.kc + 1],)):
+        band = np.fft.ifft(_pad_rows(band, axis, grid, rows), axis=axis, norm="forward",
                            out=spectrum)
-    return np.fft.irfft(band, n=grid.points, axis=-1, norm="forward", out=out)
+    return np.fft.irfft(half, n=grid.points, axis=-1, norm="forward", out=out)
 
 
 def physical_to_band(samples: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
@@ -457,10 +480,21 @@ def write_snapshot(path: str, fields: list[SpectralField]) -> None:
     grid = fields[0].grid
     for f in fields:
         _check_same_grid(grid, f.grid)
-    header = SNAPSHOT_MAGIC + struct.pack("<IIII", SNAPSHOT_VERSION, grid.dim, grid.points, len(fields))
+    _write_spectra(path, grid, len(fields), (f.coeffs for f in fields))
+
+
+def write_band_snapshot(path: str, band: np.ndarray, grid: Grid) -> None:
+    """`write_snapshot` of the fields whose bands are stacked on the leading axes of
+    `band`, the same bytes, expanding one field's full spectrum at a time."""
+    bands = band.reshape((-1,) + grid.band_shape)
+    _write_spectra(path, grid, len(bands), (from_half(from_band(b, grid), grid) for b in bands))
+
+
+def _write_spectra(path: str, grid: Grid, count: int, spectra: Iterable) -> None:
+    header = SNAPSHOT_MAGIC + struct.pack("<IIII", SNAPSHOT_VERSION, grid.dim, grid.points, count)
     # one field at a time, with no copy of a contiguous little-endian field
     write_in_place(path, itertools.chain(
-        (header,), (np.ascontiguousarray(f.coeffs, dtype="<c16") for f in fields)))
+        (header,), (np.ascontiguousarray(c, dtype="<c16") for c in spectra)))
 
 
 def read_snapshot(path: str) -> list[SpectralField]:

@@ -485,6 +485,26 @@ def test_overflow_on_valid_input_reads_inf_without_a_warning(command, code, key,
     assert captured_err == err
 
 
+@pytest.mark.parametrize("edits, field", [
+    ({"params.alpha = 2.0": "params.alpha = 2.0\nparams.beta = 400"}, "diss_b"),
+    ({"params.nu = 1.0": "params.nu = 0.0", "params.alpha = 2.0": "params.alpha = 400"}, "diss_u"),
+], ids=["eta_zero_beta_400", "nu_zero_alpha_400"])
+def test_zero_coefficient_decays_at_rate_zero_where_its_symbol_overflows(edits, field, tmp_path,
+                                                                         capsys):
+    """The rate of a field with coefficient 0 is 0, not 0 * inf = nan: the run takes its five
+    steps and fails only on that field's dissipation norm, which overflows in the record."""
+    text = BASE_CFG.replace("stepper.t_end = 0.02", "stepper.t_end = 0.005")
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 4
+    out, err = capsys.readouterr()
+    summary = json.loads(out)
+    assert (summary["status"], summary["steps"], summary["t_final"]) == ("check_failed", 5, 0.005)
+    assert err == f"non-finite record field {field} at t=0.0\n"
+
+
 def test_power_log_with_c_near_the_float_maximum_runs(tmp_path, capsys):
     series, cfg = tmp_path / "series.csv", tmp_path / "run.cfg"
     cfg.write_text(BASE_CFG.replace("kind = constant_one", "kind = power_log\nparams.g1.c = 1e308")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -765,6 +766,22 @@ class TestRunExperiment:
             t = min(r.t for r in result.records if r.t >= requested - 1e-12)
             assert t > requested and path == f"{tmp_path / 'snap'}_t{t:.6f}.lmhd"
 
+    @pytest.mark.parametrize("dim, points", [(2, 64), (3, 16)])
+    def test_snapshot_expands_one_field_at_a_time(self, tmp_path, dim, points):
+        """A run's snapshot of a band pair peaks below the pair's full spectrum: expanding
+        the whole pair first, and the file's bytes from it, fails here."""
+        grid = sp.make_grid(dim, points)
+        band = sp.to_band(np.ones((2, dim) + grid.shape, dtype=np.complex128), grid)
+        observer = diagnostics._SnapshotObserver(str(tmp_path / "snap"), (0.0,))
+        tracemalloc.start()
+        try:
+            observer(0, SolutionPair.from_band(grid, band, 0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(observer.written) == 1
+        assert peak < 2 * dim * grid.total_points * 16
+
     def test_config_error_raises(self):
         for key, value in (("ic.name", "nope"), ("diag.cadence", "0")):
             with pytest.raises(ConfigError):
@@ -822,7 +839,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("t_end", [0.009, 0.019])
     def test_weights_are_built_once_per_run(self, monkeypatch, t_end):
         # 10 or 20 records: the symbols and Sobolev weights are built the same
-        # number of times, the decay rates' two symbols and the tracker's table
+        # number of times, the decay rate's symbol of u (eta = 0, so b's rate is
+        # zeros and needs none) and the tracker's table
         calls = []
 
         def counted(module, name):
@@ -843,7 +861,7 @@ class TestRunExperiment:
         assert result.status == STATUS_OK and len(result.records) == round(t_end * 1000) + 1
         # radial_power: the Sobolev weights of orders s and gamma (order 1 is |k|^2
         # itself) and 1 per band_symbol
-        assert sorted(calls) == ["band_symbol"] * 4 + ["radial_power"] * 6
+        assert sorted(calls) == ["band_symbol"] * 3 + ["radial_power"] * 5
 
     def test_a_record_makes_one_inverse_and_no_forward_transform(self, monkeypatch):
         # only grad_u_inf needs a transform: one band_to_physical per record, none to the spectrum

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lmhd import integrator, spectral as sp
+from lmhd import dynamics, integrator, spectral as sp
 from lmhd.diagnostics import config_from_mapping, make_record, run_experiment
 from lmhd.dynamics import SolutionPair, SystemParams, tendency
 from lmhd.integrator import BlowupError, StepperConfig, run
@@ -222,10 +222,11 @@ def test_in_place_steps_are_the_textbook_expression_bit_for_bit(monkeypatch, dim
 @pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
 def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
     """One fixed-dt step runs per tendency one pruned inverse (a complex ifft per
-    leading axis, then an irfft) and one pruned forward (an rfft, then a complex
-    fft per leading axis), every complex transform over the kc + 1 band
-    columns; one record is one pruned inverse, and a whole run_experiment makes no
-    complex fftn/ifftn, so a fall-back to the half or full spectrum fails here."""
+    leading axis, then an irfft of the zero-padded half spectrum) and one pruned
+    forward (an rfft, then a complex fft per leading axis), every complex transform
+    over the kc + 1 band columns; one record is one pruned inverse, and a whole
+    run_experiment makes no complex fftn/ifftn, so a fall-back to the half or full
+    spectrum fails here."""
     grid = sp.make_grid(dim, points)
     state = SolutionPair(random_solenoidal(grid, 1), random_solenoidal(grid, 2))
     params = SystemParams(DissipationSpec(1.0, 2.0, make_g("iterated_log")),
@@ -241,12 +242,12 @@ def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
         monkeypatch.setattr(np.fft, name, counted)
 
     new = run(state, params, StepperConfig(t_end=math.inf, dt=1e-3, max_steps=1))
-    band_columns = grid.kc + 1
+    band_columns, half_columns = grid.kc + 1, points // 2 + 1
     assert sorted(calls) == sorted([("ifft", band_columns), ("fft", band_columns)] * 4 * (dim - 1)
-                                   + [("irfft", band_columns), ("rfft", points)] * 4)
+                                   + [("irfft", half_columns), ("rfft", points)] * 4)
     calls.clear()
     make_record(new, params, gamma=2.5, s=5.0)
-    assert calls == [("ifft", band_columns)] * (dim - 1) + [("irfft", band_columns)]
+    assert calls == [("ifft", band_columns)] * (dim - 1) + [("irfft", half_columns)]
     calls.clear()
     config = config_from_mapping({"grid.n": str(dim), "grid.points": str(points),
                                   "ic.name": "random_band", "stepper.dt": "0.001",
@@ -256,6 +257,41 @@ def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
     names = {name for name, _ in calls}
     assert "rfft" in names and "fftn" not in names and "ifftn" not in names
     assert all(columns == band_columns for name, columns in calls if name in ("fft", "ifft"))
+
+
+@pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
+def test_stepper_arrays_start_on_cache_lines(monkeypatch, dim, points):
+    """Every array the stepper reuses starts on a 64-byte boundary: the pruned transforms'
+    and the tendency's per-grid buffers, built afresh here, and an adaptive run's two
+    stage arrays and CFL samples."""
+    for cached in (sp._inverse_buffers, sp._forward_buffers, dynamics._tendency_buffers):
+        cached.cache_clear()
+    grid = sp.make_grid(dim, points)
+    state = SolutionPair(random_solenoidal(grid, 1), random_solenoidal(grid, 2))
+    params = SystemParams(DissipationSpec(1.0, 2.0, make_g("iterated_log")),
+                          DissipationSpec(0.0, 1.0, make_g("constant_one")), dim)
+    stages, cfl = [], []
+    advance, inverse = integrator._advance, integrator.sp.band_to_physical
+
+    def traced_advance(*args):
+        stages.extend(args[-1])
+        return advance(*args)
+
+    def traced_inverse(band, grid, out=None):
+        cfl.append(out)
+        return inverse(band, grid, out=out)
+
+    monkeypatch.setattr(integrator, "_advance", traced_advance)
+    monkeypatch.setattr(integrator.sp, "band_to_physical", traced_inverse)
+    run(state, params, StepperConfig(t_end=math.inf, max_steps=1))
+    monkeypatch.undo()
+    # the run samples for the CFL number before its step's first tendency
+    arrays = stages + cfl[:1] + list(dynamics._tendency_buffers(grid))
+    for cached, lead in ((sp._inverse_buffers, (2, dim)), (sp._forward_buffers, (dim * dim - 1,))):
+        for item in cached(grid, lead):
+            arrays += item if isinstance(item, tuple) else [item]
+    assert len(arrays) == (17 if dim == 3 else 13)
+    assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
 
 
 @pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
@@ -282,7 +318,8 @@ def test_step_projects_only_when_the_band_operator_is_built(monkeypatch, dim, po
 @pytest.mark.parametrize("snapshot_times", ["", "0.002,0.006"])
 def test_observed_run_expands_the_band_only_for_snapshots(monkeypatch, tmp_path, snapshot_times):
     """A cadence-5 run_experiment records from the band: no state is expanded to
-    the full spectrum except for a snapshot, once per written file."""
+    the full spectrum except for a snapshot, one field at a time, once per field of
+    each written file."""
     expanded = []
     original = sp.from_band
 
@@ -297,4 +334,6 @@ def test_observed_run_expands_the_band_only_for_snapshots(monkeypatch, tmp_path,
         mapping.update({"out.snapshots": str(tmp_path / "snap"), "out.snapshot_times": snapshot_times})
     result = run_experiment(config_from_mapping(mapping))
     assert result.status == "ok" and result.summary["steps"] == 10 and result.summary["records"] == 3
-    assert len(expanded) == len(result.summary.get("snapshots", [])) == 2 * bool(snapshot_times)
+    snapshots = result.summary.get("snapshots", [])
+    assert len(snapshots) == 2 * bool(snapshot_times)
+    assert expanded == [sp.make_grid(2, 16).band_shape] * 4 * len(snapshots)

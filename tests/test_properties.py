@@ -421,14 +421,19 @@ def test_from_band_of_to_band_is_the_masked_half_spectrum(grid, seed, count):
 
 
 @property_settings
-@given(grids, seeds, st.integers(1, 3))
-def test_pruned_transforms_equal_the_half_spectrum_transforms(grid, seed, count):
-    band = random_complex((count,) + grid.band_shape, seed)
+@given(grids, seeds, st.sampled_from([(1,), (2,), (3,), "pair", "products"]), st.booleans())
+def test_pruned_transforms_equal_the_half_spectrum_transforms(grid, seed, lead, with_out):
+    """Also given `out=`, on the leading shapes the stepper uses: the pair (2, dim) and the
+    dim^2 - 1 products, whose intermediates are the grid's buffers, reused across examples."""
+    lead = {"pair": (2, grid.dim), "products": (grid.dim**2 - 1,)}.get(lead, lead)
+    band = random_complex(lead + grid.band_shape, seed)
     expected = sp.to_physical_array(sp.from_band(band, grid), grid)
-    assert sp.band_to_physical(band, grid).tobytes() == expected.tobytes()
-    samples = np.random.default_rng(seed).standard_normal((count,) + grid.shape)
+    out = np.empty(lead + grid.shape) if with_out else None
+    assert sp.band_to_physical(band, grid, out=out).tobytes() == expected.tobytes()
+    samples = np.random.default_rng(seed).standard_normal(lead + grid.shape)
     expected = sp.to_band(sp.physical_to_half(samples, grid), grid)
-    assert sp.physical_to_band(samples, grid).tobytes() == expected.tobytes()
+    out = np.empty(lead + grid.band_shape, dtype=np.complex128) if with_out else None
+    assert sp.physical_to_band(samples, grid, out=out).tobytes() == expected.tobytes()
 
 
 @property_settings
@@ -480,6 +485,17 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path_factory, grid, seed, time):
     assert len(fields) == 2 * grid.dim
     back = SolutionPair(VectorField(fields[:grid.dim]), VectorField(fields[grid.dim:]), time)
     assert back.data.tobytes() == state.data.tobytes()
+
+
+@property_settings
+@given(grids, seeds, st.floats(0.0, 10.0))
+def test_band_snapshot_is_the_snapshot_of_the_expanded_pair(tmp_path_factory, grid, seed, time):
+    band = state_band(random_pair(grid, seed))
+    state = SolutionPair.from_band(grid, band, time)
+    directory = tmp_path_factory.mktemp("snap")
+    sp.write_band_snapshot(str(directory / "band.lmhd"), band, grid)
+    sp.write_snapshot(str(directory / "pair.lmhd"), list(state.u.components + state.b.components))
+    assert (directory / "band.lmhd").read_bytes() == (directory / "pair.lmhd").read_bytes()
 
 
 headers = st.builds(lambda version, dim, points, count, payload:
