@@ -25,10 +25,10 @@ from .multiplier import (
     E,
     DissipationSpec,
     GFunction,
-    band_symbol,
     make_g,
     osgood_classify,
     partial_integral,
+    symbol,
 )
 
 
@@ -62,19 +62,11 @@ class DiagnosticRecord(NamedTuple):
 RECORD_FIELDS = list(DiagnosticRecord._fields)
 
 
-class RecordWeights(NamedTuple):
-    """The factors of a record that do not read the state, on the band of one
-    grid of M modes: `matrix`, shape (8, 2 M), whose rows weight the flattened
-    band power of u then b to the sums of P_u and P_b, diss_u, diss_b,
-    diss_grad_u, x_norm, y_norm and gamma_norm; and `ik`, the i k_j of the
-    gradient of u's band."""
-
-    matrix: np.ndarray
-    ik: np.ndarray
-
-
-def record_weights(grid: sp.Grid, params: SystemParams, gamma: float, s: float) -> RecordWeights:
-    """The weights of every record of a run; a weight that overflows is kept as inf."""
+def record_weights(grid: sp.Grid, params: SystemParams, gamma: float, s: float) -> np.ndarray:
+    """The factors of every record of a run that do not read the state, on the band of
+    one grid of M modes: shape (8, 2 M), whose rows weight the flattened band power of u
+    then b to the sums of P_u and P_b, diss_u, diss_b, diss_grad_u, x_norm, y_norm and
+    gamma_norm.  A weight that overflows is kept as inf."""
     k_squared = grid.band_k_squared
     matrix = np.zeros((8, 2) + grid.band_shape)
     # (2 pi)^N of sp.mode_power, and band_parseval, which counts the mirror -k of columns 1..kc
@@ -83,7 +75,7 @@ def record_weights(grid: sp.Grid, params: SystemParams, gamma: float, s: float) 
     matrix[1, 1] = parseval
     with np.errstate(over="ignore", invalid="ignore"):
         for i, spec in enumerate((params.diss_u, params.diss_b)):
-            np.square(band_symbol(spec, grid), out=matrix[2 + i, i])
+            np.square(symbol(spec, grid.band_kmag), out=matrix[2 + i, i])
         # sum_j |m k_j u_hat|^2 = m^2 |k|^2 |u_hat|^2
         np.multiply(matrix[2, 0], k_squared, out=matrix[4, 0])
         # |k|^(2 order) = (|k|^2)^order for the orders 1, s and gamma, on u and b alike
@@ -91,7 +83,7 @@ def record_weights(grid: sp.Grid, params: SystemParams, gamma: float, s: float) 
         for row, order in ((6, s), (7, gamma)):
             matrix[row] = sp.radial_power(k_squared, order)
         matrix[2:] *= parseval
-    return RecordWeights(matrix.reshape(8, -1), 1j * grid.band_kmesh[:, None])
+    return matrix.reshape(8, -1)
 
 
 def split_terms(diss: DissipationSpec, m1: float, l_u_sq: float,
@@ -107,7 +99,7 @@ def split_terms(diss: DissipationSpec, m1: float, l_u_sq: float,
 
 def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: float,
                 prev: DiagnosticRecord | None = None, *,
-                weights: RecordWeights | None = None) -> DiagnosticRecord:
+                weights: np.ndarray | None = None) -> DiagnosticRecord:
     """Compute one snapshot from the state's band; cumulative integrals continue
     from prev.  `weights` is `record_weights` of the state's grid and these
     params, gamma and s, built here when not given.  ValueError for a state
@@ -123,17 +115,17 @@ def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: floa
             weights = record_weights(grid, params, gamma, s)
         # sum_i |v_hat_i|^2 of u and b, flattened: every L2-type sum is one row of one product
         power = np.sum(band.real**2 + band.imag**2, axis=1).reshape(-1)
-        sums = (weights.matrix @ power).tolist()
+        sums = (weights @ power).tolist()
         if any(map(math.isnan, sums)):
             # an overflowed (inf) weight times a mode of zero power reads nan: such a sum
             # is taken over the modes that have power
             live = power != 0.0
             sums = [float(row[live] @ power[live]) if math.isnan(value) else value
-                    for value, row in zip(sums, weights.matrix)]
+                    for value, row in zip(sums, weights)]
         sum_u, sum_b, diss_u, diss_b, diss_grad_u, x_norm, y_norm, gamma_norm = sums
         energy = 0.5 * (sum_u + sum_b)
 
-        grad_u = sp.band_to_physical(weights.ik * band[0], grid)
+        grad_u = sp.band_to_physical(sp.gradient_array(band[0], grid), grid)
         grad_u_inf = max(float(grad_u.max()), -float(grad_u.min()))
         split_low, split_high = split_terms(params.diss_u, E + x_norm, diss_u, diss_grad_u)
         # solenoidal_residual of u and b, normalised by their own L2 norms; the band holds
@@ -170,7 +162,7 @@ class DiagnosticTracker:
         self.s = s
         self.cadence = cadence
         self.records: list[DiagnosticRecord] = []
-        self._weights: RecordWeights | None = None
+        self._weights: np.ndarray | None = None
 
     def __call__(self, step_index: int, state: SolutionPair) -> None:
         if step_index % self.cadence == 0:
@@ -378,7 +370,7 @@ def _initial_state(name: str, params: dict, grid: sp.Grid) -> np.ndarray:
         band = float(params.get("band", 4.0))
         amplitude = float(params.get("amplitude", 1.0))
         samples = np.random.default_rng(seed).standard_normal((2, grid.dim) + grid.shape)
-        kept = _state_from_samples(*samples, grid) * (np.sqrt(grid.band_k_squared) <= band)
+        kept = _state_from_samples(*samples, grid) * (grid.band_kmag <= band)
         norm = math.sqrt(sum(float(np.sum(grid.band_parseval * sp.mode_power(c))) for c in kept))
         return kept * (amplitude / max(norm, 1e-300))
     if name == "single_mode":

@@ -120,7 +120,7 @@ def band_operator(grid: sp.Grid) -> tuple[np.ndarray, np.ndarray]:
     cached and shared, so read-only.
     """
     sym, anti = _PRODUCT_PAIRS[grid.dim]
-    ik = 1j * grid.band_kmesh
+    ik = grid.band_ik
     stencils = np.zeros((len(sym), grid.dim) + grid.band_shape, dtype=np.complex128)
     for p, (i, j) in enumerate(sym):
         stencils[p, i], stencils[p, j] = ik[j], ik[i]

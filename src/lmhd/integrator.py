@@ -23,7 +23,7 @@ import numpy as np
 
 from . import spectral as sp
 from .dynamics import SolutionPair, SystemParams, state_band, tendency
-from .multiplier import band_symbol
+from .multiplier import symbol
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def _decay_rates(params: SystemParams, grid: sp.Grid) -> np.ndarray:
     a rate that overflows is inf, whose decay factor exp(-inf) = 0 is exact, and a
     zero coefficient's rate is 0, also where its symbol overflows."""
     with np.errstate(over="ignore"):
-        return np.stack([spec.coefficient * band_symbol(spec, grid) ** 2 if spec.coefficient
+        return np.stack([spec.coefficient * symbol(spec, grid.band_kmag) ** 2 if spec.coefficient
                          else np.zeros(grid.band_shape)
                          for spec in (params.diss_u, params.diss_b)])[:, None]
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, radial_power
+from .spectral import radial_power
 
 E = float(np.e)
 
@@ -90,7 +90,7 @@ class GFunction:
         lh2 = 2.0 * np.log(self.height)
         if lh2 == 0.0:
             return np.zeros_like(sigma)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             jmax = np.floor(np.log(np.maximum(sigma, 1e-300) / self.period) / lh2)
         return np.maximum(jmax, 0.0) + 0.0
 
@@ -145,18 +145,12 @@ class DissipationSpec:
 
 
 def symbol(spec: DissipationSpec, radius) -> float | np.ndarray:
-    """m(r) = r^exponent / g(r), with m(0) = 0 by convention."""
+    """m(r) = r^exponent / g(r), with m(0) = 0 by convention; a new array per call."""
     r = np.asarray(radius, dtype=np.float64)
     if np.any(r < 0):
         raise ValueError("radius must be >= 0")
     out = radial_power(r, spec.exponent) / spec.g(r)
     return out if out.ndim else float(out)
-
-
-def band_symbol(spec: DissipationSpec, grid: Grid) -> np.ndarray:
-    """Symbol at the band radii sqrt(grid.band_k_squared), bit for bit
-    `to_band(symbol(spec, grid.kmag))`; a new array per call, not cached."""
-    return symbol(spec, np.sqrt(grid.band_k_squared))
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +244,9 @@ def osgood_classify(g: GFunction, upper_limit: float = 1e100) -> OsgoodVerdict:
     integrals = (sigma[:, 1] - sigma[:, 0]) / 3.0 * (f[:, 0] + f[:, -1] + 4.0 * odd + 2.0 * even)
     total = float(integrals.sum())
 
-    # ratios of consecutive windows, skipping the head window [0, floor)
+    # ratios of consecutive windows, skipping the head window [0, floor), unless one underflowed
     tail = integrals[-(_RATIO_WINDOWS + 1):]
-    if np.any(tail <= 1e-290):
+    if np.any(tail < np.finfo(np.float64).tiny):
         classification = CONVERGES
         ratios = ()
     else:

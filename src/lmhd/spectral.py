@@ -87,6 +87,9 @@ class Grid:
                                        (slice(kc + 1, None), slice(points - kc, None))))
         self.band_kmesh = to_band(self.kmesh, self)
         self.band_k_squared = to_band(self.k_squared, self)
+        # i k_j and |k| on the band, for its gradient, its operators and its symbols
+        self.band_ik = 1j * self.band_kmesh
+        self.band_kmag = np.sqrt(self.band_k_squared)
         self.band_parseval = np.where(np.arange(kc + 1) > 0, 2.0, 1.0)  # 1..kc: also their -k
         # index of -k on every axis (conjugate_symmetry_residual), and its half-spectrum
         # source for the full columns n/2+1..n-1 (from_half's gather)
@@ -365,9 +368,9 @@ def fractional_derivative(f: SpectralField, s: float) -> SpectralField:
 
 
 def gradient_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients i*k_j*coeffs, full spectrum or band, with j on a new axis just
-    before the grid axes."""
-    return 1j * _mesh(coeffs, grid)[0] * np.expand_dims(coeffs, -grid.dim - 1)
+    """Coefficients i*k_j*coeffs, full spectrum or band, with j on a new leading axis."""
+    ik = grid.band_ik if coeffs.shape[-1] == grid.kc + 1 else 1j * grid.kmesh
+    return ik[(slice(None),) + (None,) * (coeffs.ndim - grid.dim)] * coeffs
 
 
 def gradient(f: SpectralField) -> VectorField:

@@ -530,6 +530,19 @@ def test_spiky_with_a_height_past_the_square_root_of_the_float_maximum(tmp_path,
     assert (tmp_path / "spiky.csv").read_bytes() == (tmp_path / "constant_one.csv").read_bytes()
 
 
+def test_spiky_with_a_subnormal_period_runs_and_classifies_without_a_warning(tmp_path, capsys):
+    """At period 1e-308 sigma / period overflows, so the jump count reads inf: g is inf past
+    the first radii and its Osgood integrand underflows, which reads as converging."""
+    assert main(["osgood", "spiky", "period=1e-308"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["classification"] == "converges" and err == ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG.replace("kind = constant_one", "kind = spiky\nparams.g1.period = 1e-308"))
+    assert main(["run", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["osgood_g1"] == "converges" and err == ""
+
+
 def test_sweep(cfg_path, capsys):
     code = main(["sweep", str(cfg_path), "--vary", "g1=constant_one,iterated_log"])
     out = capsys.readouterr().out

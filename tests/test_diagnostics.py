@@ -853,15 +853,15 @@ class TestRunExperiment:
             monkeypatch.setattr(module, name, wrapper)
 
         for module in (diagnostics, integrator):
-            counted(module, "band_symbol")
+            counted(module, "symbol")
         for module in (sp, multiplier):
             counted(module, "radial_power")
         result = run_experiment(config_from_mapping({"grid.points": "16", "stepper.dt": "0.001",
                                                      "stepper.t_end": str(t_end)}))
         assert result.status == STATUS_OK and len(result.records) == round(t_end * 1000) + 1
         # radial_power: the Sobolev weights of orders s and gamma (order 1 is |k|^2
-        # itself) and 1 per band_symbol
-        assert sorted(calls) == ["band_symbol"] * 3 + ["radial_power"] * 5
+        # itself) and 1 per symbol
+        assert sorted(calls) == ["radial_power"] * 5 + ["symbol"] * 3
 
     def test_a_record_makes_one_inverse_and_no_forward_transform(self, monkeypatch):
         # only grad_u_inf needs a transform: one band_to_physical per record, none to the spectrum

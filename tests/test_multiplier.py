@@ -10,7 +10,6 @@ from lmhd.multiplier import (
     DIVERGES,
     DissipationSpec,
     GFunction,
-    band_symbol,
     make_g,
     osgood_classify,
     partial_integral,
@@ -204,9 +203,16 @@ class TestOsgood:
         assert osgood_classify(make_g("power", epsilon=eps)).classification == CONVERGES
 
     def test_power_with_an_underflowed_tail_converges(self):
-        # at epsilon = 50 the last window integrals are below 1e-290, so no ratio is formed
+        # at epsilon = 50 the last window integrals underflow below the smallest normal
+        # float, so no ratio is formed
         verdict = osgood_classify(make_g("power", epsilon=50.0))
         assert verdict.classification == CONVERGES and verdict.window_ratios == ()
+
+    def test_spiky_with_a_tiny_period_diverges(self):
+        # g^2 grows like sigma / period in the double-log coordinate, divergent at every
+        # period; the window integrals scale with the period, but at 1e-300 none underflows
+        verdict = osgood_classify(make_g("spiky", period=1e-300, height=2.0))
+        assert verdict.classification == DIVERGES and len(verdict.window_ratios) == 10
 
     def test_power_log_converges(self):
         # the comparison bound g^2 <= c ln(e+tau) integrates to a finite value
@@ -265,7 +271,7 @@ def per_window_osgood(g, upper_limit):
         integrals.append((sigma[1] - sigma[0]) / 3.0 * float(
             f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-2:2].sum()))
     tail = np.array(integrals[-(mp._RATIO_WINDOWS + 1):])
-    if np.any(tail <= 1e-290):
+    if np.any(tail < np.finfo(np.float64).tiny):
         return CONVERGES, float(np.sum(integrals)), ()
     ratios = tuple(float(b / a) for a, b in zip(tail[:-1], tail[1:]))
     med = float(np.median(ratios))
@@ -339,6 +345,6 @@ def test_band_symbol_is_the_band_of_the_grid_symbol(g, dim, points):
     grid = sp.make_grid(dim, points)
     spec = DissipationSpec(0.7, 2.5, g)
     expected = sp.to_band(symbol(spec, grid.kmag), grid)
-    got = band_symbol(spec, grid)
+    got = symbol(spec, grid.band_kmag)
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-    assert band_symbol(spec, grid) is not got
+    assert symbol(spec, grid.band_kmag) is not got

@@ -402,6 +402,10 @@ def test_band_is_the_dealias_mask_on_the_half_spectrum(grid):
     ones = np.ones((2,) + grid.band_shape, dtype=np.complex128)
     assert np.array_equal(sp.from_band(ones, grid)[0] != 0, sp.to_half(grid.dealias_mask, grid))
     assert np.array_equal(grid.band_kmesh, sp.to_band(grid.kmesh, grid))
+    # the band's i k and |k|, byte for byte
+    for got, expected in ((grid.band_ik, 1j * grid.band_kmesh),
+                          (grid.band_kmag, sp.to_band(grid.kmag, grid))):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     assert np.max(np.abs(grid.band_kmesh)) == grid.kc
 
 

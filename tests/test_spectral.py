@@ -1,8 +1,10 @@
 """Transforms, differential multipliers, projection, norms, snapshots."""
 
+import ast
 import os
 import stat
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +38,26 @@ class TestGrid:
         grid = sp.make_grid(2, 16)
         assert set(grid.k_axes[0].astype(int)) == set(range(-8, 8))
         assert grid.kmag[0, 0] == 0.0
+
+
+def test_band_wavevector_tables_are_built_only_by_the_grid():
+    """No module of lmhd but spectral forms `1j * ...band_kmesh` or `sqrt(...band_k_squared)`:
+    the band's i k and |k| are `Grid.band_ik` and `Grid.band_kmag`."""
+    def reads(node, attribute):
+        return any(isinstance(n, ast.Attribute) and n.attr == attribute for n in ast.walk(node))
+
+    builders = set()
+    for path in Path(sp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            forms_ik = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                        and any(isinstance(side, ast.Constant) and side.value == 1j
+                                for side in (node.left, node.right))
+                        and reads(node, "band_kmesh"))
+            forms_kmag = (isinstance(node, ast.Call) and reads(node.func, "sqrt")
+                          and any(reads(arg, "band_k_squared") for arg in node.args))
+            if forms_ik or forms_kmag:
+                builders.add(path.stem)
+    assert builders == {"spectral"}
 
 
 class TestTransforms:
@@ -178,6 +200,17 @@ class TestGradientDivergence:
         lhs = sp.divergence(sp.gradient(f))
         rhs = sp.fractional_derivative(f, 2.0)
         assert np.max(np.abs(lhs.coeffs + rhs.coeffs)) <= 1e-12 * np.max(np.abs(rhs.coeffs))
+
+    @pytest.mark.parametrize("dim, points", [(2, 16), (3, 16)])
+    def test_gradient_of_a_stacked_band_puts_the_derivative_axis_first(self, dim, points):
+        grid = sp.make_grid(dim, points)
+        rng = np.random.default_rng(5)
+        band = rng.standard_normal((dim,) + grid.band_shape) + 1j * rng.standard_normal(
+            (dim,) + grid.band_shape)
+        expected = 1j * grid.band_kmesh[:, None] * band
+        got = sp.gradient_array(band, grid)
+        assert got.shape == (dim, dim) + grid.band_shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_grid_mismatch_rejected(self, grid16, grid32):
         f16 = sp.zero_field(grid16)
