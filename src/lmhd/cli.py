@@ -99,6 +99,8 @@ def _cmd_osgood(args) -> int:
         if "=" not in token:
             raise ValueError(f"expected key=value, got {token!r}")
         key, value = token.split("=", 1)
+        if key in params:
+            raise ConfigError(f"osgood parameter {key} given twice")
         params[key] = finite_float(value)
     verdict = osgood_classify(make_g(args.g, **params), upper_limit=finite_float(args.limit))
     print(json.dumps({

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import SolutionPair, SystemParams, state_band
+from .dynamics import SolutionPair, SystemParams
 from .integrator import BlowupError, StepperConfig, run
 from .multiplier import (
     E,
@@ -97,22 +97,19 @@ def split_terms(diss: DissipationSpec, m1: float, l_u_sq: float,
     return low_term, high_term
 
 
-def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: float,
-                prev: DiagnosticRecord | None = None, *,
-                weights: np.ndarray | None = None) -> DiagnosticRecord:
+def make_record(state: SolutionPair, params: SystemParams, weights: np.ndarray,
+                prev: DiagnosticRecord | None = None) -> DiagnosticRecord:
     """Compute one snapshot from the state's band; cumulative integrals continue
-    from prev.  `weights` is `record_weights` of the state's grid and these
-    params, gamma and s, built here when not given.  ValueError for a state
-    with a nonzero coefficient outside the band.
+    from prev.  `weights` is `record_weights` of the state's grid, these params
+    and the run's gamma and s.  ValueError for a state with a nonzero
+    coefficient outside the band.
 
     Norms of a state that is about to blow up may overflow to inf; the
     record keeps them rather than warning.  A weight that overflowed to inf
     makes its sum inf where the state has power at its mode, and never nan.
     """
-    grid, band = state.grid, state_band(state)
+    grid, band = state.grid, state.band
     with np.errstate(over="ignore", invalid="ignore"):
-        if weights is None:
-            weights = record_weights(grid, params, gamma, s)
         # sum_i |v_hat_i|^2 of u and b, flattened: every L2-type sum is one row of one product
         power = np.sum(band.real**2 + band.imag**2, axis=1).reshape(-1)
         sums = (weights @ power).tolist()
@@ -125,12 +122,12 @@ def make_record(state: SolutionPair, params: SystemParams, gamma: float, s: floa
         sum_u, sum_b, diss_u, diss_b, diss_grad_u, x_norm, y_norm, gamma_norm = sums
         energy = 0.5 * (sum_u + sum_b)
 
-        grad_u = sp.band_to_physical(sp.gradient_array(band[0], grid), grid)
+        grad_u = sp.band_to_physical(sp.gradient_array(band[0], grid.band_ik), grid)
         grad_u_inf = max(float(grad_u.max()), -float(grad_u.min()))
         split_low, split_high = split_terms(params.diss_u, E + x_norm, diss_u, diss_grad_u)
         # solenoidal_residual of u and b, normalised by their own L2 norms; the band holds
         # every nonzero mode or its mirror, which has the same |k . v_hat|
-        k_dot_max = np.abs(sp._k_dot(band, grid)).reshape(2, -1).max(axis=1).tolist()
+        k_dot_max = np.abs(sp.k_dot(band, grid.band_kmesh)).reshape(2, -1).max(axis=1).tolist()
         div_u, div_b = (kv / max(1.0, math.sqrt(p)) for kv, p in zip(k_dot_max, (sum_u, sum_b)))
 
         t = state.time
@@ -166,11 +163,10 @@ class DiagnosticTracker:
 
     def __call__(self, step_index: int, state: SolutionPair) -> None:
         if step_index % self.cadence == 0:
-            if self._weights is None:
-                self._weights = record_weights(state.grid, self.params, self.gamma, self.s)
             prev = self.records[-1] if self.records else None
-            self.records.append(make_record(state, self.params, self.gamma, self.s, prev,
-                                            weights=self._weights))
+            if prev is None:
+                self._weights = record_weights(state.grid, self.params, self.gamma, self.s)
+            self.records.append(make_record(state, self.params, self._weights, prev))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +322,7 @@ def _state_from_samples(u_samples: list[np.ndarray], b_samples: list[np.ndarray]
     """The band of the solenoidal, zero-mean pair that every initial state starts from."""
     band = sp.physical_to_band(np.array([u_samples, b_samples], dtype=np.float64), grid)
     band[(...,) + (0,) * grid.dim] = 0.0
-    return sp.leray_array(band, grid)
+    return sp.leray_array(band, grid.band_kmesh)
 
 
 # initial condition -> the ic.* parameters it reads
@@ -605,7 +601,7 @@ class _SnapshotObserver:
             digits = 6
             while (path := f"{self.prefix}_t{state.time:.{digits}f}.lmhd") in self.written:
                 digits += 1
-            sp.write_band_snapshot(path, state_band(state), state.grid)
+            sp.write_band_snapshot(path, state.band, state.grid)
             self.written.append(path)
 
 

@@ -18,7 +18,8 @@ stays there, and the pruned real transforms `spectral.band_to_physical` and
 projection are a fixed linear map of the products' band spectra, so
 `band_operator` builds it once per grid, at the grid's first tendency, and
 `tendency` applies it as two contractions.  `SolutionPair.from_band` keeps
-a band and expands it, the one place that does, when `data` is first read.
+a band and expands it, the one place that does, when `data` is first read;
+`SolutionPair.band` gives the band of any pair.
 
 Only dim^2 - 1 products are transformed: the antisymmetric ones and the
 symmetric stress S = b (x) b - u (x) u less its last diagonal entry times the
@@ -47,7 +48,7 @@ class SolutionPair:
     of data[0] and data[1], so writing to them writes to the pair.  The
     constructor copies u and b into a new array; `from_band` wraps a band,
     as every initial state and every state of a run is, and builds `data`
-    from it on first access.
+    from it on first access.  `band` is the band of any pair.
     """
 
     def __init__(self, u: VectorField, b: VectorField, time: float = 0.0):
@@ -75,6 +76,16 @@ class SolutionPair:
             self._data = sp.from_half(sp.from_band(self._band, self.grid), self.grid)
             self._band = None
         return self._data
+
+    @property
+    def band(self) -> np.ndarray:
+        """The stored band of a `from_band` pair, else `sp.to_band` of `data`; ValueError
+        if a coefficient outside the band is nonzero, since the band would drop it."""
+        if self._band is not None:
+            return self._band
+        if np.any(self.data[..., ~self.grid.dealias_mask]):
+            raise ValueError("state has nonzero coefficients outside the 2/3-rule band")
+        return sp.to_band(self.data, self.grid)
 
     @property
     def u(self) -> VectorField:
@@ -124,7 +135,7 @@ def band_operator(grid: sp.Grid) -> tuple[np.ndarray, np.ndarray]:
     stencils = np.zeros((len(sym), grid.dim) + grid.band_shape, dtype=np.complex128)
     for p, (i, j) in enumerate(sym):
         stencils[p, i], stencils[p, j] = ik[j], ik[i]
-    d_u = np.ascontiguousarray(np.swapaxes(sp.leray_array(stencils, grid), 0, 1))
+    d_u = np.ascontiguousarray(np.swapaxes(sp.leray_array(stencils, grid.band_kmesh), 0, 1))
     d_b = np.zeros((grid.dim, len(anti)) + grid.band_shape, dtype=np.complex128)
     for p, (i, j) in enumerate(anti):
         d_b[i, p], d_b[j, p] = ik[j], -ik[i]
@@ -194,20 +205,10 @@ def tendency(band: np.ndarray, grid: sp.Grid) -> np.ndarray:
     return out
 
 
-def state_band(state: SolutionPair) -> np.ndarray:
-    """The stored band of a `from_band` pair, else `sp.to_band` of the state's array;
-    ValueError if a coefficient outside the band is nonzero, since the band would drop it."""
-    if state._band is not None:
-        return state._band
-    if np.any(state.data[..., ~state.grid.dealias_mask]):
-        raise ValueError("state has nonzero coefficients outside the 2/3-rule band")
-    return sp.to_band(state.data, state.grid)
-
-
 def nonlinear_tendency(state: SolutionPair) -> tuple[VectorField, VectorField]:
     """Advection/stretching terms du = P(-(u.grad)u + (b.grad)b) and
     db = -(u.grad)b + (b.grad)u in divergence form: `tendency` of the state's
     band, as full-spectrum views.  ValueError for a state outside the band."""
-    out = SolutionPair.from_band(state.grid, tendency(state_band(state), state.grid), state.time)
+    out = SolutionPair.from_band(state.grid, tendency(state.band, state.grid), state.time)
     return out.u, out.b
 

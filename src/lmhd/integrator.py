@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import SolutionPair, SystemParams, state_band, tendency
+from .dynamics import SolutionPair, SystemParams, tendency
 from .multiplier import symbol
 
 
@@ -124,7 +124,7 @@ def run(state0: SolutionPair, params: SystemParams, config: StepperConfig,
     is never written.  Identical inputs give bit-identical trajectories.
     """
     grid = state0.grid
-    y = state_band(state0)
+    y = state0.band
     state = SolutionPair.from_band(grid, y, state0.time)
     if observer is not None:
         observer(0, state)

@@ -173,7 +173,7 @@ def _quarter_band(f: SpectralField) -> SpectralField:
 def _grad_norm(f: SpectralField, p: float) -> float:
     """p-norm of the pointwise Euclidean magnitude of grad f."""
     grid = f.grid
-    grad = sp.to_physical_array(sp.gradient_array(f.coeffs, grid), grid)
+    grad = sp.to_physical_array(sp.gradient(f).coeffs, grid)
     mags = np.sqrt(np.sum(grad**2, axis=0))
     if p == np.inf:
         return float(np.max(mags))

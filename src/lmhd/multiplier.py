@@ -90,9 +90,10 @@ class GFunction:
         lh2 = 2.0 * np.log(self.height)
         if lh2 == 0.0:
             return np.zeros_like(sigma)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            jmax = np.floor(np.log(np.maximum(sigma, 1e-300) / self.period) / lh2)
-        return np.maximum(jmax, 0.0) + 0.0
+        # ln sigma - ln period, which a quotient sigma / period overflows for a tiny period;
+        # fmax drops the nan and -inf of ln sigma at sigma <= 0 (r <= e), below every jump
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.fmax(np.floor((np.log(sigma) - np.log(self.period)) / lh2), 0.0)
 
     def inverse_square_loglog(self, sigma):
         """h(sigma) = 1 / g(tau)^2 at tau = exp(exp(sigma)), overflow-safe."""

@@ -5,10 +5,13 @@ Fourier coefficients in FFT order.  The forward transform divides by the
 total point count, so coefficients are Fourier-series coefficients and
 coeff(0) equals the mean of the samples.  All wavenumbers are integers.
 
-Operators take one of two layouts: the full spectrum, which fields hold at
+Arrays come in one of two layouts: the full spectrum, which fields hold at
 the API edge, or the retained band of the 2/3 rule, |k_j| <= kc =
 (points - 1) // 3 (rows 0..kc then -kc..-1 on each leading axis, columns
-0..kc of the last), which the stepper and the records work on.  `to_band`
+0..kc of the last), which the stepper and the records work on.  The array
+operators `gradient_array`, `k_dot` and `leray_array` take the wavevector
+table of their caller's layout, `Grid.band_ik` or `Grid.band_kmesh` on the
+band and 1j * `Grid.kmesh` or `Grid.kmesh` on the full spectrum.  `to_band`
 gathers the band, which is the dealias mask, and `from_band` places it in a
 half spectrum.  The half spectrum, columns 0..n/2 of the last axis that
 determine a real field's conjugate-symmetric spectrum, appears only inside
@@ -367,50 +370,44 @@ def fractional_derivative(f: SpectralField, s: float) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * radial_power(f.grid.kmag, s))
 
 
-def gradient_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients i*k_j*coeffs, full spectrum or band, with j on a new leading axis."""
-    ik = grid.band_ik if coeffs.shape[-1] == grid.kc + 1 else 1j * grid.kmesh
-    return ik[(slice(None),) + (None,) * (coeffs.ndim - grid.dim)] * coeffs
+def gradient_array(coeffs: np.ndarray, ik: np.ndarray) -> np.ndarray:
+    """Coefficients i*k_j*coeffs, with j on a new leading axis; `ik` is the table of
+    the coefficients' layout, `Grid.band_ik` on the band or 1j * `Grid.kmesh`."""
+    return ik[(slice(None),) + (None,) * (coeffs.ndim - ik.ndim + 1)] * coeffs
 
 
 def gradient(f: SpectralField) -> VectorField:
     """Spectral gradient: component j has coefficients i*k_j*f_hat(k)."""
-    return VectorField.from_array(f.grid, gradient_array(f.coeffs, f.grid))
+    return VectorField.from_array(f.grid, gradient_array(f.coeffs, 1j * f.grid.kmesh))
 
 
-def _mesh(comps: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(kmesh, k_squared) for the layout of comps: full spectrum or band."""
-    if comps.shape[-1] == grid.kc + 1:
-        return grid.band_kmesh, grid.band_k_squared
-    return grid.kmesh, grid.k_squared
+def k_dot(comps: np.ndarray, kmesh: np.ndarray) -> np.ndarray:
+    """Coefficients of k . v_hat(k) for components on the axis before the grid axes;
+    `kmesh` is the table of their layout, `Grid.band_kmesh` or `Grid.kmesh`."""
+    return np.sum(kmesh * comps, axis=-kmesh.ndim)
 
 
-def _k_dot(comps: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients of k . v_hat(k) for components on the axis before the grid axes."""
-    return np.sum(_mesh(comps, grid)[0] * comps, axis=-grid.dim - 1)
-
-
-def leray_array(comps: np.ndarray, grid: Grid) -> np.ndarray:
-    """Leray projection of components on the axis before the grid axes, full
-    spectrum or band (zero mode untouched)."""
-    kmesh, k_squared = _mesh(comps, grid)
-    kdotv = _k_dot(comps, grid)
+def leray_array(comps: np.ndarray, kmesh: np.ndarray) -> np.ndarray:
+    """Leray projection of components on the axis before the grid axes (zero mode
+    untouched); `kmesh` is the table of their layout, `Grid.band_kmesh` or `Grid.kmesh`."""
+    k_squared = np.sum(kmesh**2, axis=0)
+    kdotv = k_dot(comps, kmesh)
     kdotv /= np.where(k_squared > 0.0, k_squared, 1.0)
-    return comps - kmesh * np.expand_dims(kdotv, -grid.dim - 1)
+    return comps - kmesh * np.expand_dims(kdotv, -kmesh.ndim)
 
 
 def divergence(v: VectorField) -> SpectralField:
-    return SpectralField(v.grid, 1j * _k_dot(v.coeffs, v.grid))
+    return SpectralField(v.grid, 1j * k_dot(v.coeffs, v.grid.kmesh))
 
 
 def leray_project(v: VectorField) -> VectorField:
     """Orthogonal projection onto divergence-free fields (zero mode untouched)."""
-    return VectorField.from_array(v.grid, leray_array(v.coeffs, v.grid))
+    return VectorField.from_array(v.grid, leray_array(v.coeffs, v.grid.kmesh))
 
 
 def solenoidal_residual(v: VectorField) -> float:
     """max_k |k . v_hat(k)| normalized by max(1, ||v||_L2)."""
-    return float(np.max(np.abs(_k_dot(v.coeffs, v.grid)))) / max(1.0, vector_l2_norm(v))
+    return float(np.max(np.abs(k_dot(v.coeffs, v.grid.kmesh)))) / max(1.0, vector_l2_norm(v))
 
 
 # ---------------------------------------------------------------------------

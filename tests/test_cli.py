@@ -135,6 +135,7 @@ EXIT_CONTRACT = {
     ("osgood", "non_numeric_limit"): (None, ["power", "--limit", "abc"], 2),
     ("osgood", "unread_param"): (None, ["constant_one", "epsilon=5"], 2),
     ("osgood", "param_named_kind"): (None, ["power", "kind=1"], 2),
+    ("osgood", "param_given_twice"): (None, ["power", "epsilon=0.1", "epsilon=5"], 2),
 }
 # (command, failure mode) -> (field, value) written into a record of "{series}"
 SERIES_EDITS = {("check", "negative_record_value"): ("diss_u", "-1.0"),
@@ -531,16 +532,18 @@ def test_spiky_with_a_height_past_the_square_root_of_the_float_maximum(tmp_path,
 
 
 def test_spiky_with_a_subnormal_period_runs_and_classifies_without_a_warning(tmp_path, capsys):
-    """At period 1e-308 sigma / period overflows, so the jump count reads inf: g is inf past
-    the first radii and its Osgood integrand underflows, which reads as converging."""
-    assert main(["osgood", "spiky", "period=1e-308"]) == 0
-    out, err = capsys.readouterr()
-    assert json.loads(out)["classification"] == "converges" and err == ""
+    """At these periods g reaches 2^511 by sigma = 1, so its Osgood integrand 1/g^2 falls
+    below the smallest normal float past the first windows, which reads as converging.
+    g stays finite at every radius of the run, whose records are finite."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(BASE_CFG.replace("kind = constant_one", "kind = spiky\nparams.g1.period = 1e-308"))
-    assert main(["run", str(cfg)]) == 0
-    out, err = capsys.readouterr()
-    assert json.loads(out)["osgood_g1"] == "converges" and err == ""
+    for period in ("1e-308", "5e-324"):
+        assert main(["osgood", "spiky", f"period={period}"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["classification"] == "converges" and err == ""
+        cfg.write_text(BASE_CFG.replace("kind = constant_one", f"kind = spiky\nparams.g1.period = {period}"))
+        assert main(["run", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["osgood_g1"] == "converges" and err == ""
 
 
 def test_sweep(cfg_path, capsys):

@@ -32,10 +32,11 @@ from lmhd.diagnostics import (
     make_record,
     parse_config,
     read_series,
+    record_weights,
     run_experiment,
     write_series,
 )
-from lmhd.dynamics import SolutionPair, SystemParams, state_band
+from lmhd.dynamics import SolutionPair, SystemParams
 from lmhd.integrator import StepperConfig, run
 from lmhd.multiplier import DissipationSpec, GFunction, make_g, partial_integral
 
@@ -70,7 +71,7 @@ class TestRecord:
     def test_zero_state(self, grid16):
         params = make_params()
         state = SolutionPair(sp.zero_vector(grid16), sp.zero_vector(grid16))
-        r = make_record(state, params, gamma=2.5, s=5.0)
+        r = make_record(state, params, record_weights(grid16, params, 2.5, 5.0))
         assert r.energy == 0.0 and r.x_norm == 0.0
         assert r.split_low == 0.0 and r.split_high == 0.0 and r.grad_u_inf == 0.0
         assert r.cum_diss == 0.0 and r.div_u == 0.0
@@ -83,7 +84,8 @@ class TestRecord:
         coeffs[0, -1] = 0.5j
         u = sp.VectorField((sp.SpectralField(grid, coeffs), sp.zero_field(grid)))
         state = SolutionPair(u, sp.zero_vector(grid))
-        r = make_record(state, make_params(), gamma=2.5, s=5.0)
+        params = make_params()
+        r = make_record(state, params, record_weights(grid, params, 2.5, 5.0))
         assert r.energy == pytest.approx(np.pi**2, rel=1e-10)
         assert r.x_norm == pytest.approx(2.0 * np.pi**2, rel=1e-10)
         assert r.grad_u_inf == pytest.approx(1.0, abs=1e-10)
@@ -100,7 +102,7 @@ class TestRecord:
                                       "stepper.t_end": "0.001", "diag.cadence": "1"})
         _, state0, _, _ = diagnostics.prepare_experiment(config)
         grid = state0.grid
-        power = np.sum(np.abs(state_band(state0)) ** 2, axis=(0, 1))
+        power = np.sum(np.abs(state0.band) ** 2, axis=(0, 1))
         live = power != 0.0
         with np.errstate(over="ignore"):
             weight = sp.BOX_LENGTH**2 * grid.band_parseval * sp.radial_power(grid.band_k_squared, s)
@@ -210,10 +212,10 @@ class TestGammaLogDerivative:
     def test_stationary_zero_state_gives_zero(self, grid16):
         params = make_params()
         zero = SolutionPair(sp.zero_vector(grid16), sp.zero_vector(grid16))
+        weights = record_weights(grid16, params, 2.5, 5.0)
         records = []
         for i in range(60):
-            r = make_record(zero, params, gamma=2.5, s=5.0,
-                            prev=records[-1] if records else None)
+            r = make_record(zero, params, weights, prev=records[-1] if records else None)
             records.append(r._replace(t=0.01 * i))
         assert gamma_log_derivative_check(records) == 0.0
 
@@ -429,7 +431,7 @@ def full_spectrum_initial_data(name, params, samples, grid):
     coeffs = sp.to_spectral_array(np.array(samples, dtype=np.float64), grid)
     coeffs *= grid.dealias_mask
     coeffs[(...,) + (0,) * grid.dim] = 0.0
-    data = sp.leray_array(coeffs, grid)
+    data = sp.leray_array(coeffs, grid.kmesh)
     if name == "random_band":
         data = data * (grid.kmag <= params["band"])
         norm = math.sqrt(sum(float(np.sum(sp.mode_power(c))) for c in data))
@@ -458,8 +460,8 @@ class TestBandBornStates:
         pair = initial_condition(name, params, grid)
         monkeypatch.undo()
         # a pair that holds its band hands out that array, not a new gather each time
-        assert state_band(pair) is state_band(pair)
-        assert state_band(pair).shape == (2, dim) + grid.band_shape
+        assert pair.band is pair.band
+        assert pair.band.shape == (2, dim) + grid.band_shape
         oracle = full_spectrum_initial_data(name, params, samples[0], grid)
         if name == "random_band":
             # the band's Parseval sum may round the norm apart from the full-spectrum one
@@ -554,7 +556,9 @@ class TestInitialConditions:
         # E = (1/2) (2 pi)^3 / 2
         config = RunConfig(dim=3, points=16)
         state = initial_condition("single_mode", {"k": (1, 0, 0)}, sp.make_grid(3, 16))
-        record = make_record(state, config.system_params(), config.gamma, config.s_order)
+        params = config.system_params()
+        record = make_record(state, params, record_weights(state.grid, params, config.gamma,
+                                                                 config.s_order))
         assert record.energy == (2.0 * np.pi) ** 3 / 4.0 == 62.01255336059963
         assert record.div_u == 0.0
         assert not np.any(state.u.coeffs[:2])
@@ -866,8 +870,8 @@ class TestRunExperiment:
     def test_a_record_makes_one_inverse_and_no_forward_transform(self, monkeypatch):
         # only grad_u_inf needs a transform: one band_to_physical per record, none to the spectrum
         grid, params = sp.make_grid(2, 16), make_params(g1="iterated_log")
-        states = [SolutionPair.from_band(grid, state_band(initial_condition(
-            "random_band", {"seed": n}, grid)), 0.1 * n) for n in range(4)]
+        states = [SolutionPair.from_band(grid, initial_condition(
+            "random_band", {"seed": n}, grid).band, 0.1 * n) for n in range(4)]
         calls = []
         for name in ("band_to_physical", "to_physical_array", "physical_to_band", "physical_to_half",
                      "to_spectral_array"):
@@ -878,7 +882,7 @@ class TestRunExperiment:
         for n, state in enumerate(states):
             tracker(n, state)
         assert calls == ["band_to_physical"] * 4
-        make_record(states[0], params, 2.5, 5.0)
+        make_record(states[0], params, record_weights(grid, params, 2.5, 5.0))
         assert calls == ["band_to_physical"] * 5
 
     def test_identical_adaptive_runs_write_identical_series(self, tmp_path):

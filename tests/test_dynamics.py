@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lmhd import spectral as sp
-from lmhd.diagnostics import make_record
+from lmhd.diagnostics import make_record, record_weights
 from lmhd.dynamics import (
     SolutionPair,
     SystemParams,
@@ -283,7 +283,7 @@ class TestEnergyFlux:
             random_solenoidal(grid32, seed=72),
         )
         # the record's ||L u||^2, with m(|k|) = |k|
-        rate = make_record(state, params, gamma=2.5, s=5.0).diss_u
+        rate = make_record(state, params, record_weights(grid32, params, 2.5, 5.0)).diss_u
         grad_sq = sum(sp.hs_norm(c, 1.0) ** 2 for c in state.u.components)
         assert abs(rate - grad_sq) <= 1e-12 * grad_sq
 

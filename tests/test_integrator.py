@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lmhd import dynamics, integrator, spectral as sp
-from lmhd.diagnostics import config_from_mapping, make_record, run_experiment
+from lmhd.diagnostics import config_from_mapping, make_record, record_weights, run_experiment
 from lmhd.dynamics import SolutionPair, SystemParams, tendency
 from lmhd.integrator import BlowupError, StepperConfig, run
 from lmhd.multiplier import DissipationSpec, make_g
@@ -246,7 +246,7 @@ def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
     assert sorted(calls) == sorted([("ifft", band_columns), ("fft", band_columns)] * 4 * (dim - 1)
                                    + [("irfft", half_columns), ("rfft", points)] * 4)
     calls.clear()
-    make_record(new, params, gamma=2.5, s=5.0)
+    make_record(new, params, record_weights(grid, params, 2.5, 5.0))
     assert calls == [("ifft", band_columns)] * (dim - 1) + [("irfft", half_columns)]
     calls.clear()
     config = config_from_mapping({"grid.n": str(dim), "grid.points": str(points),
@@ -306,9 +306,9 @@ def test_step_projects_only_when_the_band_operator_is_built(monkeypatch, dim, po
     calls = []
     original = sp.leray_array
 
-    def counted(comps, grid):
+    def counted(comps, kmesh):
         calls.append(comps.shape)
-        return original(comps, grid)
+        return original(comps, kmesh)
 
     monkeypatch.setattr(sp, "leray_array", counted)
     run(state, params, StepperConfig(t_end=math.inf, dt=1e-3, max_steps=1))

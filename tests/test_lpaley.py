@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lmhd import diagnostics, lpaley, spectral as sp
-from lmhd.diagnostics import make_record, split_terms
+from lmhd.diagnostics import make_record, record_weights, split_terms
 from lmhd.dynamics import SolutionPair, SystemParams
 from lmhd.lpaley import (
     BesovIndex,
@@ -183,7 +183,8 @@ class TestBernstein:
 def velocity_record(u, diss):
     """The record of the state (u, 0) under velocity dissipation `diss`."""
     params = SystemParams(diss, DissipationSpec(0.0, 1.0, make_g("constant_one")), u.grid.dim)
-    return make_record(SolutionPair(u, sp.zero_vector(u.grid)), params, gamma=2.5, s=5.0)
+    return make_record(SolutionPair(u, sp.zero_vector(u.grid)), params,
+                       record_weights(u.grid, params, 2.5, 5.0))
 
 
 class TestGradSupSplit:

@@ -214,6 +214,15 @@ class TestOsgood:
         verdict = osgood_classify(make_g("spiky", period=1e-300, height=2.0))
         assert verdict.classification == DIVERGES and len(verdict.window_ratios) == 10
 
+    def test_spiky_with_a_subnormal_period_counts_its_jumps_from_logs(self):
+        # at period 1e-310 the quotient sigma / period overflows, and a floor of sigma at
+        # 1e-300 counted jumps at r <= e: g(0) read 2^16 and g(3) inf
+        g = make_g("spiky", period=1e-310, height=2.0)
+        assert g(0.0) == g(E) == 1.0
+        assert np.all(g.inverse_square_loglog(np.array([-np.inf, -1.0, 0.0])) == 1.0)
+        # the jump radii are sigma_j = 1e-310 * 4^j, and 4^513 * 1e-310 <= ln ln 3 < 4^514 * 1e-310
+        assert g(3.0) == 2.0**513
+
     def test_power_log_converges(self):
         # the comparison bound g^2 <= c ln(e+tau) integrates to a finite value
         assert osgood_classify(make_g("power_log", c=1.0)).classification == CONVERGES

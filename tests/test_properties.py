@@ -14,9 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lmhd import spectral as sp
 from lmhd.diagnostics import (_CONFIG_KEYS, ConfigError, DiagnosticRecord, DiagnosticTracker, RunConfig,
-                              config_from_mapping, make_record, split_terms)
-from lmhd.dynamics import (SolutionPair, SystemParams, band_operator, nonlinear_tendency, state_band,
-                           tendency)
+                              config_from_mapping, make_record, record_weights, split_terms)
+from lmhd.dynamics import SolutionPair, SystemParams, band_operator, nonlinear_tendency, tendency
 from lmhd.integrator import StepperConfig, run
 from lmhd.multiplier import E, DissipationSpec, make_g, symbol
 from lmhd.spectral import SpectralField, VectorField
@@ -80,7 +79,7 @@ def _grid_l2_sq(fields):
 def test_record_matches_physical_space_reference(grid, seed, diss_u, diss_b, gamma, s):
     u, b = random_solenoidal(grid, seed), random_solenoidal(grid, seed + 1)
     params = SystemParams(diss_u, diss_b, grid.dim)
-    record = make_record(SolutionPair(u, b, 0.0), params, gamma=gamma, s=s)
+    record = make_record(SolutionPair(u, b, 0.0), params, record_weights(grid, params, gamma, s))
 
     m1, m2 = symbol(diss_u, grid.kmag), symbol(diss_b, grid.kmag)
     grads = [d for c in u.components for d in sp.gradient(c).components]
@@ -135,12 +134,13 @@ def test_nonlinear_tendency_is_energy_neutral(grid, seed):
 def _reference_record(state, params, prev, sums, l2_norms):
     """The record of a state from the energy, its six other L2-type sums (diss_u,
     diss_b, diss_grad_u, x_norm, y_norm, gamma_norm) and the L2 norms of u and b."""
-    grid, band = state.grid, state_band(state)
+    grid, band = state.grid, state.band
     energy, diss_u, diss_b, diss_grad_u, x_norm, y_norm, gamma_norm = sums
-    grad_u_inf = float(np.max(np.abs(sp.band_to_physical(sp.gradient_array(band[0], grid), grid))))
+    grad_u = sp.band_to_physical(sp.gradient_array(band[0], grid.band_ik), grid)
+    grad_u_inf = float(np.max(np.abs(grad_u)))
     split_low, split_high = split_terms(params.diss_u, E + x_norm, diss_u, diss_grad_u)
     div_u, div_b = (float(np.max(np.abs(kv))) / max(1.0, norm)
-                    for kv, norm in zip(sp._k_dot(band, grid), l2_norms))
+                    for kv, norm in zip(sp.k_dot(band, grid.band_kmesh), l2_norms))
     t = state.time
     if prev is None:
         cum_diss = cum_diss_b = cum_diss_grad = 0.0
@@ -158,7 +158,7 @@ def rebuilt_record(state, params, gamma, s, prev=None):
     """Reference: the record weight matrix rebuilt for this record alone, from the
     full-spectrum symbols, applied to the band power in one product; a row that
     reads nan, an inf weight at a mode without power, over the modes with power."""
-    grid, band = state.grid, state_band(state)
+    grid, band = state.grid, state.band
     with np.errstate(over="ignore", invalid="ignore"):
         parseval = np.broadcast_to(sp.BOX_LENGTH ** grid.dim * grid.band_parseval, grid.band_shape)
         m_u2, m_b2 = (sp.to_band(symbol(d, grid.kmag), grid) ** 2 for d in (params.diss_u, params.diss_b))
@@ -185,7 +185,7 @@ def _live_sum(density, power):
 def per_sum_record(state, params, gamma, s, prev=None):
     """Reference: one sum per record field over the Parseval density of u and b,
     with the symbols and Sobolev weights rebuilt per record."""
-    grid, band = state.grid, state_band(state)
+    grid, band = state.grid, state.band
     with np.errstate(over="ignore", invalid="ignore"):
         power_u, power_b = (grid.band_parseval * sp.mode_power(c) for c in band)
         power = power_u + power_b
@@ -219,7 +219,7 @@ def test_tracker_records_equal_the_per_record_weights_reference(grid, seed, diss
     # under the record's errstate, so the record keeps inf without warning
     params = SystemParams(diss_u, diss_b, grid.dim)
     tracker = DiagnosticTracker(params, gamma, s, cadence)
-    states = [SolutionPair.from_band(grid, state_band(random_pair(grid, seed + n)), 0.1 * n)
+    states = [SolutionPair.from_band(grid, random_pair(grid, seed + n).band, 0.1 * n)
               for n in range(5)]
     expected, per_sum = [], []
     for n, state in enumerate(states):
@@ -228,7 +228,7 @@ def test_tracker_records_equal_the_per_record_weights_reference(grid, seed, diss
             expected.append(rebuilt_record(state, params, gamma, s, expected[-1] if expected else None))
             per_sum.append(per_sum_record(state, params, gamma, s, per_sum[-1] if per_sum else None))
     assert np.array(tracker.records).tobytes() == np.array(expected).tobytes()
-    single = make_record(states[-1], params, gamma, s)
+    single = make_record(states[-1], params, record_weights(grid, params, gamma, s))
     assert np.array(single).tobytes() == np.array(rebuilt_record(states[-1], params, gamma, s)).tobytes()
     # the one product sums in another order than one sum per field: a few ulps apart,
     # with the same inf cells
@@ -260,7 +260,7 @@ def test_linear_step_and_run_are_exact_decay(grid, seed, data, g1, g2, alpha, be
         expected = band[mode] * np.exp(-decay)
         # exp of a rounded exponent: the relative error grows with the exponent and the step count
         rtol = 8.0 * np.finfo(float).eps * (1.0 + decay * (1.0 + steps) + 2.0 * steps)
-        got = state_band(final).copy()
+        got = final.band.copy()
         assert np.all(np.abs(got[mode] - expected) <= rtol * np.abs(expected) + 1e-300)
         got[mode] = 0.0
         assert not np.any(got)
@@ -270,24 +270,25 @@ def test_linear_step_and_run_are_exact_decay(grid, seed, data, g1, g2, alpha, be
 @given(grids, seeds, specs, specs, st.floats(0.0, 10.0))
 def test_record_of_a_band_pair_equals_record_of_its_full_spectrum(grid, seed, diss_u, diss_b, time):
     params = SystemParams(diss_u, diss_b, grid.dim)
-    pair = SolutionPair.from_band(grid, state_band(random_pair(grid, seed)), time)
-    band_record = make_record(pair, params, gamma=2.5, s=5.0)
-    full_record = make_record(SolutionPair(pair.u, pair.b, time), params, gamma=2.5, s=5.0)
+    pair = SolutionPair.from_band(grid, random_pair(grid, seed).band, time)
+    weights = record_weights(grid, params, 2.5, 5.0)
+    band_record = make_record(pair, params, weights)
+    full_record = make_record(SolutionPair(pair.u, pair.b, time), params, weights)
     assert np.array(band_record).tobytes() == np.array(full_record).tobytes()
 
 
 @property_settings
 @given(grids, seeds, st.data())
 def test_band_pair_builds_data_once_and_sees_writes_through_it(grid, seed, data):
-    band = state_band(random_pair(grid, seed))
+    band = random_pair(grid, seed).band
     pair = SolutionPair.from_band(grid, band, 0.0)
-    assert state_band(pair) is band
+    assert pair.band is band
     assert pair.data is pair.data
     # a band mode: inside the mask, in columns 0..kc (the mirrored columns are not stored)
     stored = np.argwhere(grid.dealias_mask[..., : grid.kc + 1])
     inside = tuple(stored[data.draw(st.integers(0, len(stored) - 1))])
     pair.u.components[0].coeffs[inside] += 1.0
-    assert np.count_nonzero(state_band(pair) != band) == 1
+    assert np.count_nonzero(pair.band != band) == 1
     outside = tuple(np.argwhere(~grid.dealias_mask)[data.draw(st.integers(0, (~grid.dealias_mask).sum() - 1))])
     pair.b.components[-1].coeffs[outside] = 1e-3
     params = SystemParams(DissipationSpec(1.0, 2.0, make_g("constant_one")),
@@ -317,7 +318,7 @@ def full_spectrum_tendency(y, grid):
         out[1, i] += k[j] * a
         out[1, j] -= k[i] * a
     out *= 1j
-    out[0] = sp.leray_array(out[0], grid)
+    out[0] = sp.leray_array(out[0], grid.kmesh)
     return out
 
 
@@ -415,6 +416,19 @@ def random_complex(shape, seed):
 
 
 @property_settings
+@given(grids, seeds)
+def test_band_operators_are_the_band_of_the_full_spectrum_operators(grid, seed):
+    # a random band pair, neither solenoidal nor real in column 0, and its expansion:
+    # each operator given the band's table is to_band of it given the full spectrum's
+    band = random_complex((2, grid.dim) + grid.band_shape, seed)
+    full = SolutionPair.from_band(grid, band.copy(), 0.0).data
+    for got, expected in ((sp.gradient_array(band, grid.band_ik), sp.gradient_array(full, 1j * grid.kmesh)),
+                          (sp.k_dot(band, grid.band_kmesh), sp.k_dot(full, grid.kmesh)),
+                          (sp.leray_array(band, grid.band_kmesh), sp.leray_array(full, grid.kmesh))):
+        assert got.tobytes() == sp.to_band(expected, grid).tobytes()
+
+
+@property_settings
 @given(grids, seeds, st.integers(1, 3))
 def test_from_band_of_to_band_is_the_masked_half_spectrum(grid, seed, count):
     x = random_complex((count,) + grid.shape, seed)
@@ -454,7 +468,7 @@ def test_step_and_run_reject_a_state_outside_the_band(grid, seed, data):
                              nonlinear=None),
                  lambda: run(state, params, StepperConfig(t_end=1e-3, dt=1e-3)),
                  lambda: nonlinear_tendency(state),
-                 lambda: make_record(state, params, gamma=2.5, s=5.0)):
+                 lambda: make_record(state, params, record_weights(grid, params, 2.5, 5.0))):
         with pytest.raises(ValueError, match="outside the 2/3-rule band"):
             call()
 
@@ -494,7 +508,7 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path_factory, grid, seed, time):
 @property_settings
 @given(grids, seeds, st.floats(0.0, 10.0))
 def test_band_snapshot_is_the_snapshot_of_the_expanded_pair(tmp_path_factory, grid, seed, time):
-    band = state_band(random_pair(grid, seed))
+    band = random_pair(grid, seed).band
     state = SolutionPair.from_band(grid, band, time)
     directory = tmp_path_factory.mktemp("snap")
     sp.write_band_snapshot(str(directory / "band.lmhd"), band, grid)

@@ -60,6 +60,28 @@ def test_band_wavevector_tables_are_built_only_by_the_grid():
     assert builders == {"spectral"}
 
 
+def test_no_module_reads_a_private_name_of_another():
+    """No module of lmhd reads a single-underscore name, as an attribute or an import,
+    that another module of lmhd defines and it does not: `SolutionPair.band` and
+    `spectral.k_dot` are the public ways to the pair's `_band` and to k . v_hat."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    defined, read = {}, {}
+    for path in Path(sp.__file__).parent.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        stored, loaded = ([n for n in nodes if isinstance(getattr(n, "ctx", None), ctx)]
+                          for ctx in (ast.Store, ast.Load))
+        defined[path.stem] = ({n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+                              | {getattr(n, "attr", getattr(n, "id", None)) for n in stored})
+        read[path.stem] = ({n.attr for n in loaded if isinstance(n, ast.Attribute)}
+                           | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
+    crossings = sorted(f"{module} reads {name}" for module, names in read.items() for name in names
+                       if private(name) and name not in defined[module]
+                       and any(name in own for other, own in defined.items() if other != module))
+    assert crossings == []
+
+
 class TestTransforms:
     def test_constant_field(self, grid16):
         f = sp.forward_transform(np.full(grid16.shape, 3.25), grid16)
@@ -208,7 +230,7 @@ class TestGradientDivergence:
         band = rng.standard_normal((dim,) + grid.band_shape) + 1j * rng.standard_normal(
             (dim,) + grid.band_shape)
         expected = 1j * grid.band_kmesh[:, None] * band
-        got = sp.gradient_array(band, grid)
+        got = sp.gradient_array(band, grid.band_ik)
         assert got.shape == (dim, dim) + grid.band_shape
         assert got.tobytes() == expected.tobytes()
 
