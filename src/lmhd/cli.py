@@ -112,6 +112,17 @@ def _cmd_osgood(args) -> int:
     return EXIT_CODES[STATUS_OK]
 
 
+class _Once(argparse.Action):
+    """Store the flag's value; a ConfigError when the flag is given twice, which
+    otherwise keeps only the last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # the namespace holds the default object itself until the flag is first given
+        if getattr(namespace, self.dest) is not self.default:
+            raise ConfigError(f"{option_string} given twice")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lmhd",
                                      description="spectral MHD runs and estimate checks")
@@ -123,29 +134,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run one experiment per value of one config key")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--vary", required=True, metavar="KEY=v1,v2,...",
+    p_sweep.add_argument("--vary", action=_Once, required=True, metavar="KEY=v1,v2,...",
                          help="a config key (g1 stands for params.g1.kind) and its values")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_check = sub.add_parser("check", help="re-run inequality checks on a saved series")
     p_check.add_argument("series")
-    p_check.add_argument("--config", default=None)
+    p_check.add_argument("--config", action=_Once, default=None)
     for flag, key in _CHECK_KEYS.items():
-        p_check.add_argument(f"--{flag.replace('_', '-')}", help=f"sets {key}")
+        p_check.add_argument(f"--{flag.replace('_', '-')}", action=_Once, help=f"sets {key}")
     p_check.set_defaults(func=_cmd_check)
 
     p_osgood = sub.add_parser("osgood", help="classify the divergence condition for a g")
     p_osgood.add_argument("g")
     p_osgood.add_argument("params", nargs="*", metavar="key=value")
-    p_osgood.add_argument("--limit", default=1e100)
+    p_osgood.add_argument("--limit", action=_Once, default=1e100)
     p_osgood.set_defaults(func=_cmd_osgood)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every input error of every command exits 2 here."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

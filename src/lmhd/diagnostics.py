@@ -605,8 +605,7 @@ class _SnapshotObserver:
             self.written.append(path)
 
 
-def prepare_experiment(config: RunConfig) -> tuple[SystemParams, SolutionPair, StepperConfig,
-                                                   DiagnosticTracker]:
+def prepare_experiment(config: RunConfig) -> tuple[SystemParams, SolutionPair, StepperConfig]:
     """What a run of `config` needs, built before anything runs or is written;
     ConfigError for every value that `run_experiment` rejects, a grid too
     large to allocate among them."""
@@ -615,7 +614,8 @@ def prepare_experiment(config: RunConfig) -> tuple[SystemParams, SolutionPair, S
         params = config.system_params()
         state0 = initial_condition(config.ic_name, config.ic_params, grid)
         stepper = config.stepper_config()
-        tracker = DiagnosticTracker(params, config.gamma, config.s_order, config.cadence)
+        if config.cadence < 1:
+            raise ConfigError("cadence must be >= 1")
         for path in (config.out_series, config.out_snapshots):
             if path and not Path(path).parent.is_dir():
                 raise ConfigError(f"output directory of {path!r} does not exist")
@@ -627,17 +627,18 @@ def prepare_experiment(config: RunConfig) -> tuple[SystemParams, SolutionPair, S
             raise ConfigError(f"snapshot times must lie in [0, t_end = {stepper.t_end}]")
     except (ValueError, ArithmeticError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc
-    return params, state0, stepper, tracker
+    return params, state0, stepper
 
 
 def run_experiment(config: RunConfig,
-                   prepared: tuple[SystemParams, SolutionPair, StepperConfig, DiagnosticTracker]
-                   | None = None) -> ExperimentResult:
+                   prepared: tuple[SystemParams, SolutionPair, StepperConfig] | None = None
+                   ) -> ExperimentResult:
     """Run one configured experiment, write artifacts, and report its records by
     `evaluate_checks`; ConfigError, before anything runs, from `prepare_experiment`.
     `prepared` is what `prepare_experiment(config)` returned, run in place of a new
-    set-up; a set-up runs once, since its tracker keeps the records."""
-    params, state0, stepper, tracker = prepared or prepare_experiment(config)
+    set-up."""
+    params, state0, stepper = prepared or prepare_experiment(config)
+    tracker = DiagnosticTracker(params, config.gamma, config.s_order, config.cadence)
     snapshots = (_SnapshotObserver(config.out_snapshots, config.snapshot_times)
                  if config.out_snapshots else None)
     steps_taken = 0

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -115,8 +114,9 @@ class SystemParams:
 
 # (i, j) index pairs of the transformed symmetric (i <= j, all but the last
 # diagonal (d, d)) and antisymmetric (i < j) products, per dim
-_PRODUCT_PAIRS = {dim: (tuple(combinations_with_replacement(range(dim), 2))[:-1],
-                        tuple(combinations(range(dim), 2))) for dim in (2, 3)}
+_PRODUCT_PAIRS = {dim: (tuple((i, j) for i in range(dim) for j in range(i, dim))[:-1],
+                        tuple((i, j) for i in range(dim) for j in range(i + 1, dim)))
+                  for dim in (2, 3)}
 
 
 @functools.lru_cache(maxsize=8)

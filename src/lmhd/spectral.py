@@ -22,13 +22,14 @@ are the pruned real transforms of the band, equal bit for bit to the
 half-spectrum ones; initial states, the stepper and the records use only these.
 Given `out=`, as the stepper's calls are, they write there and take their
 intermediates from buffers kept per grid and leading shape, which start on
-cache lines (`cache_aligned`).
+cache lines (`cache_aligned`).  `gradient` of a field is the one full-spectrum
+i k, and `sample_norm` the one L^p norm of real samples, which `lp_norm` uses
+for p = 1 and inf; `lpaley` builds on both.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import struct
@@ -70,11 +71,7 @@ class Grid:
         self.kmag = np.sqrt(self.k_squared)
 
         # 2/3-rule mask: zero every mode with any |k_j| >= points/3
-        cutoff = points / 3.0
-        keep = np.ones(self.shape, dtype=bool)
-        for axis_k in mesh:
-            keep &= np.abs(axis_k) < cutoff
-        self.dealias_mask = keep
+        self.dealias_mask = np.max(np.abs(self.kmesh), axis=0) < points / 3.0
 
         # the band table: the modes the 2/3 rule keeps, |k_j| <= kc on every axis, stored
         # as rows 0..kc then -kc..-1 on each leading axis and columns 0..kc of the last.
@@ -423,15 +420,23 @@ def mode_power(comps: np.ndarray) -> np.ndarray:
     return BOX_LENGTH ** (comps.ndim - 1) * np.sum(comps.real**2 + comps.imag**2, axis=0)
 
 
+def sample_norm(samples: np.ndarray, p: float, grid: Grid) -> float:
+    """L^p norm for p in {1, 2, inf} of real samples on the grid, the integrals
+    taken as sums over the samples."""
+    if p == 1:
+        return float(np.sum(np.abs(samples)) * grid.cell_volume)
+    if p == 2:
+        return float(np.sqrt(np.sum(samples**2) * grid.cell_volume))
+    if p == np.inf:
+        return float(np.max(np.abs(samples)))
+    raise ValueError(f"unsupported p={p}; expected 1, 2 or inf")
+
+
 def lp_norm(f: SpectralField, p: float) -> float:
     """L^p norm for p in {1, 2, inf}; L^2 is computed spectrally (Parseval)."""
     if p == 2:
         return float(np.sqrt(np.sum(mode_power(f.coeffs[None]))))
-    if p == 1:
-        return float(np.sum(np.abs(to_physical(f))) * f.grid.cell_volume)
-    if p == np.inf:
-        return float(np.max(np.abs(to_physical(f))))
-    raise ValueError(f"unsupported p={p}; expected 1, 2 or inf")
+    return sample_norm(to_physical(f), p, f.grid)
 
 
 def hs_norm(f: SpectralField, s: float) -> float:
@@ -480,21 +485,23 @@ def write_snapshot(path: str, fields: list[SpectralField]) -> None:
     grid = fields[0].grid
     for f in fields:
         _check_same_grid(grid, f.grid)
-    _write_spectra(path, grid, len(fields), (f.coeffs for f in fields))
+    write_in_place(path, _snapshot_chunks(grid, len(fields), (f.coeffs for f in fields)))
 
 
 def write_band_snapshot(path: str, band: np.ndarray, grid: Grid) -> None:
     """`write_snapshot` of the fields whose bands are stacked on the leading axes of
     `band`, the same bytes, expanding one field's full spectrum at a time."""
     bands = band.reshape((-1,) + grid.band_shape)
-    _write_spectra(path, grid, len(bands), (from_half(from_band(b, grid), grid) for b in bands))
+    write_in_place(path, _snapshot_chunks(grid, len(bands),
+                                          (from_half(from_band(b, grid), grid) for b in bands)))
 
 
-def _write_spectra(path: str, grid: Grid, count: int, spectra: Iterable) -> None:
-    header = SNAPSHOT_MAGIC + struct.pack("<IIII", SNAPSHOT_VERSION, grid.dim, grid.points, count)
-    # one field at a time, with no copy of a contiguous little-endian field
-    write_in_place(path, itertools.chain(
-        (header,), (np.ascontiguousarray(c, dtype="<c16") for c in spectra)))
+def _snapshot_chunks(grid: Grid, count: int, spectra: Iterable):
+    """The bytes of a snapshot file: its header, then one field at a time, with no
+    copy of a contiguous little-endian field."""
+    yield SNAPSHOT_MAGIC + struct.pack("<IIII", SNAPSHOT_VERSION, grid.dim, grid.points, count)
+    for c in spectra:
+        yield np.ascontiguousarray(c, dtype="<c16")
 
 
 def read_snapshot(path: str) -> list[SpectralField]:

@@ -119,6 +119,7 @@ EXIT_CONTRACT = {
     ("sweep", "not_g1"): (BASE_CFG, ["{cfg}", "--vary", "nu=1,2"], 2),
     ("sweep", "empty_values"): (BASE_CFG, ["{cfg}", "--vary", "g1="], 2),
     ("sweep", "vary_without_key"): (BASE_CFG, ["{cfg}", "--vary", "constant_one"], 2),
+    ("sweep", "vary_given_twice"): (BASE_CFG, ["{cfg}", *SWEEP, "--vary", "g1=constant_one"], 2),
     ("sweep", "blowup"): (BLOWUP_CFG, ["{cfg}", *SWEEP], 3),
     ("sweep", "check_failed"): (STRICT_CFG, ["{cfg}", *SWEEP], 4),
     ("check", "ok"): (BASE_CFG, ["{series}", "--config", "{cfg}"], 0),
@@ -128,6 +129,9 @@ EXIT_CONTRACT = {
     ("check", "check_failed"): (STRICT_CFG, ["{series}", "--config", "{cfg}"], 4),
     ("check", "negative_record_value"): (None, ["{series}"], 2),
     ("check", "unparsable_series_value"): (None, ["{series}"], 2),
+    # a flag given twice is an error, not its last value winning
+    ("check", "flag_given_twice"): (None, ["{series}", "--g1", "power", "--g1", "iterated_log"], 2),
+    ("check", "config_given_twice"): (BASE_CFG, ["{series}", "--config", "{cfg}", "--config", "{cfg}"], 2),
     ("osgood", "ok"): (None, ["iterated_log"], 0),
     ("osgood", "unknown_g"): (None, ["mystery"], 2),
     ("osgood", "unknown_g_and_param"): (None, ["mystery", "foo=1"], 2),
@@ -136,6 +140,7 @@ EXIT_CONTRACT = {
     ("osgood", "unread_param"): (None, ["constant_one", "epsilon=5"], 2),
     ("osgood", "param_named_kind"): (None, ["power", "kind=1"], 2),
     ("osgood", "param_given_twice"): (None, ["power", "epsilon=0.1", "epsilon=5"], 2),
+    ("osgood", "limit_given_twice"): (None, ["power", "--limit", "1e10", "--limit", "1e20"], 2),
 }
 # (command, failure mode) -> (field, value) written into a record of "{series}"
 SERIES_EDITS = {("check", "negative_record_value"): ("diss_u", "-1.0"),

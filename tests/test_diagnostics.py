@@ -100,7 +100,7 @@ class TestRecord:
         config = config_from_mapping({"grid.points": "32", "ic.name": "orszag_tang_2d",
                                       "diag.s": str(s), "stepper.dt": "0.001",
                                       "stepper.t_end": "0.001", "diag.cadence": "1"})
-        _, state0, _, _ = diagnostics.prepare_experiment(config)
+        _, state0, _ = diagnostics.prepare_experiment(config)
         grid = state0.grid
         power = np.sum(np.abs(state0.band) ** 2, axis=(0, 1))
         live = power != 0.0
@@ -785,6 +785,19 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert len(observer.written) == 1
         assert peak < 2 * dim * grid.total_points * 16
+
+    def test_a_set_up_runs_twice_alike(self):
+        """A set-up is data: each run of it builds its own tracker, so two runs of one
+        set-up give equal records and summaries."""
+        config = config_from_mapping({"grid.points": "16", "stepper.dt": "0.001",
+                                      "stepper.t_end": "0.005"})
+        prepared = diagnostics.prepare_experiment(config)
+        first, second = (run_experiment(config, prepared) for _ in range(2))
+        assert first.status == second.status == "ok"
+        assert first.records == second.records and len(first.records) == 6
+        for result in (first, second):
+            del result.summary["wall_time_s"]
+        assert first.summary == second.summary
 
     def test_config_error_raises(self):
         for key, value in (("ic.name", "nope"), ("diag.cadence", "0")):

@@ -138,13 +138,16 @@ class TestBernstein:
         assert ratio == pytest.approx(1.0, rel=1e-12)
         assert 0.5 <= ratio <= 2.0
 
-    def test_off_center_mode_takes_largest_component(self, grid32):
+    @pytest.mark.parametrize("k_order, expected", [(1, 3.0 / 4.0), (2, 9.0 / 16.0),
+                                                   (3, 27.0 / 64.0)])
+    def test_off_center_mode_takes_largest_component(self, grid32, k_order, expected):
         coeffs = np.zeros(grid32.shape, dtype=np.complex128)
         coeffs[3, 2] = 0.5  # |k| = sqrt(13) in annulus j=2
         coeffs[-3, -2] = 0.5
-        ratio = bernstein_ratio(SpectralField(grid32, coeffs), 2, 1, 2, 2)
-        # the sup over first derivatives picks out max(|k_1|, |k_2|) = 3
-        assert ratio == pytest.approx(3.0 / 4.0, rel=1e-12)
+        ratio = bernstein_ratio(SpectralField(grid32, coeffs), 2, k_order, 2, 2)
+        # the sup over derivatives of order k picks out max(|k_1|, |k_2|)^k = 3^k,
+        # over the weight 2^(2 k)
+        assert ratio == pytest.approx(expected, rel=1e-12)
 
     def test_support_violation_rejected(self, grid32):
         f = random_real_field(grid32, seed=1)  # full-spectrum field

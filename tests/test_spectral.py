@@ -60,6 +60,15 @@ def test_band_wavevector_tables_are_built_only_by_the_grid():
     assert builders == {"spectral"}
 
 
+def test_only_spectral_writes_an_imaginary_constant():
+    """No module of lmhd but spectral contains a complex constant such as `1j`: every
+    `i k` of the code is formed there, by `spectral.gradient` or a `Grid` table."""
+    writers = {path.stem for path in Path(sp.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant) and isinstance(node.value, complex)}
+    assert writers == {"spectral"}
+
+
 def test_no_module_reads_a_private_name_of_another():
     """No module of lmhd reads a single-underscore name, as an attribute or an import,
     that another module of lmhd defines and it does not: `SolutionPair.band` and
