@@ -123,9 +123,16 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ConfigErrors, which `main` reports as every
+    other input error; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lmhd",
-                                     description="spectral MHD runs and estimate checks")
+    parser = _Parser(prog="lmhd", description="spectral MHD runs and estimate checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one configured experiment")

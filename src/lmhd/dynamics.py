@@ -18,7 +18,7 @@ stays there, and the pruned real transforms `spectral.band_to_physical` and
 projection are a fixed linear map of the products' band spectra, so
 `band_operator` builds it once per grid, at the grid's first tendency, and
 `tendency` applies it as two contractions.  `SolutionPair.from_band` keeps
-a band and expands it, the one place that does, when `data` is first read;
+a band and expands it with `spectral.from_band` when `data` is first read;
 `SolutionPair.band` gives the band of any pair.
 
 Only dim^2 - 1 products are transformed: the antisymmetric ones and the
@@ -72,7 +72,7 @@ class SolutionPair:
     def data(self) -> np.ndarray:
         # built once, and the band is dropped, so a write through data leaves no stale band
         if self._data is None:
-            self._data = sp.from_half(sp.from_band(self._band, self.grid), self.grid)
+            self._data = sp.from_band(self._band, self.grid)
             self._band = None
         return self._data
 

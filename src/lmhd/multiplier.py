@@ -148,8 +148,6 @@ class DissipationSpec:
 def symbol(spec: DissipationSpec, radius) -> float | np.ndarray:
     """m(r) = r^exponent / g(r), with m(0) = 0 by convention; a new array per call."""
     r = np.asarray(radius, dtype=np.float64)
-    if np.any(r < 0):
-        raise ValueError("radius must be >= 0")
     out = radial_power(r, spec.exponent) / spec.g(r)
     return out if out.ndim else float(out)
 

@@ -12,14 +12,14 @@ the API edge, or the retained band of the 2/3 rule, |k_j| <= kc =
 operators `gradient_array`, `k_dot` and `leray_array` take the wavevector
 table of their caller's layout, `Grid.band_ik` or `Grid.band_kmesh` on the
 band and 1j * `Grid.kmesh` or `Grid.kmesh` on the full spectrum.  `to_band`
-gathers the band, which is the dealias mask, and `from_band` places it in a
-half spectrum.  The half spectrum, columns 0..n/2 of the last axis that
-determine a real field's conjugate-symmetric spectrum, appears only inside
-the real transforms and the expansion of a band: full spectra at the API edge
-enter by `rfftn` completed with `from_half`, and leave by one `irfftn` of the
-full array in `to_physical_array`.  `band_to_physical` and `physical_to_band`
-are the pruned real transforms of the band, equal bit for bit to the
-half-spectrum ones; initial states, the stepper and the records use only these.
+gathers the band of a full spectrum, which is the dealias mask, and `from_band`
+expands a band to the full spectrum, zero outside it.  The half spectrum
+(columns 0..n/2 of the last axis, which determine a real field's spectrum) never
+leaves this module: the real transforms read and write it, `_from_half` completes
+it by conjugate symmetry in `to_spectral_array` and `from_band`, and
+`to_physical_array` takes it as a view for one `irfftn`.  `band_to_physical` and
+`physical_to_band` are the pruned real transforms of the band, equal bit for bit
+to the full-spectrum ones; initial states, the stepper and the records use only these.
 Given `out=`, as the stepper's calls are, they write there and take their
 intermediates from buffers kept per grid and leading shape, which start on
 cache lines (`cache_aligned`).  `gradient` of a field is the one full-spectrum
@@ -92,7 +92,7 @@ class Grid:
         self.band_kmag = np.sqrt(self.band_k_squared)
         self.band_parseval = np.where(np.arange(kc + 1) > 0, 2.0, 1.0)  # 1..kc: also their -k
         # index of -k on every axis (conjugate_symmetry_residual), and its half-spectrum
-        # source for the full columns n/2+1..n-1 (from_half's gather)
+        # source for the full columns n/2+1..n-1 (_from_half's gather)
         neg = -np.arange(points) % points
         self._reflect = (Ellipsis,) + np.ix_(*(neg,) * dim)
         self._mirror = (Ellipsis,) + np.ix_(*(neg,) * (dim - 1), neg[points // 2 + 1:])
@@ -186,29 +186,20 @@ def forward_transform(samples: np.ndarray, grid: Grid) -> SpectralField:
 def to_spectral_array(samples: np.ndarray, grid: Grid) -> np.ndarray:
     """Full-spectrum coefficients of real sample arrays stacked on leading axes,
     in one batched rfftn completed by conjugate symmetry."""
-    return from_half(physical_to_half(samples, grid), grid)
+    return _from_half(np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward"), grid)
 
 
-def to_half(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """The half spectrum (columns 0..n/2 of the last axis) of full coefficient arrays (a view)."""
-    return coeffs[..., : grid.points // 2 + 1]
-
-
-def from_half(half: np.ndarray, grid: Grid) -> np.ndarray:
-    """The full spectrum whose half is `half`, completed by conjugate symmetry."""
+def _from_half(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """The full spectrum whose half (columns 0..n/2 of the last axis) is `half`,
+    completed by conjugate symmetry."""
     full = np.empty(half.shape[:-1] + (grid.points,), dtype=np.complex128)
     full[..., : half.shape[-1]] = half
     np.conjugate(half[grid._mirror], out=full[..., half.shape[-1]:])
     return full
 
 
-def physical_to_half(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Half spectra of real sample arrays stacked on leading axes, in one batched rfftn."""
-    return np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward")
-
-
 def to_band(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """The retained band of full or half coefficient arrays, as a new contiguous
+    """The retained band of full-spectrum coefficient arrays, as a new contiguous
     array; the gather drops every mode that the 2/3 rule zeroes."""
     band = coeffs[..., : grid.kc + 1]
     for axis in range(-grid.dim, -1):
@@ -217,12 +208,15 @@ def to_band(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def from_band(band: np.ndarray, grid: Grid) -> np.ndarray:
-    """The half spectrum whose retained band is `band`, zero outside it."""
+    """The full spectrum whose retained band is `band`, zero outside it and
+    completed by conjugate symmetry."""
+    # the last leading axis is padded straight into the half spectrum, so no padded
+    # copy of the band is alive while the full spectrum is built
+    half = np.zeros(band.shape[:-grid.dim] + grid.shape[:-1] + (grid.points // 2 + 1,),
+                    dtype=np.complex128)
     for axis in range(-grid.dim, -1):
-        band = _pad_rows(band, axis, grid)
-    half = np.zeros(band.shape[:-1] + (grid.points // 2 + 1,), dtype=np.complex128)
-    half[..., : grid.kc + 1] = band
-    return half
+        band = _pad_rows(band, axis, grid, half[..., : grid.kc + 1] if axis == -2 else None)
+    return _from_half(half, grid)
 
 
 def _keep_rows(x: np.ndarray, axis: int, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
@@ -314,7 +308,7 @@ def band_to_physical(band: np.ndarray, grid: Grid, out: np.ndarray | None = None
 
 def physical_to_band(samples: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Band of real sample arrays stacked on leading axes, bit for bit
-    `to_band(physical_to_half(samples))`: one rfft of the last axis keeps
+    `to_band(to_spectral_array(samples))`: one rfft of the last axis keeps
     columns 0..kc, then in rfftn's axis order each leading axis gets a complex
     fft and keeps its band rows.  With `out`, the band is written there and the
     intermediates are the grid's buffers; without it, every array is new."""
@@ -348,8 +342,8 @@ def to_physical_array(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Real samples of conjugate-symmetric full-spectrum coefficient arrays
     stacked on leading axes (no validation), in one batched irfftn of their
     half spectra."""
-    return np.fft.irfftn(to_half(coeffs, grid), s=grid.shape, axes=tuple(range(-grid.dim, 0)),
-                         norm="forward")
+    return np.fft.irfftn(coeffs[..., : grid.points // 2 + 1], s=grid.shape,
+                         axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +486,7 @@ def write_band_snapshot(path: str, band: np.ndarray, grid: Grid) -> None:
     """`write_snapshot` of the fields whose bands are stacked on the leading axes of
     `band`, the same bytes, expanding one field's full spectrum at a time."""
     bands = band.reshape((-1,) + grid.band_shape)
-    write_in_place(path, _snapshot_chunks(grid, len(bands),
-                                          (from_half(from_band(b, grid), grid) for b in bands)))
+    write_in_place(path, _snapshot_chunks(grid, len(bands), (from_band(b, grid) for b in bands)))
 
 
 def _snapshot_chunks(grid: Grid, count: int, spectra: Iterable):

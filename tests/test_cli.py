@@ -93,6 +93,7 @@ SINGLE_MODE_CFG = BASE_CFG.replace("ic.name = orszag_tang_2d", "ic.name = single
 # a path that does not exist
 EXIT_CONTRACT = {
     ("run", "ok"): (BASE_CFG, ["{cfg}"], 0),
+    ("run", "no_config"): (None, [], 2),
     ("run", "config_error"): ("grid.bogus = 1\n", ["{cfg}"], 2),
     ("run", "missing_config"): (None, ["{missing}"], 2),
     ("run", "blowup"): (BLOWUP_CFG, ["{cfg}"], 3),
@@ -131,6 +132,7 @@ EXIT_CONTRACT = {
     ("check", "unparsable_series_value"): (None, ["{series}"], 2),
     # a flag given twice is an error, not its last value winning
     ("check", "flag_given_twice"): (None, ["{series}", "--g1", "power", "--g1", "iterated_log"], 2),
+    ("check", "unknown_flag"): (None, ["{series}", "--bogus", "1"], 2),
     ("check", "config_given_twice"): (BASE_CFG, ["{series}", "--config", "{cfg}", "--config", "{cfg}"], 2),
     ("osgood", "ok"): (None, ["iterated_log"], 0),
     ("osgood", "unknown_g"): (None, ["mystery"], 2),
@@ -140,6 +142,7 @@ EXIT_CONTRACT = {
     ("osgood", "unread_param"): (None, ["constant_one", "epsilon=5"], 2),
     ("osgood", "param_named_kind"): (None, ["power", "kind=1"], 2),
     ("osgood", "param_given_twice"): (None, ["power", "epsilon=0.1", "epsilon=5"], 2),
+    ("osgood", "limit_without_value"): (None, ["power", "--limit"], 2),
     ("osgood", "limit_given_twice"): (None, ["power", "--limit", "1e10", "--limit", "1e20"], 2),
 }
 # (command, failure mode) -> (field, value) written into a record of "{series}"
@@ -175,6 +178,15 @@ def test_exit_code_contract(command, mode, tmp_path, capsys, monkeypatch):
         assert err.startswith("config error: ")
     if command == "sweep" and mode in ("blowup", "check_failed"):
         assert all(f"g1={name}: " in err for name in ("constant_one", "iterated_log"))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["lmhd", "run"])
+def test_help_exits_0(argv, capsys):
+    """A usage error is a config error, but help still exits 0 with the usage."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lmhd")
 
 
 def test_entry_point_exits_2_without_traceback(tmp_path):

@@ -456,7 +456,6 @@ class TestBandBornStates:
 
         monkeypatch.setattr(diagnostics, "_state_from_samples", recording)
         monkeypatch.setattr(sp, "to_spectral_array", full_transform)
-        monkeypatch.setattr(sp, "physical_to_half", full_transform)
         pair = initial_condition(name, params, grid)
         monkeypatch.undo()
         # a pair that holds its band hands out that array, not a new gather each time
@@ -886,8 +885,7 @@ class TestRunExperiment:
         states = [SolutionPair.from_band(grid, initial_condition(
             "random_band", {"seed": n}, grid).band, 0.1 * n) for n in range(4)]
         calls = []
-        for name in ("band_to_physical", "to_physical_array", "physical_to_band", "physical_to_half",
-                     "to_spectral_array"):
+        for name in ("band_to_physical", "to_physical_array", "physical_to_band", "to_spectral_array"):
             original = getattr(sp, name)
             monkeypatch.setattr(sp, name, lambda *args, _name=name, _original=original:
                                 calls.append(_name) or _original(*args))

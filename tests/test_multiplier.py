@@ -99,6 +99,8 @@ class TestSymbol:
         spec = DissipationSpec(1.0, 2.0, make_g("constant_one"))
         with pytest.raises(ValueError):
             symbol(spec, -1.0)
+        with pytest.raises(ValueError, match="g is defined for radii >= 0"):
+            symbol(spec, np.array([1.0, -1.0]))
 
     def test_bounded_by_pure_power(self):
         rng = np.random.default_rng(0)

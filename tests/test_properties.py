@@ -324,11 +324,11 @@ def full_spectrum_tendency(y, grid):
 
 @property_settings
 @given(grids, seeds)
-def test_half_spectrum_tendency_matches_full_spectrum_reference(grid, seed):
-    # the band tendency, expanded through the half spectrum
+def test_band_tendency_matches_full_spectrum_reference(grid, seed):
+    # the band tendency, expanded to the full spectrum
     y = random_pair(grid, seed).data
     expected = full_spectrum_tendency(y, grid)
-    got = sp.from_half(sp.from_band(tendency(sp.to_band(y, grid), grid), grid), grid)
+    got = sp.from_band(tendency(sp.to_band(y, grid), grid), grid)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
@@ -353,7 +353,10 @@ def test_to_spectral_array_matches_complex_fftn(grid, seed, count):
     samples = np.random.default_rng(seed).standard_normal((count,) + grid.shape)
     coeffs = sp.to_spectral_array(samples, grid)
     expected = np.fft.fftn(samples, axes=tuple(range(-grid.dim, 0))) / grid.total_points
-    assert sp.to_half(coeffs, grid).shape == (count,) + grid.shape[:-1] + (grid.points // 2 + 1,)
+    assert coeffs.shape == (count,) + grid.shape
+    # columns 0..n/2 are rfftn's half spectrum, the rest its conjugate completion
+    half = np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward")
+    assert coeffs[..., : grid.points // 2 + 1].tobytes() == half.tobytes()
     assert np.max(np.abs(coeffs - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
@@ -393,15 +396,15 @@ def test_tendency_equals_stacked_nonlinear_tendency(grid, seed):
     du, db = nonlinear_tendency(state)
     band = tendency(sp.to_band(state.data, grid), grid)
     full = np.stack([du.coeffs, db.coeffs])
-    assert sp.from_half(sp.from_band(band, grid), grid).tobytes() == full.tobytes()
+    assert sp.from_band(band, grid).tobytes() == full.tobytes()
     assert sp.to_band(full, grid).tobytes() == band.tobytes()
 
 
 @property_settings
 @given(grids)
-def test_band_is_the_dealias_mask_on_the_half_spectrum(grid):
+def test_band_is_the_dealias_mask(grid):
     ones = np.ones((2,) + grid.band_shape, dtype=np.complex128)
-    assert np.array_equal(sp.from_band(ones, grid)[0] != 0, sp.to_half(grid.dealias_mask, grid))
+    assert np.array_equal(sp.from_band(ones, grid)[0] != 0, grid.dealias_mask)
     assert np.array_equal(grid.band_kmesh, sp.to_band(grid.kmesh, grid))
     # the band's i k and |k|, byte for byte
     for got, expected in ((grid.band_ik, 1j * grid.band_kmesh),
@@ -430,17 +433,20 @@ def test_band_operators_are_the_band_of_the_full_spectrum_operators(grid, seed):
 
 @property_settings
 @given(grids, seeds, st.integers(1, 3))
-def test_from_band_of_to_band_is_the_masked_half_spectrum(grid, seed, count):
-    x = random_complex((count,) + grid.shape, seed)
-    # np.where rather than x * mask, whose zeros carry the sign of x
-    masked = sp.to_half(np.where(grid.dealias_mask, x, 0.0), grid)
-    assert sp.from_band(sp.to_band(x, grid), grid).tobytes() == masked.tobytes()
-    assert sp.to_band(sp.to_half(x, grid), grid).tobytes() == sp.to_band(x, grid).tobytes()
+def test_from_band_of_to_band_is_the_masked_spectrum(grid, seed, count):
+    # a real field's spectrum; the conjugate completion writes -0.0 imaginary parts at
+    # mirrored masked modes, so the values are compared, not the bytes
+    x = sp.to_spectral_array(np.random.default_rng(seed).standard_normal((count,) + grid.shape), grid)
+    band = sp.to_band(x, grid)
+    full = sp.from_band(band, grid)
+    assert full.shape == (count,) + grid.shape
+    assert np.array_equal(full, np.where(grid.dealias_mask, x, 0.0))
+    assert sp.to_band(full, grid).tobytes() == band.tobytes()
 
 
 @property_settings
 @given(grids, seeds, st.sampled_from([(1,), (2,), (3,), "pair", "products"]), st.booleans())
-def test_pruned_transforms_equal_the_half_spectrum_transforms(grid, seed, lead, with_out):
+def test_pruned_transforms_equal_the_full_spectrum_transforms(grid, seed, lead, with_out):
     """Also given `out=`, on the leading shapes the stepper uses: the pair (2, dim) and the
     dim^2 - 1 products, whose intermediates are the grid's buffers, reused across examples."""
     lead = {"pair": (2, grid.dim), "products": (grid.dim**2 - 1,)}.get(lead, lead)
@@ -449,7 +455,7 @@ def test_pruned_transforms_equal_the_half_spectrum_transforms(grid, seed, lead, 
     out = np.empty(lead + grid.shape) if with_out else None
     assert sp.band_to_physical(band, grid, out=out).tobytes() == expected.tobytes()
     samples = np.random.default_rng(seed).standard_normal(lead + grid.shape)
-    expected = sp.to_band(sp.physical_to_half(samples, grid), grid)
+    expected = sp.to_band(sp.to_spectral_array(samples, grid), grid)
     out = np.empty(lead + grid.band_shape, dtype=np.complex128) if with_out else None
     assert sp.physical_to_band(samples, grid, out=out).tobytes() == expected.tobytes()
 

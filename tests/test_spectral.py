@@ -91,6 +91,12 @@ def test_no_module_reads_a_private_name_of_another():
     assert crossings == []
 
 
+def test_no_public_name_of_spectral_is_a_half_spectrum():
+    """Arrays leave `spectral` as full spectra or bands: the half spectrum of the real
+    transforms has no public name."""
+    assert [name for name in vars(sp) if "half" in name and not name.startswith("_")] == []
+
+
 class TestTransforms:
     def test_constant_field(self, grid16):
         f = sp.forward_transform(np.full(grid16.shape, 3.25), grid16)
@@ -309,7 +315,7 @@ class TestDealias:
     def test_low_band_unchanged(self):
         grid = sp.make_grid(2, 32)
         f = random_real_field(grid, seed=6, band=2.0)
-        out = sp.from_half(sp.from_band(sp.to_band(f.coeffs, grid), grid), grid)
+        out = sp.from_band(sp.to_band(f.coeffs, grid), grid)
         assert np.array_equal(out, f.coeffs)
 
     def test_mode_outside_band_zeroed(self):
@@ -330,7 +336,7 @@ class TestDealias:
             fs.append(SpectralField(grid, f.coeffs * keep))
         f, g = fs
         band = sp.physical_to_band(sp.to_physical(f) * sp.to_physical(g), grid)
-        product = sp.from_half(sp.from_band(band, grid), grid)
+        product = sp.from_band(band, grid)
         oracle = convolution_oracle(f.coeffs, g.coeffs, grid) * grid.dealias_mask
         assert np.max(np.abs(product - oracle)) < 1e-13
 
