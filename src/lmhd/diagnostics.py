@@ -122,7 +122,9 @@ def make_record(state: SolutionPair, params: SystemParams, weights: np.ndarray,
         sum_u, sum_b, diss_u, diss_b, diss_grad_u, x_norm, y_norm, gamma_norm = sums
         energy = 0.5 * (sum_u + sum_b)
 
-        grad_u = sp.band_to_physical(sp.gradient_array(band[0], grid.band_ik), grid)
+        # out= takes the transform's intermediates from the grid's buffers, in 2D the tendency's
+        grad_u = sp.band_to_physical(sp.gradient_array(band[0], grid.band_ik), grid,
+                                     out=np.empty((grid.dim, grid.dim) + grid.shape))
         grad_u_inf = max(float(grad_u.max()), -float(grad_u.min()))
         split_low, split_high = split_terms(params.diss_u, E + x_norm, diss_u, diss_grad_u)
         # solenoidal_residual of u and b, normalised by their own L2 norms; the band holds
@@ -614,8 +616,8 @@ def prepare_experiment(config: RunConfig) -> tuple[SystemParams, SolutionPair, S
         params = config.system_params()
         state0 = initial_condition(config.ic_name, config.ic_params, grid)
         stepper = config.stepper_config()
-        if config.cadence < 1:
-            raise ConfigError("cadence must be >= 1")
+        # built for its check alone, the one rule on the cadence
+        DiagnosticTracker(params, config.gamma, config.s_order, config.cadence)
         for path in (config.out_series, config.out_snapshots):
             if path and not Path(path).parent.is_dir():
                 raise ConfigError(f"output directory of {path!r} does not exist")

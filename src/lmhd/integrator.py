@@ -10,8 +10,8 @@ states inside the band stay there, so `run` holds only the band between
 steps and hands the observer, and returns, `SolutionPair.from_band` pairs,
 whose full spectrum is built only if something reads it.  The decay factors
 are exponentiated once per distinct step size, and a step allocates only the
-tendencies and the new band: its stage states live in arrays that `run`
-allocates once.
+tendencies, at most two alive when it asks for one, and the new band: its
+stage states live in arrays that `run` allocates once.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def _advance(y: np.ndarray, grid: sp.Grid, dt: float, factors: tuple[np.ndarray,
     n1..n4 are the tendencies at y, e_half (y + dt/2 n1), e_half y + dt/2 n2 and
     e_full y + dt (e_half n3), and the step is e_full y + (dt/6)(e_full n1 +
     (2 e_half)(n2 + n3) + n4).  Every product and sum is taken in that order, so
-    the result is bit for bit the textbook expression's, but in place: the
-    stage states go to the scratch arrays and each tendency, which the hook
-    returns new, is overwritten once it has been read.
+    the result is bit for bit the textbook expression's, but in place: the stage
+    states go to the scratch arrays, and each tendency, which the hook returns
+    new, is folded into n1 and dropped once the stages are done with it.
     """
     e_half, e_full, e_half2 = factors
     if nonlinear is None:
@@ -85,23 +85,22 @@ def _advance(y: np.ndarray, grid: sp.Grid, dt: float, factors: tuple[np.ndarray,
     np.multiply(dt / 2.0, n1, out=stage)
     stage += y
     stage *= e_half
+    n1 *= e_full
     n2 = nonlinear(stage, grid)                                  # at e_half (y + dt/2 n1)
     np.multiply(e_half, y, out=stage)
     stage += np.multiply(dt / 2.0, n2, out=scratch)
     n3 = nonlinear(stage, grid)                                  # at e_half y + dt/2 n2
     n2 += n3
+    n2 *= e_half2
+    n1 += n2
     n3 *= e_half
     n3 *= dt
     np.multiply(e_full, y, out=stage)
     stage += n3
+    del n2, n3
     n4 = nonlinear(stage, grid)                                  # at e_full y + dt e_half n3
-    n2 *= e_half2
-    n1 *= e_full
-    n1 += n2
     n1 += n4
     n1 *= dt / 6.0
-    # made last, above the four tendencies freed on return, so that freeing them does
-    # not leave the heap top free to be trimmed and faulted in again by the next step
     out = e_full * y
     out += n1
     return out

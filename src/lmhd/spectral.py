@@ -11,20 +11,21 @@ the API edge, or the retained band of the 2/3 rule, |k_j| <= kc =
 0..kc of the last), which the stepper and the records work on.  The array
 operators `gradient_array`, `k_dot` and `leray_array` take the wavevector
 table of their caller's layout, `Grid.band_ik` or `Grid.band_kmesh` on the
-band and 1j * `Grid.kmesh` or `Grid.kmesh` on the full spectrum.  `to_band`
-gathers the band of a full spectrum, which is the dealias mask, and `from_band`
-expands a band to the full spectrum, zero outside it.  The half spectrum
-(columns 0..n/2 of the last axis, which determine a real field's spectrum) never
-leaves this module: the real transforms read and write it, `_from_half` completes
-it by conjugate symmetry in `to_spectral_array` and `from_band`, and
-`to_physical_array` takes it as a view for one `irfftn`.  `band_to_physical` and
-`physical_to_band` are the pruned real transforms of the band, equal bit for bit
-to the full-spectrum ones; initial states, the stepper and the records use only these.
-Given `out=`, as the stepper's calls are, they write there and take their
-intermediates from buffers kept per grid and leading shape, which start on
-cache lines (`cache_aligned`).  `gradient` of a field is the one full-spectrum
-i k, and `sample_norm` the one L^p norm of real samples, which `lp_norm` uses
-for p = 1 and inf; `lpaley` builds on both.
+band and 1j * `Grid.kmesh` or `Grid.kmesh` on the full spectrum, which no run
+reads and a grid builds on first use.  `to_band` gathers the band of a full
+spectrum, which is the dealias mask, and `from_band` expands a band to the full
+spectrum, zero outside it.  The half spectrum (columns 0..n/2 of the last axis,
+which determine a real field's spectrum) never leaves this module: the real
+transforms read and write it, `_from_half` completes it by conjugate symmetry in
+`to_spectral_array` and `from_band`, and `to_physical_array` takes it as a view
+for one `irfftn`.  `band_to_physical` and `physical_to_band` are the pruned real
+transforms of the band, equal bit for bit to the full-spectrum ones, with every
+fft and ifft in place; initial states, the stepper and the records use only these.
+Given `out=`, as the stepper's and the records' calls are, they write there and
+take their padded rows and half spectra from buffers kept per grid and leading
+shape, which start on cache lines (`cache_aligned`).  `gradient` of a field is
+the one full-spectrum i k, and `sample_norm` the one L^p norm of real samples,
+which `lp_norm` uses for p = 1 and inf; `lpaley` builds on both.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(unsafe_hash=True)
 class Grid:
-    """Uniform periodic grid on [0, 2*pi)^dim with power-of-two resolution."""
+    """Uniform periodic grid on [0, 2*pi)^dim with power-of-two resolution; its band
+    tables are built with it, its full-spectrum `kmesh`, `k_squared`, `kmag` and
+    `dealias_mask` on first use."""
 
     dim: int
     points: int
@@ -65,28 +68,24 @@ class Grid:
         # integer wavenumbers in FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1
         k1d = np.fft.fftfreq(points, d=1.0 / points)
         self.k_axes = tuple(k1d.copy() for _ in range(dim))
-        mesh = np.meshgrid(*self.k_axes, indexing="ij")
-        self.kmesh = np.stack(mesh)  # shape (dim, points, ..., points)
-        self.k_squared = np.sum(self.kmesh**2, axis=0)
-        self.kmag = np.sqrt(self.k_squared)
 
-        # 2/3-rule mask: zero every mode with any |k_j| >= points/3
-        self.dealias_mask = np.max(np.abs(self.kmesh), axis=0) < points / 3.0
-
-        # the band table: the modes the 2/3 rule keeps, |k_j| <= kc on every axis, stored
-        # as rows 0..kc then -kc..-1 on each leading axis and columns 0..kc of the last.
-        # _row_blocks[axis] holds (band index, spectrum index) of the two row blocks.
+        # the band table: the modes the 2/3 rule keeps, |k_j| <= kc on every axis, stored as
+        # rows 0..kc then -kc..-1 on each leading axis and columns 0..kc of the last.  Per axis,
+        # _row_blocks holds (band index, spectrum index) of the two row blocks, _row_gaps the rest.
         self.kc = kc = (points - 1) // 3
         self.band_shape = (2 * kc + 1,) * (dim - 1) + (kc + 1,)
-        self._row_blocks = {}
+        self._row_blocks, self._row_gaps = {}, {}
         for axis in range(-dim, -1):
             tail = (slice(None),) * (-axis - 1)
+            self._row_gaps[axis] = (Ellipsis, slice(kc + 1, points - kc)) + tail
             self._row_blocks[axis] = tuple(
                 ((Ellipsis, band) + tail, (Ellipsis, spectrum) + tail)
                 for band, spectrum in ((slice(0, kc + 1), slice(0, kc + 1)),
                                        (slice(kc + 1, None), slice(points - kc, None))))
-        self.band_kmesh = to_band(self.kmesh, self)
-        self.band_k_squared = to_band(self.k_squared, self)
+        k_band = np.concatenate((k1d[: kc + 1], k1d[points - kc:]))
+        mesh = np.meshgrid(*(k_band,) * (dim - 1), k_band[: kc + 1], indexing="ij")
+        self.band_kmesh = np.stack(mesh)
+        self.band_k_squared = np.sum(self.band_kmesh**2, axis=0)
         # i k_j and |k| on the band, for its gradient, its operators and its symbols
         self.band_ik = 1j * self.band_kmesh
         self.band_kmag = np.sqrt(self.band_k_squared)
@@ -96,6 +95,23 @@ class Grid:
         neg = -np.arange(points) % points
         self._reflect = (Ellipsis,) + np.ix_(*(neg,) * dim)
         self._mirror = (Ellipsis,) + np.ix_(*(neg,) * (dim - 1), neg[points // 2 + 1:])
+
+    # read by the full-spectrum field API, `lpaley` and the band of a full-spectrum pair
+    @functools.cached_property
+    def kmesh(self) -> np.ndarray:
+        return np.stack(np.meshgrid(*self.k_axes, indexing="ij"))  # (dim, points, ..., points)
+
+    @functools.cached_property
+    def k_squared(self) -> np.ndarray:
+        return np.sum(self.kmesh**2, axis=0)
+
+    @functools.cached_property
+    def kmag(self) -> np.ndarray:
+        return np.sqrt(self.k_squared)
+
+    @functools.cached_property
+    def dealias_mask(self) -> np.ndarray:
+        return np.max(np.abs(self.kmesh), axis=0) < self.points / 3.0
 
     def coordinates(self) -> list[np.ndarray]:
         """Physical mesh coordinates, one array per axis (ij indexing)."""
@@ -227,11 +243,13 @@ def _keep_rows(x: np.ndarray, axis: int, grid: Grid, out: np.ndarray | None = No
 
 def _pad_rows(x: np.ndarray, axis: int, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """x with its band rows on one leading axis placed among `points` rows, zero elsewhere;
-    written into `out` when given, whose other rows must be zero."""
+    written into `out` when given, whose rows between the two band blocks it zeroes."""
     if out is None:
         shape = list(x.shape)
         shape[axis] = grid.points
         out = np.zeros(shape, dtype=x.dtype)
+    else:
+        out[grid._row_gaps[axis]] = 0
     for band, spectrum in grid._row_blocks[axis]:
         out[spectrum] = x[band]
     return out
@@ -254,69 +272,64 @@ def cache_aligned(shape: tuple[int, ...], dtype=np.float64, zero: bool = False) 
 # They are process state, shared by every such call on the grid.
 
 @functools.lru_cache(maxsize=8)
-def _inverse_buffers(grid: Grid, lead: tuple[int, ...]) -> tuple[tuple, tuple, np.ndarray]:
-    """Of `band_to_physical`: the padded rows of each leading axis, zero outside the
-    band rows that every call writes, the ifft output of each but the last, and the
-    half spectrum that irfft reads, zero outside the columns 0..kc that the last
-    ifft writes."""
+def _inverse_buffers(grid: Grid, lead: tuple[int, ...]) -> tuple[tuple, np.ndarray]:
+    """Of `band_to_physical`: the padded rows of each leading axis but the last, and
+    the half spectrum that irfft reads, zero outside the columns 0..kc that the
+    last axis is padded into."""
     shape = list(lead + grid.band_shape)
-    padded, spectra = [], []
-    for axis in range(-grid.dim, -1):
+    padded = []
+    for axis in range(-grid.dim, -2):
         shape[axis] = grid.points
         padded.append(cache_aligned(tuple(shape), np.complex128, zero=True))
-        if axis < -2:
-            spectra.append(cache_aligned(tuple(shape), np.complex128))
-    shape[-1] = grid.points // 2 + 1
-    return tuple(padded), tuple(spectra), cache_aligned(tuple(shape), np.complex128, zero=True)
+    shape[-2:] = grid.points, grid.points // 2 + 1
+    return tuple(padded), cache_aligned(tuple(shape), np.complex128, zero=True)
 
 
 @functools.lru_cache(maxsize=8)
-def _forward_buffers(grid: Grid, lead: tuple[int, ...]) -> tuple[np.ndarray, tuple, tuple]:
-    """The rfft half spectrum of `physical_to_band`, the fft output of each leading
-    axis, and the kept rows of each but the last, whose rows go to `out`."""
+def _forward_buffers(grid: Grid, lead: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
+    """Of `physical_to_band`: the rfft half spectrum, and the kept rows of each
+    leading axis but the last, whose rows go to `out`."""
     shape = list(lead + grid.shape)
     shape[-1] = grid.points // 2 + 1
     half = cache_aligned(tuple(shape), np.complex128)
     shape[-1] = grid.kc + 1
-    spectra, rows = [], []
-    for axis in range(-2, -grid.dim - 1, -1):
-        spectra.append(cache_aligned(tuple(shape), np.complex128))
+    rows = []
+    for axis in range(-2, -grid.dim, -1):
         shape[axis] = 2 * grid.kc + 1
         rows.append(cache_aligned(tuple(shape), np.complex128))
-    return half, tuple(spectra), tuple(rows[:-1])
+    return half, tuple(rows)
 
 
 def band_to_physical(band: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Real samples of band arrays stacked on leading axes, bit for bit
     `to_physical_array(from_band(band))`: in irfftn's axis order, each leading
-    axis is padded and gets a complex ifft over only the kc + 1 columns that can
-    be nonzero, the last one into columns 0..kc of a zeroed half spectrum, then
-    one irfft of the last axis reads the whole half spectrum, which numpy
-    transforms faster than the band columns alone.  With `out`, the samples are
-    written there and the intermediates are the grid's buffers; without it,
-    every array is new."""
+    axis is padded and gets an in-place complex ifft over only the kc + 1
+    columns that can be nonzero, the last one padded straight into columns
+    0..kc of a zeroed half spectrum, then one irfft of the last axis reads the
+    whole half spectrum, which numpy transforms faster than the band columns
+    alone.  With `out`, the samples are written there and the intermediates are
+    the grid's buffers; without it, every array is new."""
     lead = band.shape[:-grid.dim]
-    padded, spectra, half = (_inverse_buffers(grid, lead) if out is not None else (
-        (None,) * (grid.dim - 1), (None,) * (grid.dim - 2),
+    padded, half = (_inverse_buffers(grid, lead) if out is not None else (
+        (None,) * (grid.dim - 2),
         np.zeros(lead + grid.shape[:-1] + (grid.points // 2 + 1,), dtype=np.complex128)))
-    for axis, rows, spectrum in zip(range(-grid.dim, -1), padded,
-                                    spectra + (half[..., : grid.kc + 1],)):
-        band = np.fft.ifft(_pad_rows(band, axis, grid, rows), axis=axis, norm="forward",
-                           out=spectrum)
+    for axis, rows in zip(range(-grid.dim, -1), padded + (half[..., : grid.kc + 1],)):
+        band = _pad_rows(band, axis, grid, rows)
+        np.fft.ifft(band, axis=axis, norm="forward", out=band)
     return np.fft.irfft(half, n=grid.points, axis=-1, norm="forward", out=out)
 
 
 def physical_to_band(samples: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Band of real sample arrays stacked on leading axes, bit for bit
-    `to_band(to_spectral_array(samples))`: one rfft of the last axis keeps
-    columns 0..kc, then in rfftn's axis order each leading axis gets a complex
-    fft and keeps its band rows.  With `out`, the band is written there and the
-    intermediates are the grid's buffers; without it, every array is new."""
-    half, spectra, rows = (_forward_buffers(grid, samples.shape[:-grid.dim]) if out is not None
-                           else (None, (None,) * (grid.dim - 1), (None,) * (grid.dim - 2)))
+    `to_band(to_spectral_array(samples))`: one rfft of the last axis, then in rfftn's
+    axis order each leading axis gets an in-place complex fft over columns 0..kc and
+    keeps its band rows.  With `out`, the band is written there and the intermediates
+    are the grid's buffers; without it, every array is new."""
+    half, rows = (_forward_buffers(grid, samples.shape[:-grid.dim]) if out is not None
+                  else (None, (None,) * (grid.dim - 2)))
     x = np.fft.rfft(samples, axis=-1, norm="forward", out=half)[..., : grid.kc + 1]
-    for axis, spectrum, kept in zip(range(-2, -grid.dim - 1, -1), spectra, rows + (out,)):
-        x = _keep_rows(np.fft.fft(x, axis=axis, norm="forward", out=spectrum), axis, grid, kept)
+    for axis, kept in zip(range(-2, -grid.dim - 1, -1), rows + (out,)):
+        x = _keep_rows(np.fft.fft(x, axis=axis, norm="forward", out=x), axis, grid, kept)
     return x
 
 

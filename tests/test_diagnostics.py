@@ -887,8 +887,8 @@ class TestRunExperiment:
         calls = []
         for name in ("band_to_physical", "to_physical_array", "physical_to_band", "to_spectral_array"):
             original = getattr(sp, name)
-            monkeypatch.setattr(sp, name, lambda *args, _name=name, _original=original:
-                                calls.append(_name) or _original(*args))
+            monkeypatch.setattr(sp, name, lambda *args, _name=name, _original=original, **kwargs:
+                                calls.append(_name) or _original(*args, **kwargs))
         tracker = DiagnosticTracker(params, 2.5, 5.0)
         for n, state in enumerate(states):
             tracker(n, state)

@@ -2,12 +2,14 @@
 and the pruned transforms and cached band operator of the band hot path."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from lmhd import dynamics, integrator, spectral as sp
-from lmhd.diagnostics import config_from_mapping, make_record, record_weights, run_experiment
+from lmhd.diagnostics import (DiagnosticTracker, config_from_mapping, initial_condition,
+                              make_record, record_weights, run_experiment)
 from lmhd.dynamics import SolutionPair, SystemParams, tendency
 from lmhd.integrator import BlowupError, StepperConfig, run
 from lmhd.multiplier import DissipationSpec, make_g
@@ -259,6 +261,50 @@ def test_hot_path_uses_only_real_transforms(monkeypatch, dim, points):
     assert all(columns == band_columns for name, columns in calls if name in ("fft", "ifft"))
 
 
+def test_a_step_keeps_at_most_two_tendencies_alive():
+    """Each tendency is folded into the first once the stages are done with it, so
+    when a step asks for its fourth, its second and third are gone."""
+    grid = sp.make_grid(2, 16)
+    state = SolutionPair(random_solenoidal(grid, 3), random_solenoidal(grid, 4))
+    results, alive = [], []
+
+    def hook(band, grid):
+        if len(results) % 4 == 3:
+            alive.append([result() is not None for result in results[-3:]])
+        out = tendency(band, grid)
+        results.append(weakref.ref(out))
+        return out
+
+    run(state, make_params(nu=0.05), StepperConfig(t_end=math.inf, dt=1e-3, max_steps=3),
+        nonlinear=hook)
+    assert alive == [[True, False, False]] * 3
+
+
+def test_a_run_builds_no_full_spectrum_table(tmp_path):
+    """Fixed-dt and adaptive steps, their records and a snapshot read only the band
+    tables of a grid; its full-spectrum tables, built on first use, then read as
+    they are built from fftfreq."""
+    grid = sp.Grid(2, 16)  # not make_grid's, whose tables other tests build
+    state = initial_condition("orszag_tang_2d", {}, grid)
+    params = make_params(nu=0.05, eta=0.01)
+    for config, steps in ((StepperConfig(t_end=0.01, dt=2e-3), 5),
+                          (StepperConfig(t_end=math.inf, max_steps=3), 3)):
+        tracker = DiagnosticTracker(params, 2.5, 5.0)
+        final = run(state, params, config, observer=tracker)
+        assert len(tracker.records) == steps + 1
+    sp.write_band_snapshot(str(tmp_path / "snap.lmhd"), final.band, grid)
+    tables = ("kmesh", "k_squared", "kmag", "dealias_mask")
+    assert set(tables).isdisjoint(vars(grid))
+    k1d = np.fft.fftfreq(16, d=1.0 / 16)
+    kmesh = np.stack(np.meshgrid(k1d, k1d, indexing="ij"))
+    k_squared = np.sum(kmesh**2, axis=0)
+    expected = (kmesh, k_squared, np.sqrt(k_squared), np.max(np.abs(kmesh), axis=0) < 16 / 3.0)
+    for name, table in zip(tables, expected):
+        got = getattr(grid, name)
+        assert got.dtype == table.dtype and got.shape == table.shape
+        assert got.tobytes() == table.tobytes()
+
+
 @pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
 def test_stepper_arrays_start_on_cache_lines(monkeypatch, dim, points):
     """Every array the stepper reuses starts on a 64-byte boundary: the pruned transforms'
@@ -290,7 +336,8 @@ def test_stepper_arrays_start_on_cache_lines(monkeypatch, dim, points):
     for cached, lead in ((sp._inverse_buffers, (2, dim)), (sp._forward_buffers, (dim * dim - 1,))):
         for item in cached(grid, lead):
             arrays += item if isinstance(item, tuple) else [item]
-    assert len(arrays) == (17 if dim == 3 else 13)
+    # the transforms run in place: no fft or ifft output buffer among them
+    assert len(arrays) == (13 if dim == 3 else 11)
     assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
 
 
